@@ -45,7 +45,6 @@ func main() {
 	seed := flag.Int64("seed", 1, "rng seed")
 	workers := flag.Int("workers", 0, "concurrent measurement jobs (0 = GOMAXPROCS); output is identical at any value")
 	cacheDir := flag.String("cache", "", "persist β measurements in this directory and reuse them across -measure runs; output is identical with or without it")
-	cacheMax := flag.Int64("cache-max-bytes", 0, "evict oldest -cache entries once the directory exceeds this size (0 = unlimited)")
 	flag.Parse()
 
 	gf := family(*guestName)
@@ -87,7 +86,6 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			cache.SetMaxBytes(*cacheMax)
 		}
 		opts := netemu.MeasureOptions{}
 		guestBeta := r.BetaFuture(gf, *gdim, *gsize, opts)

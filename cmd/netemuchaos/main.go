@@ -10,11 +10,11 @@
 //     and local fallback);
 //   - the coordinator's /metrics conserve: total requests equal the sum
 //     over endpoints of the per-status counts, and every 200 from the
-//     spec endpoints is served exactly one way (memo, coalesced, disk,
+//     spec endpoints is served exactly one way (memo, coalesced, store,
 //     forwarded, or local fallback);
-//   - zero cache poisoning: a fresh single-node server over the
-//     coordinator's disk-cache directory re-serves every distinct 200
-//     spec byte-identically without running a single simulation;
+//   - zero store poisoning: a fresh single-node server over the
+//     coordinator's result store re-serves every distinct 200 spec
+//     byte-identically without running a single simulation;
 //   - with -repro (default), the whole soak runs twice from the same
 //     seed against fresh pools and the response-stream digests must
 //     match bit for bit. (Fault decisions are a pure function of
@@ -47,10 +47,10 @@ import (
 	"time"
 
 	"repro/internal/chaos"
-	"repro/internal/experiment"
 	"repro/internal/loadplan"
 	"repro/internal/server"
 	"repro/internal/server/cluster"
+	"repro/internal/store"
 )
 
 func main() {
@@ -194,7 +194,7 @@ type soakResult struct {
 	digest   string // sha256 over the (index, status, body) stream
 	faults   int
 	trace    []string
-	cacheDir string
+	storeDir string
 	load     []loadplan.Request
 	// conservation inputs, snapshotted before teardown
 	conservationErr error
@@ -202,7 +202,7 @@ type soakResult struct {
 
 // runSoak boots workers + a chaos-wrapped coordinator, replays the
 // plan, snapshots the metrics conservation law, and tears everything
-// down (leaving the coordinator's disk cache for the poisoning check).
+// down (leaving the coordinator's store for the poisoning check).
 func runSoak(seed int64, plan chaos.Plan, load []loadplan.Request, workers int, forwardTimeout, probeInterval time.Duration, verbose bool) soakResult {
 	pool := make([]*node, workers)
 	addrs := make([]string, workers)
@@ -211,11 +211,11 @@ func runSoak(seed int64, plan chaos.Plan, load []loadplan.Request, workers int, 
 		addrs[i] = pool[i].addr
 	}
 
-	cacheDir, err := os.MkdirTemp("", "netemuchaos-cache-")
+	storeDir, err := os.MkdirTemp("", "netemuchaos-store-")
 	if err != nil {
 		log.Fatal(err)
 	}
-	cache, err := experiment.OpenDiskCache(cacheDir)
+	st, err := store.Open(storeDir)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -230,12 +230,13 @@ func runSoak(seed int64, plan chaos.Plan, load []loadplan.Request, workers int, 
 		Validate:       server.ValidateWorkerBody,
 	})
 	d.Start()
-	coord := bootNode(server.Config{Shards: 1, Cache: cache, Dispatch: d})
+	coord := bootNode(server.Config{Shards: 1, Store: st, Dispatch: d})
 
 	recs := replayAll(load, coord.base)
 	conservationErr := checkConservation(coord.srv, recs)
 
 	coord.stop()
+	st.Close()
 	d.Close()
 	for _, w := range pool {
 		w.stop()
@@ -262,7 +263,7 @@ func runSoak(seed int64, plan chaos.Plan, load []loadplan.Request, workers int, 
 		digest:          hex.EncodeToString(h.Sum(nil))[:16],
 		faults:          len(trace),
 		trace:           trace,
-		cacheDir:        cacheDir,
+		storeDir:        storeDir,
 		load:            load,
 		conservationErr: conservationErr,
 	}
@@ -297,16 +298,16 @@ func checkConservation(s *server.Server, recs []record) error {
 	if m.Cluster == nil {
 		return fmt.Errorf("coordinator metrics carry no cluster section")
 	}
-	served := m.MemoHits + m.CoalescedHits + m.DiskHits + m.Cluster.Forwarded + m.Cluster.LocalFallbacks
+	served := m.MemoHits + m.CoalescedHits + m.StoreHits + m.Cluster.Forwarded + m.Cluster.LocalFallbacks
 	if served != spec200 {
-		return fmt.Errorf("memo(%d)+coalesced(%d)+disk(%d)+forwarded(%d)+fallbacks(%d) = %d, want %d spec 200s",
-			m.MemoHits, m.CoalescedHits, m.DiskHits, m.Cluster.Forwarded, m.Cluster.LocalFallbacks, served, spec200)
+		return fmt.Errorf("memo(%d)+coalesced(%d)+store(%d)+forwarded(%d)+fallbacks(%d) = %d, want %d spec 200s",
+			m.MemoHits, m.CoalescedHits, m.StoreHits, m.Cluster.Forwarded, m.Cluster.LocalFallbacks, served, spec200)
 	}
 	return nil
 }
 
 // checkRun verifies one soak against the reference and runs the
-// cache-poisoning replay; returns how many assertions failed.
+// store-poisoning replay; returns how many assertions failed.
 func checkRun(run soakResult, want []record, errorBudget int, verbose bool) int {
 	failures := 0
 
@@ -333,36 +334,37 @@ func checkRun(run soakResult, want []record, errorBudget int, verbose bool) int 
 		log.Printf("metrics conservation held")
 	}
 
-	if err := checkCacheReplay(run, want); err != nil {
+	if err := checkStoreReplay(run, want); err != nil {
 		failures++
-		log.Printf("FAIL: cache poisoning: %v", err)
+		log.Printf("FAIL: store poisoning: %v", err)
 	} else {
-		log.Printf("disk cache clean: restart re-served every distinct 200 byte-identically, zero executions")
+		log.Printf("store clean: restart re-served every distinct 200 byte-identically, zero executions")
 	}
-	os.RemoveAll(run.cacheDir)
+	os.RemoveAll(run.storeDir)
 	return failures
 }
 
-// checkCacheReplay boots a fresh single-node server over the
-// coordinator's disk cache and re-requests every distinct spec the
+// checkStoreReplay boots a fresh single-node server over the
+// coordinator's result store and re-requests every distinct spec the
 // reference answered 200 — each must come back byte-identical without
 // executing a single simulation. A truncated or corrupted worker body
-// that slipped into the cache shows up here as a divergence (or as an
-// execution after the poisoned entry fails to parse).
-func checkCacheReplay(run soakResult, want []record) error {
-	cache, err := experiment.OpenDiskCache(run.cacheDir)
+// that slipped into the store shows up here as a divergence (or as an
+// execution after the poisoned record fails to parse).
+func checkStoreReplay(run soakResult, want []record) error {
+	st, err := store.Open(run.storeDir)
 	if err != nil {
 		return err
 	}
-	n := bootNode(server.Config{Shards: 1, Cache: cache})
+	defer st.Close()
+	n := bootNode(server.Config{Shards: 1, Store: st})
 	defer n.stop()
 
 	client := &http.Client{Timeout: 5 * time.Minute}
 	seen := map[string]bool{}
 	distinct := 0
 	for i, req := range run.load {
-		// Only POSTs are cached, only 200s land in the cache, and the
-		// run must itself have answered 200 for the entry to exist.
+		// Only POSTs are stored, only 200s land in the store, and the
+		// run must itself have answered 200 for the record to exist.
 		if req.Method != http.MethodPost || want[i].status != http.StatusOK || run.recs[i].status != http.StatusOK {
 			continue
 		}
@@ -381,15 +383,14 @@ func checkCacheReplay(run soakResult, want []record) error {
 		body, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusOK || !bytes.Equal(body, want[i].body) {
-			return fmt.Errorf("request %d served status %d / different bytes from the disk cache", i, resp.StatusCode)
+			return fmt.Errorf("request %d served status %d / different bytes from the store", i, resp.StatusCode)
 		}
 	}
 	if m := n.srv.Metrics(); m.Executions != 0 {
-		return fmt.Errorf("cache replay ran %d simulations; every distinct 200 should have been a disk hit", m.Executions)
+		return fmt.Errorf("store replay ran %d simulations; every distinct 200 should have been a store hit", m.Executions)
 	}
 	if distinct == 0 {
 		return fmt.Errorf("no distinct 200 specs to replay; the soak exercised nothing")
 	}
 	return nil
 }
-

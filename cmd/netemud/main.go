@@ -22,7 +22,7 @@
 //	GET  /v1/sweeps/stream  SSE feed of scheduled sweep progress (-sweeps);
 //	                        late subscribers replay recent events
 //	GET  /healthz           liveness (503 "draining" once a drain begins)
-//	GET  /metrics           request/cache/coalescing/cluster counters + latency
+//	GET  /metrics           request/answer-path/cluster counters + latency
 //	POST /drainz            begin a graceful drain: healthz flips to 503 so
 //	                        coordinators probe this worker out of rotation,
 //	                        in-flight work finishes, new work spills to ring
@@ -33,8 +33,7 @@
 // `betameter -json` or `emusim -json` print for the same spec, which is
 // what the CI parity check diffs. Identical concurrent requests
 // coalesce into one simulation; distinct requests pass a bounded
-// admission queue (429 when full, 503 while draining) and optionally
-// persist through the same disk-cache format the report pipeline uses.
+// admission queue (429 when full, 503 while draining).
 //
 // Every error response carries the unified envelope
 // {"error":{"code":"…","message":"…"}} with codes bad_spec, queue_full,
@@ -44,26 +43,27 @@
 // With -store DIR every 200 measurement and emulation response is also
 // appended to a crash-safe result store, queryable through the GET
 // /v1/results endpoints and stable across restarts: re-querying a key
-// returns the stored body byte-for-byte. With -sweeps FILE a background
-// scheduler replays the configured sweep jobs at low priority (never
-// displacing interactive requests), lands each point in the store, and
-// streams progress on /v1/sweeps/stream.
+// returns the stored body byte-for-byte, and re-POSTing a stored spec
+// is answered from the store without simulating. With -sweeps FILE a
+// background scheduler replays the configured sweep jobs at low
+// priority (never displacing interactive requests), lands each point in
+// the store, and streams progress on /v1/sweeps/stream.
 //
 // Distributed mode: `-coordinator -workers host1:port,host2:port` fans
 // computations out to a pool of plain netemud processes (run them with
 // `-worker`, which is a single-node server plus a log marker), routing
-// each request by its canonical cache key on a consistent-hash ring so
-// every worker's memo and disk cache stay hot for its slice of the key
-// space. Dead workers are probed out of rotation and requests fail over
-// to the next ring successor; with no worker reachable the coordinator
-// computes locally. Responses are byte-identical to a single-node run
-// either way.
+// each request by its canonical key on a consistent-hash ring so every
+// worker's memo and artifact cache stay hot for its slice of the key
+// space; a coordinator with -store answers stored specs itself. Dead
+// workers are probed out of rotation and requests fail over to the next
+// ring successor; with no worker reachable the coordinator computes
+// locally. Responses are byte-identical to a single-node run either
+// way.
 //
 // Usage:
 //
 //	netemud [-addr :8080] [-concurrency N] [-queue 16]
 //	        [-request-timeout 60s] [-shards 1]
-//	        [-cache DIR] [-cache-max-bytes N]
 //	        [-store DIR] [-sweeps FILE]
 //	        [-read-header-timeout 10s] [-idle-timeout 2m] [-max-header-bytes 65536]
 //	        [-coordinator -workers host:port,... [-health-interval 2s] [-forward-timeout 90s]]
@@ -83,7 +83,6 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/experiment"
 	"repro/internal/schedule"
 	"repro/internal/server"
 	"repro/internal/server/cluster"
@@ -98,9 +97,7 @@ func main() {
 	queue := flag.Int("queue", 16, "max computations waiting for a slot before 429s")
 	timeout := flag.Duration("request-timeout", 60*time.Second, "default per-request deadline (clients lower it via X-Timeout-Ms)")
 	shards := flag.Int("shards", 1, "simulator shards per computation for specs that leave shards unset (0 = one per CPU); results are identical at any value")
-	cacheDir := flag.String("cache", "", "persist responses in this directory across restarts; shares the report pipeline's cache format")
-	cacheMax := flag.Int64("cache-max-bytes", 0, "evict least-recently-used -cache entries once the directory exceeds this size (0 = unlimited)")
-	storeDir := flag.String("store", "", "append every 200 response to a crash-safe result store in this directory; enables the GET /v1/results endpoints")
+	storeDir := flag.String("store", "", "append every 200 response to a crash-safe result store in this directory, answer stored specs from it across restarts, and enable the GET /v1/results endpoints")
 	sweepsFile := flag.String("sweeps", "", "JSON sweep-job file; a background scheduler replays each job at low priority and streams progress on /v1/sweeps/stream")
 	drain := flag.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for in-flight computations")
 
@@ -146,14 +143,6 @@ func main() {
 		cfg.Role = "worker"
 	default:
 		cfg.Role = "single"
-	}
-	if *cacheDir != "" {
-		cache, err := experiment.OpenDiskCache(*cacheDir)
-		if err != nil {
-			log.Fatal(err)
-		}
-		cache.SetMaxBytes(*cacheMax)
-		cfg.Cache = cache
 	}
 	if *storeDir != "" {
 		st, err := store.Open(*storeDir)

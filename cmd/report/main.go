@@ -38,7 +38,6 @@ func main() {
 	seed := flag.Int64("seed", 1, "rng seed")
 	workers := flag.Int("workers", 0, "concurrent measurement jobs (0 = GOMAXPROCS); output is identical at any value")
 	cacheDir := flag.String("cache", "", "persist β/λ measurements in this directory and reuse them across runs; output is identical with or without it")
-	cacheMax := flag.Int64("cache-max-bytes", 0, "evict oldest -cache entries once the directory exceeds this size (0 = unlimited)")
 	out := flag.String("o", "", "output file (default stdout)")
 	prof := profiling.RegisterFlags(flag.CommandLine)
 	flag.Parse()
@@ -55,7 +54,6 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		cache.SetMaxBytes(*cacheMax)
 	}
 	w := os.Stdout
 	if *out != "" {

@@ -31,9 +31,9 @@
 // RunEmulation (prebuilt guest and host), or Execute (machines built from
 // the spec). The spec's Canonical() string is the system-wide identity:
 // the experiment orchestrator's memo cache, its persistent DiskCache, and
-// the netemud service's request coalescer all key off it, and results are
-// byte-identical however the request arrives (facade call, CLI flag set,
-// or HTTP POST).
+// the netemud service's flight table and result store all key off it, and
+// results are byte-identical however the request arrives (facade call,
+// CLI flag set, or HTTP POST).
 //
 // The historical per-variant facade functions remain as thin deprecated
 // wrappers over Run. Old call → new spec:

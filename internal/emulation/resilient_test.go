@@ -76,10 +76,10 @@ func TestDirectDegradedBadArgsPanic(t *testing.T) {
 	host := topology.Mesh(2, 2)
 	rng := rand.New(rand.NewSource(63))
 	for _, tc := range []struct{ steps, failStep int }{
-		{1, 0},  // too short to hold two phases
-		{4, 0},  // failure before the run starts
-		{4, 4},  // failure after the run ends
-		{4, 7},  // failure past the end
+		{1, 0}, // too short to hold two phases
+		{4, 0}, // failure before the run starts
+		{4, 4}, // failure after the run ends
+		{4, 7}, // failure past the end
 	} {
 		func() {
 			defer func() {

@@ -74,7 +74,7 @@ func (r *Runner) BetaFuture(f topology.Family, dim, size int, opts bandwidth.Mea
 		m, eng := r.artifactsFor(f, dim, size, opts.Strategy, rng)
 		if r.disk != nil {
 			var e betaEntry
-			if r.disk.Load(r.diskKey(key), &e) {
+			if r.disk.load(r.diskKey(key), &e) {
 				return bandwidth.Measurement{Machine: m, Dist: e.Dist, Beta: e.Beta, RateByLoad: e.RateByLoad}
 			}
 		}
@@ -85,7 +85,7 @@ func (r *Runner) BetaFuture(f topology.Family, dim, size int, opts bandwidth.Mea
 			meas = bandwidth.MeasureSymmetricBeta(m, opts, rng)
 		}
 		if r.disk != nil {
-			r.disk.Store(r.diskKey(key), betaEntry{Dist: meas.Dist, Beta: meas.Beta, RateByLoad: meas.RateByLoad})
+			r.disk.store(r.diskKey(key), betaEntry{Dist: meas.Dist, Beta: meas.Beta, RateByLoad: meas.RateByLoad})
 		}
 		return meas
 	})
@@ -112,7 +112,7 @@ func (r *Runner) LambdaFuture(f topology.Family, dim, size int) *Future[Lambda] 
 	fut := newFuture(r, key, func(rng *rand.Rand) Lambda {
 		if r.disk != nil {
 			var l Lambda
-			if r.disk.Load(r.diskKey(key), &l) {
+			if r.disk.load(r.diskKey(key), &l) {
 				return l
 			}
 		}
@@ -120,7 +120,7 @@ func (r *Runner) LambdaFuture(f topology.Family, dim, size int) *Future[Lambda] 
 		diam, avg := bandwidth.MeasureLambda(m, rng)
 		out := Lambda{Diameter: diam, AvgDist: avg}
 		if r.disk != nil {
-			r.disk.Store(r.diskKey(key), out)
+			r.disk.store(r.diskKey(key), out)
 		}
 		return out
 	})

@@ -6,11 +6,7 @@ import (
 	"hash/fnv"
 	"os"
 	"path/filepath"
-	"sort"
-	"strings"
-	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // The persistent layer under the in-memory memoization: measurement results
@@ -35,21 +31,18 @@ import (
 
 // MeasurementVersion names the semantics of the cached values. Bump it
 // whenever the simulator or estimators change measured numbers; stale
-// entries then miss on key comparison and are rewritten. Exported so the
-// netemud response cache can fold it into its own keys and go stale in
-// lockstep with the measurement caches.
+// entries then miss on key comparison and are rewritten. Exported so
+// netemud's result store labels its records with it and answers only
+// from records of the current version, going stale in lockstep with the
+// measurement caches.
 const MeasurementVersion = "m4"
 
 // DiskCache is a directory of JSON measurement entries. Safe for
 // concurrent use.
 type DiskCache struct {
-	dir      string
-	maxBytes atomic.Int64 // 0 = unlimited
-	hits     atomic.Int64
-	misses   atomic.Int64
-	evicted  atomic.Int64
-
-	evictMu sync.Mutex // one evictor at a time; store itself stays lock-free
+	dir    string
+	hits   atomic.Int64
+	misses atomic.Int64
 }
 
 // OpenDiskCache opens (creating if needed) a cache directory.
@@ -62,20 +55,6 @@ func OpenDiskCache(dir string) (*DiskCache, error) {
 
 // Dir returns the cache directory.
 func (c *DiskCache) Dir() string { return c.dir }
-
-// SetMaxBytes caps the cache directory's total entry size; every store
-// that pushes the directory past the cap evicts oldest-mtime-first entries
-// until it fits again. 0 (the default) disables eviction — the historical
-// grow-without-bound behaviour.
-func (c *DiskCache) SetMaxBytes(n int64) {
-	if n < 0 {
-		n = 0
-	}
-	c.maxBytes.Store(n)
-}
-
-// Evicted returns how many entries the size cap has deleted so far.
-func (c *DiskCache) Evicted() int64 { return c.evicted.Load() }
 
 // Counts returns how many lookups hit and missed so far. Loads that fail
 // (absent, corrupt, stale, or colliding entries) all count as misses.
@@ -98,20 +77,13 @@ func (c *DiskCache) path(key string) string {
 	return filepath.Join(c.dir, fmt.Sprintf("%016x.json", h.Sum64()))
 }
 
-// Load reads the entry for key into out, reporting whether it hit. Every
+// load reads the entry for key into out, reporting whether it hit. Every
 // failure mode — missing file, unreadable JSON, a different key in the
 // file, value/out type mismatch — is a miss: a stale or foreign cache
 // directory degrades to recomputation, never to a wrong value or an
-// error. Exported for consumers (the netemud server) that key off
-// canonical RunSpec strings directly rather than through a Runner.
-//
-// A hit touches the entry's mtime, so enforceCap's oldest-mtime-first
-// order is genuine LRU: frequently read entries stay young however long
-// ago they were written. Best-effort like everything else here — on a
-// read-only directory the cache degrades to FIFO eviction, not failure.
-func (c *DiskCache) Load(key string, out any) bool {
-	path := c.path(key)
-	data, err := os.ReadFile(path)
+// error.
+func (c *DiskCache) load(key string, out any) bool {
+	data, err := os.ReadFile(c.path(key))
 	if err != nil {
 		c.misses.Add(1)
 		return false
@@ -121,17 +93,13 @@ func (c *DiskCache) Load(key string, out any) bool {
 		c.misses.Add(1)
 		return false
 	}
-	now := time.Now()
-	os.Chtimes(path, now, now)
 	c.hits.Add(1)
 	return true
 }
 
-// Store writes the entry for key. Errors are swallowed: a read-only or full
-// disk degrades the cache to a no-op, never the run to a failure. With a
-// size cap set, a store that pushes the directory over the cap evicts
-// oldest-mtime-first entries until it fits.
-func (c *DiskCache) Store(key string, val any) {
+// store writes the entry for key. Errors are swallowed: a read-only or full
+// disk degrades the cache to a no-op, never the run to a failure.
+func (c *DiskCache) store(key string, val any) {
 	raw, err := json.Marshal(val)
 	if err != nil {
 		return
@@ -153,68 +121,6 @@ func (c *DiskCache) Store(key string, val any) {
 	}
 	if os.Rename(name, c.path(key)) != nil {
 		os.Remove(name)
-		return
-	}
-	c.enforceCap(filepath.Base(c.path(key)))
-}
-
-// enforceCap deletes oldest-mtime-first entries until the directory's
-// total entry size fits under the cap, never touching exempt (the entry
-// whose store triggered the sweep). Exemption matters when one entry
-// alone exceeds the cap: sorting by mtime would otherwise delete the
-// file that was just written — its Load-touched mtime can even make it
-// the oldest — turning every later lookup of that key into a recompute
-// that re-stores and re-evicts forever. Errors are swallowed like
-// Store's: eviction is best-effort hygiene.
-func (c *DiskCache) enforceCap(exempt string) {
-	cap := c.maxBytes.Load()
-	if cap <= 0 {
-		return
-	}
-	c.evictMu.Lock()
-	defer c.evictMu.Unlock()
-	entries, err := os.ReadDir(c.dir)
-	if err != nil {
-		return
-	}
-	type entry struct {
-		name  string
-		size  int64
-		mtime time.Time
-	}
-	var files []entry
-	var total int64
-	for _, de := range entries {
-		if de.IsDir() || !strings.HasSuffix(de.Name(), ".json") {
-			continue // skip temp files and foreign content
-		}
-		info, err := de.Info()
-		if err != nil {
-			continue
-		}
-		files = append(files, entry{name: de.Name(), size: info.Size(), mtime: info.ModTime()})
-		total += info.Size()
-	}
-	if total <= cap {
-		return
-	}
-	sort.Slice(files, func(i, j int) bool {
-		if !files[i].mtime.Equal(files[j].mtime) {
-			return files[i].mtime.Before(files[j].mtime)
-		}
-		return files[i].name < files[j].name // stable order for equal mtimes
-	})
-	for _, f := range files {
-		if total <= cap {
-			break
-		}
-		if f.name == exempt {
-			continue
-		}
-		if os.Remove(filepath.Join(c.dir, f.name)) == nil {
-			total -= f.size
-			c.evicted.Add(1)
-		}
 	}
 }
 

@@ -1,12 +1,9 @@
 package experiment
 
 import (
-	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/bandwidth"
 	"repro/internal/topology"
@@ -158,7 +155,7 @@ func TestDiskCacheStaleKeyFormatDegradesToMiss(t *testing.T) {
 	}
 	// A plausible old-format entry, stored under its own (old) key.
 	oldKey := "beta/Mesh^2/2/36/lf=[2 4 8],t=2,s=0/seed=9/m4"
-	c.Store(oldKey, betaEntry{Dist: "symmetric", Beta: 99, RateByLoad: map[int]float64{2: 99}})
+	c.store(oldKey, betaEntry{Dist: "symmetric", Beta: 99, RateByLoad: map[int]float64{2: 99}})
 
 	// A fresh run over the same directory must miss (different canonical
 	// key → different file), measure, and store its own entry...
@@ -186,181 +183,5 @@ func TestDiskCacheStaleKeyFormatDegradesToMiss(t *testing.T) {
 	}
 	if warm.Beta != got.Beta {
 		t.Fatalf("warm β %v != cold β %v", warm.Beta, got.Beta)
-	}
-}
-
-// TestDiskCacheUnlimitedByDefault pins the default: no cap, no eviction,
-// however many entries accumulate.
-func TestDiskCacheUnlimitedByDefault(t *testing.T) {
-	dir := t.TempDir()
-	c, err := OpenDiskCache(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 50; i++ {
-		c.Store(fmt.Sprintf("key-%d", i), map[string]int{"i": i})
-	}
-	files, _ := filepath.Glob(filepath.Join(dir, "*.json"))
-	if len(files) != 50 {
-		t.Fatalf("unlimited cache holds %d entries, want 50", len(files))
-	}
-	if c.Evicted() != 0 {
-		t.Fatalf("unlimited cache evicted %d entries", c.Evicted())
-	}
-}
-
-// TestDiskCacheEvictsOldestFirst: with a cap set, stores evict
-// oldest-mtime entries first and the newest survive.
-func TestDiskCacheEvictsOldestFirst(t *testing.T) {
-	dir := t.TempDir()
-	c, err := OpenDiskCache(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Measure one entry's size, then cap the directory at three entries.
-	c.Store("probe", map[string]string{"v": "0123456789"})
-	files, _ := filepath.Glob(filepath.Join(dir, "*.json"))
-	if len(files) != 1 {
-		t.Fatalf("probe store wrote %d files", len(files))
-	}
-	info, err := os.Stat(files[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	entrySize := info.Size()
-	if err := os.Remove(files[0]); err != nil {
-		t.Fatal(err)
-	}
-	c.SetMaxBytes(3*entrySize + entrySize/2)
-
-	// Store five same-size entries with strictly increasing mtimes (the
-	// filesystem clock may be coarse, so force them).
-	keys := []string{"a", "b", "c", "d", "e"}
-	base := time.Now().Add(-time.Hour)
-	for i, k := range keys {
-		c.Store(k, map[string]string{"v": "0123456789"})
-		if err := os.Chtimes(c.path(k), base.Add(time.Duration(i)*time.Minute), base.Add(time.Duration(i)*time.Minute)); err != nil {
-			t.Fatal(err)
-		}
-		c.enforceCap("") // re-run with the forced mtimes in place
-	}
-	// The oldest entries (a, b) must be gone; the newest three must hit.
-	var sink map[string]string
-	for _, k := range []string{"a", "b"} {
-		if c.Load(k, &sink) {
-			t.Errorf("evicted entry %q still hits", k)
-		}
-	}
-	for _, k := range []string{"c", "d", "e"} {
-		if !c.Load(k, &sink) {
-			t.Errorf("young entry %q was evicted", k)
-		}
-	}
-	if c.Evicted() < 2 {
-		t.Errorf("evicted counter %d, want >= 2", c.Evicted())
-	}
-}
-
-// entrySizeOf measures one stored entry's on-disk size by probing an
-// otherwise-empty cache, leaving the directory empty again.
-func entrySizeOf(t *testing.T, c *DiskCache, val any) int64 {
-	t.Helper()
-	c.Store("size-probe", val)
-	info, err := os.Stat(c.path("size-probe"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Remove(c.path("size-probe")); err != nil {
-		t.Fatal(err)
-	}
-	return info.Size()
-}
-
-// TestDiskCacheEvictionIsLRUNotFIFO is the regression for the
-// FIFO-masquerading-as-LRU bug: Load never refreshed an entry's mtime,
-// so the oldest-*written* entry was evicted first even when it was the
-// most-*read* one. Store A then B, re-read A repeatedly, cap the cache,
-// and B — written later but never read — must be evicted before A.
-func TestDiskCacheEvictionIsLRUNotFIFO(t *testing.T) {
-	dir := t.TempDir()
-	c, err := OpenDiskCache(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	val := map[string]string{"v": "0123456789"}
-	entrySize := entrySizeOf(t, c, val)
-
-	c.Store("a", val)
-	c.Store("b", val)
-	// Force a strict write-order clock: A written long before B, so a
-	// FIFO evictor would pick A first. (The filesystem clock may be too
-	// coarse to rely on.)
-	base := time.Now().Add(-2 * time.Hour)
-	for i, k := range []string{"a", "b"} {
-		ts := base.Add(time.Duration(i) * time.Minute)
-		if err := os.Chtimes(c.path(k), ts, ts); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Re-read A repeatedly: each hit must refresh its mtime.
-	var sink map[string]string
-	for i := 0; i < 3; i++ {
-		if !c.Load("a", &sink) {
-			t.Fatal("entry a did not hit")
-		}
-	}
-	// Cap to two entries and store C: the eviction sweep must pick B
-	// (least recently used), not A (oldest written, most read).
-	c.SetMaxBytes(2*entrySize + entrySize/2)
-	c.Store("c", val)
-	if c.Load("b", &sink) {
-		t.Error("least-recently-used entry b survived eviction")
-	}
-	if !c.Load("a", &sink) {
-		t.Error("hot entry a was evicted before cold entry b")
-	}
-	if !c.Load("c", &sink) {
-		t.Error("just-stored entry c was evicted")
-	}
-	if got := c.Evicted(); got != 1 {
-		t.Errorf("evicted counter %d, want 1", got)
-	}
-}
-
-// TestDiskCacheOversizedEntrySurvivesItsOwnStore is the regression for
-// the recompute loop: when a single entry exceeds the cap, the eviction
-// sweep its own store triggers must not delete it — otherwise every
-// lookup of that key misses, recomputes, re-stores, and re-evicts
-// forever. Older entries are still fair game.
-func TestDiskCacheOversizedEntrySurvivesItsOwnStore(t *testing.T) {
-	dir := t.TempDir()
-	c, err := OpenDiskCache(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	small := map[string]string{"v": "x"}
-	c.Store("small", small)
-	// Age the small entry so mtime order is unambiguous.
-	old := time.Now().Add(-time.Hour)
-	if err := os.Chtimes(c.path("small"), old, old); err != nil {
-		t.Fatal(err)
-	}
-
-	big := map[string]string{"v": strings.Repeat("y", 4096)}
-	c.SetMaxBytes(1024) // smaller than the big entry alone
-	c.Store("big", big)
-
-	var sink map[string]string
-	if !c.Load("big", &sink) {
-		t.Fatal("oversized entry was evicted by its own store")
-	}
-	if c.Load("small", &sink) {
-		t.Error("older entry survived an over-cap sweep")
-	}
-	// The survivor keeps surviving: a second store of the same key (the
-	// recompute-loop shape) still leaves it servable.
-	c.Store("big", big)
-	if !c.Load("big", &sink) {
-		t.Fatal("oversized entry evicted on re-store")
 	}
 }

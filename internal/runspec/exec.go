@@ -18,7 +18,7 @@ import (
 // Result is the unified run outcome. Only the fields of the executed kind
 // are populated; the rest stay at their zero values and are omitted from
 // JSON. The JSON form is the server's wire format and round-trips through
-// the disk cache byte-identically.
+// the result store byte-identically.
 type Result struct {
 	Kind Kind `json:"kind"`
 	// Spec echoes the canonical form of the request that produced the
@@ -43,7 +43,7 @@ type Result struct {
 
 	// Measurement is the full in-process KindBeta measurement, including
 	// the (non-serializable) machine. Absent on results decoded from the
-	// wire or the disk cache.
+	// wire or the result store.
 	Measurement *bandwidth.Measurement `json:"-"`
 	// EmulationResult and DegradedResult are the full in-process
 	// KindEmulate outcomes, for callers (the emusim CLI) that print

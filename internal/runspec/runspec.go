@@ -388,8 +388,8 @@ func stripRepresentation(n Spec) Spec {
 // adjacency representations stripped. Two Specs describing the same
 // computation — defaults spelled out or left zero, any shard count,
 // either machine representation — canonicalize identically. The server's
-// request coalescer, the experiment memo cache, and the disk cache all
-// key off this one string.
+// flight table and result store, the experiment memo cache, and its disk
+// cache all key off this one string.
 func (s Spec) Canonical() string {
 	n := stripRepresentation(s.Normalized())
 	b, err := json.Marshal(n)

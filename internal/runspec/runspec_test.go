@@ -7,7 +7,7 @@ import (
 )
 
 // TestCanonicalGolden locks the canonical key format: cache entries and
-// coalescer keys live or die by this string staying stable across builds.
+// flight-table keys live or die by this string staying stable across builds.
 func TestCanonicalGolden(t *testing.T) {
 	s := Spec{
 		Kind:    KindOpenLoop,
@@ -187,7 +187,7 @@ func TestExecuteMatchesRun(t *testing.T) {
 }
 
 // TestResultJSONRoundTrip: a Result decoded from the wire re-marshals to
-// the same bytes — the property the disk-cached server responses rely on.
+// the same bytes — the property the server's stored responses rely on.
 func TestResultJSONRoundTrip(t *testing.T) {
 	res, err := Execute(Spec{
 		Kind:     KindOpenLoop,

@@ -6,8 +6,8 @@ import "fmt"
 // a vector of knob points, each point a sparse override of the base. The
 // merged per-point specs normalize, validate, and canonicalize exactly like
 // standalone Specs — a sweep is pure orchestration, never a new semantics —
-// so every point shares the memo/disk cache entries of the equivalent
-// individual request, and a sweep response is byte-identical to the
+// so every point shares the memo and result-store entries of the
+// equivalent individual request, and a sweep response is byte-identical to the
 // concatenation of the individual responses.
 //
 // The payoff is execution affinity: all points of a typical sweep name the

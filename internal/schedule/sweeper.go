@@ -26,8 +26,8 @@ type SweepJob struct {
 	Name string `json:"name"`
 	// EverySeconds is the rerun interval. <= 0 means one-shot: run once
 	// at startup and stop. Reruns are cheap by design — every point
-	// rides the memo/disk caches and the store's digest dedup, so a
-	// steady-state rerun costs one cache probe per point.
+	// rides the server's memo and result store, so a steady-state rerun
+	// costs one memo or store probe per point.
 	EverySeconds float64 `json:"every_seconds,omitempty"`
 	// Sweep is the base spec plus point overrides, exactly the POST
 	// /v1/sweep request shape.

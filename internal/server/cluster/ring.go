@@ -1,7 +1,7 @@
 // Package cluster turns a pool of single-node netemud processes into one
 // service: a coordinator routes each RunSpec request to a worker chosen
 // by consistent hashing over the spec's canonical cache key, so every
-// worker's in-memory memo and disk cache stay hot for the slice of the
+// worker's in-memory memo and result store stay hot for the slice of the
 // key space it owns. A health prober tracks which workers answer
 // /healthz; the dispatcher retries a failed forward on the key's next
 // ring successor with bounded exponential backoff, and reports "no

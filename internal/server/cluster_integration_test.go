@@ -196,10 +196,13 @@ func TestClusterValidationErrorsPassThrough(t *testing.T) {
 	_, ref := newTestServer(t, Config{})
 
 	// Passes shallow Validate on the coordinator but fails in the
-	// worker's Execute: locality traffic on a switched machine
-	// (Butterfly) is only rejected once the machine is built.
-	spec := `{"kind":"beta","machine":{"family":"Butterfly","dim":2,"size":24},"traffic":"locality:0.5","load_factors":[2],"trials":1,"seed":1}`
+	// worker's Execute: locality traffic on a machine with switches
+	// (GlobalBus) is only rejected once the machine is built.
+	spec := `{"kind":"beta","machine":{"family":"GlobalBus","size":16},"traffic":"locality:0.5","load_factors":[2],"trials":1,"seed":1}`
 	wantCode, wantBody := post(t, ref.URL+"/v1/measure", spec, nil)
+	if wantCode != http.StatusBadRequest {
+		t.Fatalf("single-node status %d, want 400 for the execution-time error", wantCode)
+	}
 	code, body := post(t, cts.URL+"/v1/measure", spec, nil)
 	if code != wantCode {
 		t.Fatalf("coordinator status %d, single-node status %d", code, wantCode)

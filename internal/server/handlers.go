@@ -13,7 +13,6 @@ import (
 
 	"repro/internal/api"
 	"repro/internal/core"
-	"repro/internal/experiment"
 	"repro/internal/runspec"
 )
 
@@ -146,8 +145,8 @@ func (s *Server) handleEmulate(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// handleSpec is the shared body of the two RunSpec endpoints:
-// parse → validate → memo → coalesce → wait (against the deadline).
+// handleSpec is the shared body of the two RunSpec endpoints: decode
+// and validate, then resolve against the client's deadline.
 func (s *Server) handleSpec(w http.ResponseWriter, r *http.Request, defaultKind runspec.Kind, kindOK func(runspec.Kind) error) {
 	if s.isDraining() {
 		s.metrics.shed503.Add(1)
@@ -177,128 +176,61 @@ func (s *Server) handleSpec(w http.ResponseWriter, r *http.Request, defaultKind 
 		return
 	}
 
-	key := spec.Canonical()
-	if body, ok := s.memoLoad(key); ok {
-		s.metrics.memoHits.Add(1)
-		writeBody(w, body)
-		return
-	}
-
 	deadline := time.Now().Add(requestTimeout(r, s.cfg.DefaultTimeout))
 	ctx, cancel := context.WithDeadline(r.Context(), deadline)
 	defer cancel()
-
-	cl, leader := s.coalescer.join(key)
-	if leader {
-		s.jobs.Add(1)
-		go func() {
-			defer s.jobs.Done()
-			body, status, errCode, errMsg := s.compute(spec, key, key, deadline)
-			if status == http.StatusOK {
-				s.recordResult(spec, key, body)
-			}
-			s.coalescer.finish(key, cl, body, status, errCode, errMsg)
-		}()
-	} else {
-		s.metrics.coalesced.Add(1)
-	}
-
-	select {
-	case <-cl.done:
-		if cl.status == http.StatusOK {
-			writeBody(w, cl.body)
-		} else {
-			writeError(w, cl.status, cl.errCode, cl.errMsg)
-		}
-	case <-ctx.Done():
+	key := spec.Canonical()
+	rp, err := s.resolve(ctx, spec, key, key, deadline, normalPriority)
+	if err != nil {
 		s.metrics.timeout.Add(1)
-		writeError(w, http.StatusGatewayTimeout, api.CodeDeadline, "deadline expired before the result was ready")
+		rp = deadlineReply
 	}
+	if rp.status != http.StatusOK {
+		writeError(w, rp.status, rp.code, rp.msg)
+		return
+	}
+	writeBody(w, rp.body)
 }
 
-// responseDiskKey folds the measurement version into the persistent
-// key, so entries written before a semantics change degrade to clean
-// misses exactly like the experiment caches' entries do.
-func responseDiskKey(canonical string) string {
-	return "netemud/response/" + experiment.MeasurementVersion + "/" + canonical
-}
+var deadlineReply = failure(http.StatusGatewayTimeout, api.CodeDeadline, "deadline expired before the result was ready")
 
-// compute runs (or loads) the computation for one canonical spec. It
-// executes on the leader's detached goroutine: no request deadline
-// applies to local execution, so a slow simulation still lands in the
-// caches even if every requester has given up. Forwards are the
-// exception — deadline (the leader's client budget) bounds the cluster
-// round trip and rides to the worker as X-Timeout-Ms, because a worker
-// computing for a departed client helps nobody's cache but its own. The
-// panic guard mirrors the HTTP-layer one — simulations run off the
-// handler goroutine, so the middleware cannot see their panics.
-//
-// key identifies the computation (memo/disk caches, coalescing);
-// ringKey picks the worker on the hash ring. They coincide for single
-// requests; sweeps pass the machine key as ringKey so every point of a
-// sweep lands on the worker whose artifact cache is hot for that
-// machine.
-type priority bool
-
-const (
-	normalPriority priority = false
-	lowPriority    priority = true // scheduler points: free slots only
-)
-
-func (s *Server) compute(spec runspec.Spec, key, ringKey string, deadline time.Time) (body []byte, status int, errCode, errMsg string) {
-	return s.computeAt(spec, key, ringKey, deadline, normalPriority)
-}
-
-func (s *Server) computeAt(spec runspec.Spec, key, ringKey string, deadline time.Time, prio priority) (body []byte, status int, errCode, errMsg string) {
+// lead produces a new flight's answer, in order: the result store, the
+// cluster (on a coordinator), local execution under admission; a
+// forwarded or executed 200 is then recorded in the store. It runs on
+// the leader's detached goroutine: no request deadline applies to local
+// execution, so a slow simulation still lands for later callers even if
+// every requester has given up. Forwards are the exception — deadline
+// (the leader's client budget) bounds the cluster round trip and rides
+// to the worker as X-Timeout-Ms, because a worker computing for a
+// departed client helps nobody's cache but its own. The panic guard
+// mirrors the HTTP-layer one — simulations run off the handler
+// goroutine, so the middleware cannot see their panics.
+func (s *Server) lead(spec runspec.Spec, key, ringKey string, deadline time.Time, prio priority) (r reply) {
 	defer func() {
 		if v := recover(); v != nil {
 			s.metrics.panics.Add(1)
-			body, status, errCode, errMsg = nil, http.StatusInternalServerError, api.CodeInternal, fmt.Sprintf("internal error: %v", v)
+			r = failure(http.StatusInternalServerError, api.CodeInternal, fmt.Sprintf("internal error: %v", v))
 		}
 	}()
-
-	if s.cfg.Cache != nil {
-		var raw json.RawMessage
-		if s.cfg.Cache.Load(responseDiskKey(key), &raw) {
-			// The cache stores the JSON value, not the wire bytes; the
-			// entry file compacts and re-nests it. Re-indenting restores
-			// the exact MarshalIndent form — key order is preserved — so
-			// disk hits serve byte-identical responses.
-			var buf bytes.Buffer
-			if json.Indent(&buf, raw, "", "  ") == nil {
-				s.metrics.diskHits.Add(1)
-				buf.WriteByte('\n')
-				body = buf.Bytes()
-				s.memoStore(key, body)
-				return body, http.StatusOK, "", ""
-			}
-		}
-		s.metrics.diskMiss.Add(1)
+	if body, ok := s.stored(key); ok {
+		s.metrics.storeHits.Add(1)
+		return reply{body: body, status: http.StatusOK}
 	}
-
-	// Coordinator path: hand the computation to the worker owning this
-	// key on the hash ring. Forwarded work bypasses local admission —
-	// the worker's own queue is the backpressure point — and only a
-	// pool-wide failure falls through to local execution below. The
-	// forward context is detached from the client connection (the result
-	// is cached for coalesced waiters either way) but bounded by the
-	// leader's deadline; when the deadline itself killed the forward,
-	// answer 504 directly rather than burning a local execution slot on
-	// a request nobody is waiting for.
+	settled := false
 	if s.cfg.Dispatch != nil {
-		fwdCtx, cancel := context.WithDeadline(s.execCtx, deadline)
-		body, status, errCode, errMsg, ok := s.forward(fwdCtx, spec, key, ringKey)
-		expired := fwdCtx.Err() != nil
-		cancel()
-		if ok {
-			return body, status, errCode, errMsg
-		}
-		if expired {
-			return nil, http.StatusGatewayTimeout, api.CodeDeadline, "deadline expired before the result was ready"
-		}
-		s.metrics.fallbackLocal.Add(1)
+		r, settled = s.forward(spec, ringKey, deadline)
 	}
+	if !settled {
+		r = s.execute(spec, prio)
+	}
+	if r.status == http.StatusOK {
+		s.recordResult(spec, key, r.body)
+	}
+	return r
+}
 
+// execute runs spec in this process once admission grants a slot.
+func (s *Server) execute(spec runspec.Spec, prio priority) reply {
 	acquire := s.admission.acquire
 	if prio == lowPriority {
 		acquire = s.admission.acquireLow
@@ -306,10 +238,10 @@ func (s *Server) computeAt(spec runspec.Spec, key, ringKey string, deadline time
 	if err := acquire(s.execCtx); err != nil {
 		if errors.Is(err, errQueueFull) {
 			s.metrics.shed429.Add(1)
-			return nil, http.StatusTooManyRequests, api.CodeQueueFull, "server overloaded: admission queue full"
+			return failure(http.StatusTooManyRequests, api.CodeQueueFull, "server overloaded: admission queue full")
 		}
 		s.metrics.shed503.Add(1)
-		return nil, http.StatusServiceUnavailable, api.CodeDraining, "server shutting down"
+		return failure(http.StatusServiceUnavailable, api.CodeDraining, "server shutting down")
 	}
 	defer s.admission.release()
 
@@ -319,18 +251,13 @@ func (s *Server) computeAt(spec runspec.Spec, key, ringKey string, deadline time
 	}
 	res, err := runspec.ExecuteCached(s.cfg.Artifacts, spec)
 	if err != nil {
-		return nil, http.StatusBadRequest, api.CodeBadSpec, err.Error()
+		return failure(http.StatusBadRequest, api.CodeBadSpec, err.Error())
 	}
 	buf, err := json.MarshalIndent(res, "", "  ")
 	if err != nil {
-		return nil, http.StatusInternalServerError, api.CodeInternal, "encoding result: " + err.Error()
+		return failure(http.StatusInternalServerError, api.CodeInternal, "encoding result: "+err.Error())
 	}
-	body = append(buf, '\n')
-	s.memoStore(key, body)
-	if s.cfg.Cache != nil {
-		s.cfg.Cache.Store(responseDiskKey(key), json.RawMessage(body))
-	}
-	return body, http.StatusOK, "", ""
+	return reply{body: append(buf, '\n'), status: http.StatusOK}
 }
 
 // ValidateWorkerBody is the strict forward validator a coordinator
@@ -339,10 +266,10 @@ func (s *Server) computeAt(spec runspec.Spec, key, ringKey string, deadline time
 // as JSON. json.Valid alone accepts `{}`, `null`, or a stray error
 // shape; this catches anything that is not an actual result before the
 // dispatcher accepts it, and forward below re-checks it as the last
-// line of defense in front of the memo and disk caches.
+// line of defense in front of the flight table and the store.
 func ValidateWorkerBody(status int, body []byte) error {
 	if status != http.StatusOK {
-		return nil // error bodies are replayed to the client, never cached
+		return nil // error bodies are replayed to the client, never kept
 	}
 	var res runspec.Result
 	if err := json.Unmarshal(body, &res); err != nil {
@@ -354,44 +281,53 @@ func ValidateWorkerBody(status int, body []byte) error {
 	return nil
 }
 
-// forward dispatches one computation to the cluster, returning ok=false
-// when no worker answered (the caller then runs it locally). A worker's
-// 200 is validated and then cached and served verbatim — the bytes are
+// forward hands the computation to the worker owning ringKey on the
+// hash ring (ring successors on failure). settled=false means no worker
+// answered and the caller runs it locally; the fallback is counted
+// here. Forwarded work bypasses local admission — the worker's own
+// queue is the backpressure point. The forward context is detached from
+// the client connection but bounded by the leader's deadline; when the
+// deadline itself killed the forward, the answer is a 504 rather than a
+// local execution nobody is waiting for.
+//
+// A worker's 200 is validated and then served verbatim — the bytes are
 // what this server would have produced itself, by the determinism
 // contract. An invalid 200 body (truncated mid-flight, corrupted, wrong
-// shape) marks the worker dead and degrades to ok=false instead of
-// poisoning the caches. A worker's non-retryable error is replayed
-// through writeError with the worker's own code and message, so the
-// client sees the same body a single-node server would have sent; a
-// peer that answered without an envelope gets the status-derived code.
-func (s *Server) forward(ctx context.Context, spec runspec.Spec, key, ringKey string) (body []byte, status int, errCode, errMsg string, ok bool) {
+// shape) marks the worker dead and falls back instead of poisoning the
+// flight table and the store. A worker's non-retryable error is
+// replayed with the worker's own code and message, so the client sees
+// the same body a single-node server would have sent; a peer that
+// answered without an envelope gets the status-derived code.
+func (s *Server) forward(spec runspec.Spec, ringKey string, deadline time.Time) (r reply, settled bool) {
 	wire, err := json.Marshal(spec)
 	if err != nil {
-		return nil, 0, "", "", false
+		s.metrics.fallbackLocal.Add(1)
+		return reply{}, false
 	}
-	res, fok := s.cfg.Dispatch.Forward(ctx, ringKey, spec.Kind.Endpoint(), wire)
+	ctx, cancel := context.WithDeadline(s.execCtx, deadline)
+	defer cancel()
+	res, ok := s.cfg.Dispatch.Forward(ctx, ringKey, spec.Kind.Endpoint(), wire)
 	s.metrics.failovers.Add(int64(res.Failovers))
-	if !fok {
-		return nil, 0, "", "", false
+	if ok && ValidateWorkerBody(res.Status, res.Body) != nil {
+		s.cfg.Dispatch.Health().MarkDead(res.Worker)
+		s.cfg.Dispatch.Health().RecordFailure(res.Worker)
+		ok = false
 	}
-	if res.Status == http.StatusOK {
-		if verr := ValidateWorkerBody(res.Status, res.Body); verr != nil {
-			s.cfg.Dispatch.Health().MarkDead(res.Worker)
-			s.cfg.Dispatch.Health().RecordFailure(res.Worker)
-			return nil, 0, "", "", false
-		}
-		s.metrics.forwarded.Add(1)
-		s.memoStore(key, res.Body)
-		if s.cfg.Cache != nil {
-			s.cfg.Cache.Store(responseDiskKey(key), json.RawMessage(res.Body))
-		}
-		return res.Body, http.StatusOK, "", "", true
+	switch {
+	case !ok && ctx.Err() != nil:
+		return deadlineReply, true
+	case !ok:
+		s.metrics.fallbackLocal.Add(1)
+		return reply{}, false
 	}
 	s.metrics.forwarded.Add(1)
-	if code, msg, eok := api.ParseError(res.Body); eok {
-		return nil, res.Status, code, msg, true
+	if res.Status == http.StatusOK {
+		return reply{body: res.Body, status: http.StatusOK}, true
 	}
-	return nil, res.Status, api.CodeForStatus(res.Status), strings.TrimSpace(string(res.Body)), true
+	if code, msg, eok := api.ParseError(res.Body); eok {
+		return failure(res.Status, code, msg), true
+	}
+	return failure(res.Status, api.CodeForStatus(res.Status), strings.TrimSpace(string(res.Body))), true
 }
 
 // handleTables serves the paper's reproduced tables as plain text:

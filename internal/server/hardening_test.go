@@ -12,7 +12,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/experiment"
 	"repro/internal/server/cluster"
 )
 
@@ -84,7 +83,8 @@ func newDrainedServer(t *testing.T, cfg Config) *Server {
 
 // TestInvalidWorkerBodyDoesNotPoisonCaches: a worker 200 that parses as
 // JSON but is not a runspec.Result (what a truncation with fixed-up
-// headers can look like) must never enter the memo or disk cache. The
+// headers can look like) must never enter the flight table or the
+// result store. The
 // dispatcher here is configured with the lenient JSON-only validator so
 // the bad body gets past it — the server's own ValidateWorkerBody
 // re-check in forward() is the layer under test.
@@ -103,15 +103,11 @@ func TestInvalidWorkerBodyDoesNotPoisonCaches(t *testing.T) {
 	addr := strings.TrimPrefix(fake.URL, "http://")
 
 	dir := t.TempDir()
-	cache, err := experiment.OpenDiskCache(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
 	opts := fastClusterOpts()
 	opts.Validate = cluster.ValidJSONBody
 	d := cluster.NewDispatcher([]string{addr}, opts)
 	defer d.Close()
-	coord, cts := newTestServer(t, Config{Dispatch: d, Cache: cache})
+	coord, _, coordURL := newStoreServer(t, dir, Config{Dispatch: d})
 
 	_, ref := newTestServer(t, Config{})
 	spec := sweepSpec(7)
@@ -120,7 +116,7 @@ func TestInvalidWorkerBodyDoesNotPoisonCaches(t *testing.T) {
 		t.Fatalf("reference status %d", wantCode)
 	}
 
-	code, body := postSpec(t, cts.URL, spec)
+	code, body := postSpec(t, coordURL, spec)
 	if code != http.StatusOK || !bytes.Equal(body, want) {
 		t.Fatalf("coordinator did not recover from the invalid body: status %d\n%s", code, body)
 	}
@@ -138,8 +134,8 @@ func TestInvalidWorkerBodyDoesNotPoisonCaches(t *testing.T) {
 		t.Fatal("worker serving invalid bodies was left in rotation")
 	}
 
-	// The memo cache must hold the locally computed bytes, not the junk.
-	code, body = postSpec(t, cts.URL, spec)
+	// The memo must hold the locally computed bytes, not the junk.
+	code, body = postSpec(t, coordURL, spec)
 	if code != http.StatusOK || !bytes.Equal(body, want) {
 		t.Fatalf("memo replay diverged: status %d", code)
 	}
@@ -147,20 +143,16 @@ func TestInvalidWorkerBodyDoesNotPoisonCaches(t *testing.T) {
 		t.Fatalf("memo hits = %d, want 1", m.MemoHits)
 	}
 
-	// And the disk cache: a fresh single-node server over the same
-	// directory must serve the good bytes without recomputing — the
-	// zero-cache-poisoning acceptance check.
-	cache2, err := experiment.OpenDiskCache(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2, ts2 := newTestServer(t, Config{Cache: cache2})
-	code, body = postSpec(t, ts2.URL, spec)
+	// And the store: a fresh single-node server over the same directory
+	// must serve the good bytes without recomputing — the
+	// zero-poisoning acceptance check.
+	s2, _, url2 := newStoreServer(t, dir, Config{})
+	code, body = postSpec(t, url2, spec)
 	if code != http.StatusOK || !bytes.Equal(body, want) {
-		t.Fatalf("disk replay diverged: status %d\n%s", code, body)
+		t.Fatalf("store replay diverged: status %d\n%s", code, body)
 	}
-	if m := s2.Metrics(); m.DiskHits != 1 || m.Executions != 0 {
-		t.Fatalf("disk replay: disk_hits=%d executions=%d, want 1/0", m.DiskHits, m.Executions)
+	if m := s2.Metrics(); m.StoreHits != 1 || m.Executions != 0 {
+		t.Fatalf("store replay: store_hits=%d executions=%d, want 1/0", m.StoreHits, m.Executions)
 	}
 }
 
@@ -210,13 +202,13 @@ func TestDrainzEndpoint(t *testing.T) {
 }
 
 // TestMetricsConservationUnderMixedTraffic is the accounting law on the
-// coordinator path: under concurrent traffic mixing cache hits,
+// coordinator path: under concurrent traffic mixing memo hits,
 // coalescing, malformed requests, and failovers onto a half-dead pool,
 // every request is accounted for exactly once —
 //
 //	requests == Σ endpoint requests == Σ endpoint Σ by_status
-//	200s     == memo + coalesced + forwarded + local fallbacks
-//	local fallbacks == executions (no disk cache attached)
+//	200s     == memo + coalesced + store + forwarded + local fallbacks
+//	local fallbacks == executions
 func TestMetricsConservationUnderMixedTraffic(t *testing.T) {
 	// Two workers; one is killed before traffic starts so its share of
 	// the key space exercises failover on every touch.
@@ -299,13 +291,12 @@ func TestMetricsConservationUnderMixedTraffic(t *testing.T) {
 	}
 
 	// Every 200 was served exactly one way.
-	served := m.MemoHits + m.CoalescedHits + m.Cluster.Forwarded + m.Cluster.LocalFallbacks
+	served := m.MemoHits + m.CoalescedHits + m.StoreHits + m.Cluster.Forwarded + m.Cluster.LocalFallbacks
 	if served != int64(n200) {
-		t.Fatalf("memo(%d) + coalesced(%d) + forwarded(%d) + fallbacks(%d) = %d, want %d",
-			m.MemoHits, m.CoalescedHits, m.Cluster.Forwarded, m.Cluster.LocalFallbacks, served, n200)
+		t.Fatalf("memo(%d) + coalesced(%d) + store(%d) + forwarded(%d) + fallbacks(%d) = %d, want %d",
+			m.MemoHits, m.CoalescedHits, m.StoreHits, m.Cluster.Forwarded, m.Cluster.LocalFallbacks, served, n200)
 	}
-	// With no disk cache, a local fallback is the only path into the
-	// simulator.
+	// A local fallback is the only path into the simulator.
 	if m.Executions != m.Cluster.LocalFallbacks {
 		t.Fatalf("executions = %d, local fallbacks = %d; they must match", m.Executions, m.Cluster.LocalFallbacks)
 	}

@@ -124,12 +124,11 @@ func (s *Server) handleSweepsStream(w http.ResponseWriter, r *http.Request) {
 }
 
 // RunScheduled executes one scheduled sweep point through the full
-// serving pipeline — memo, coalescing, disk cache, cluster forward —
-// at low admission priority (a free slot only, never queue depth, so
-// pre-warming cannot shed or delay a client request). The result is
-// recorded in the store like any served 200; the returned key is the
-// store key the point landed under. This is the Runner the netemud
-// main wires into schedule.NewSweeper.
+// answer path (resolve) at low admission priority (a free slot only,
+// never queue depth, so pre-warming cannot shed or delay a client
+// request). The result is recorded in the store like any served 200;
+// the returned key is the store key the point landed under. This is the
+// Runner the netemud main wires into schedule.NewSweeper.
 func (s *Server) RunScheduled(ctx context.Context, spec runspec.Spec) (string, error) {
 	if s.isDraining() {
 		return "", fmt.Errorf("draining")
@@ -138,42 +137,18 @@ func (s *Server) RunScheduled(ctx context.Context, spec runspec.Spec) (string, e
 		return "", err
 	}
 	key := spec.Canonical()
-	if _, ok := s.memoLoad(key); ok {
-		// Already served this process; the store holds it (digest dedup
-		// made the repeat append free).
-		s.metrics.memoHits.Add(1)
-		s.metrics.schedPoints.Add(1)
-		return store.KeyOf(key), nil
-	}
 	ringKey := key
 	if spec.Machine != nil {
 		ringKey = runspec.MachineKey(*spec.Machine)
 	}
-	cl, leader := s.coalescer.join(key)
-	if leader {
-		s.jobs.Add(1)
-		go func() {
-			defer s.jobs.Done()
-			deadline := time.Now().Add(s.cfg.DefaultTimeout)
-			body, status, code, msg := s.computeAt(spec, key, ringKey, deadline, lowPriority)
-			if status == http.StatusOK {
-				s.recordResult(spec, key, body)
-			}
-			s.coalescer.finish(key, cl, body, status, code, msg)
-		}()
-	} else {
-		s.metrics.coalesced.Add(1)
+	rp, err := s.resolve(ctx, spec, key, ringKey, time.Now().Add(s.cfg.DefaultTimeout), lowPriority)
+	if err == nil && rp.status != http.StatusOK {
+		err = fmt.Errorf("%s: %s", rp.code, rp.msg)
 	}
-	select {
-	case <-cl.done:
-		if cl.status != http.StatusOK {
-			s.metrics.schedErrors.Add(1)
-			return "", fmt.Errorf("%s: %s", cl.errCode, cl.errMsg)
-		}
-		s.metrics.schedPoints.Add(1)
-		return store.KeyOf(key), nil
-	case <-ctx.Done():
+	if err != nil {
 		s.metrics.schedErrors.Add(1)
-		return "", ctx.Err()
+		return "", err
 	}
+	s.metrics.schedPoints.Add(1)
+	return store.KeyOf(key), nil
 }

@@ -18,9 +18,8 @@ type metrics struct {
 	inFlight  atomic.Int64
 	requests  atomic.Int64 // all requests, any endpoint, any status
 	coalesced atomic.Int64 // joined an in-flight identical computation
-	memoHits  atomic.Int64 // served from the in-memory response cache
-	diskHits  atomic.Int64 // served from the persistent DiskCache
-	diskMiss  atomic.Int64 // had to run the simulator
+	memoHits  atomic.Int64 // served from a kept flight
+	storeHits atomic.Int64 // served from the result store
 	executed  atomic.Int64 // underlying simulations actually started
 	shed429   atomic.Int64 // rejected: admission queue full
 	shed503   atomic.Int64 // rejected: server draining
@@ -76,25 +75,24 @@ func (m *metrics) observe(endpoint string, status int, micros int64) {
 
 // snapshot flattens everything into an ordered, JSON-ready document.
 type metricsSnapshot struct {
-	Requests      int64                      `json:"requests"`
-	InFlight      int64                      `json:"in_flight"`
-	CoalescedHits int64                      `json:"coalesced_hits"`
-	MemoHits      int64                      `json:"memo_hits"`
-	DiskHits      int64                      `json:"disk_hits"`
-	DiskMisses    int64                      `json:"disk_misses"`
-	Executions    int64                      `json:"executions"`
-	ShedQueueFull int64                      `json:"shed_queue_full"`
-	ShedDraining  int64                      `json:"shed_draining"`
-	Timeouts      int64                      `json:"timeouts"`
-	Panics        int64                      `json:"panics"`
-	Sweeps        int64                      `json:"sweeps"`
-	SweepPoints   int64                      `json:"sweep_points"`
-	ResultsServed int64                      `json:"results_served"`
-	SchedPoints   int64                      `json:"scheduled_points"`
-	SchedErrors   int64                      `json:"scheduled_errors"`
-	Store         *storeReport               `json:"store,omitempty"`
-	Cluster       *clusterReport             `json:"cluster,omitempty"`
-	Endpoints     map[string]endpointReport  `json:"endpoints"`
+	Requests      int64                     `json:"requests"`
+	InFlight      int64                     `json:"in_flight"`
+	CoalescedHits int64                     `json:"coalesced_hits"`
+	MemoHits      int64                     `json:"memo_hits"`
+	StoreHits     int64                     `json:"store_hits"`
+	Executions    int64                     `json:"executions"`
+	ShedQueueFull int64                     `json:"shed_queue_full"`
+	ShedDraining  int64                     `json:"shed_draining"`
+	Timeouts      int64                     `json:"timeouts"`
+	Panics        int64                     `json:"panics"`
+	Sweeps        int64                     `json:"sweeps"`
+	SweepPoints   int64                     `json:"sweep_points"`
+	ResultsServed int64                     `json:"results_served"`
+	SchedPoints   int64                     `json:"scheduled_points"`
+	SchedErrors   int64                     `json:"scheduled_errors"`
+	Store         *storeReport              `json:"store,omitempty"`
+	Cluster       *clusterReport            `json:"cluster,omitempty"`
+	Endpoints     map[string]endpointReport `json:"endpoints"`
 }
 
 // storeReport is the result store's conservation view: every served
@@ -140,8 +138,7 @@ func (m *metrics) snapshot() metricsSnapshot {
 		InFlight:      m.inFlight.Load(),
 		CoalescedHits: m.coalesced.Load(),
 		MemoHits:      m.memoHits.Load(),
-		DiskHits:      m.diskHits.Load(),
-		DiskMisses:    m.diskMiss.Load(),
+		StoreHits:     m.storeHits.Load(),
 		Executions:    m.executed.Load(),
 		ShedQueueFull: m.shed429.Load(),
 		ShedDraining:  m.shed503.Load(),

@@ -13,17 +13,18 @@ import (
 	"repro/internal/store"
 )
 
-// The result store read path: every 200 the spec endpoints serve is
-// durably appended to cfg.Store (recordResult, called on the compute
-// leader's goroutine before the coalescer publishes — by the time any
-// client holds the response bytes, the record is on disk). The three
+// The result store: every 200 the spec endpoints serve is durably
+// appended to cfg.Store (recordResult, called on the flight leader's
+// goroutine before the flight publishes — by the time any client holds
+// the response bytes, the record is on disk), and a flight leader
+// answers from it before forwarding or executing (stored). The three
 // GET endpoints below serve the accumulated results back.
 //
-// Byte identity is the contract: GET /v1/results/{key} serves exactly
-// the bytes /v1/measure produced for that spec — store.Get re-indents
-// the compacted record through json.Indent, which preserves key order,
-// so the round trip is loss-free (test- and CI-enforced, including
-// across a restart over the same store dir).
+// Byte identity is the contract: a stored body is exactly the bytes
+// /v1/measure produced for that spec — store.Get re-indents the
+// compacted record through json.Indent, which preserves key order, so
+// the round trip is loss-free (test- and CI-enforced, including across
+// a restart over the same store dir).
 
 // storeMeta derives the index row for one completed spec.
 func storeMeta(spec runspec.Spec, canonical string) store.Meta {
@@ -61,6 +62,20 @@ func (s *Server) recordResult(spec runspec.Spec, canonical string, body []byte) 
 		return
 	}
 	s.metrics.storeAppends.Add(1)
+}
+
+// stored returns the store's body for a canonical spec, if it holds one
+// recorded under this build's measurement version. The canonical check
+// guards against a key digest collision.
+func (s *Server) stored(canonical string) ([]byte, bool) {
+	if s.cfg.Store == nil {
+		return nil, false
+	}
+	meta, body, ok := s.cfg.Store.Get(store.KeyOf(canonical))
+	if !ok || meta.Version != experiment.MeasurementVersion || meta.Canonical != canonical {
+		return nil, false
+	}
+	return body, true
 }
 
 // resultsPage is the GET /v1/results response document.

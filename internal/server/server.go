@@ -1,20 +1,22 @@
 // Package server implements the netemud measurement service: the HTTP
 // layer over the unified RunSpec API. Every measurement and emulation
 // the CLIs expose is available as a POST of a serialized runspec.Spec;
-// identity, caching, and coalescing all key off spec.Canonical(), the
-// same string the experiment orchestrator and its disk cache use.
+// identity, memoization, coalescing, and the result store all key off
+// spec.Canonical(), the same string the experiment orchestrator uses.
 //
-// The request path, in order:
+// Every spec — /v1/measure, /v1/emulate, each /v1/sweep point, and the
+// background scheduler's points — takes one answer path (resolve):
 //
-//	parse → validate → memo cache → coalesce → admission → disk cache →
-//	simulate → publish
+//	parse → validate → flight table (memo hit, or join the identical
+//	flight) → leader: result store → cluster forward → admission →
+//	simulate → record in the store → publish
 //
-// Concurrent requests for the same canonical spec share one computation
+// Concurrent requests for the same canonical spec share one flight
 // (singleflight); distinct specs pass a bounded admission queue (429
 // when full, 503 while draining) and run under at most MaxConcurrent
 // simulations. Each request carries a deadline; expiry serves 504 while
-// the computation keeps running for other waiters and the caches.
-// Panics in handlers or simulations become 500s, not crashes.
+// the flight keeps running for other waiters and later callers. Panics
+// in handlers or simulations become 500s, not crashes.
 package server
 
 import (
@@ -23,7 +25,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/experiment"
 	"repro/internal/runspec"
 	"repro/internal/schedule"
 	"repro/internal/server/cluster"
@@ -32,7 +33,7 @@ import (
 
 // Config carries netemud's tuning knobs. The zero value is usable:
 // serial simulations, a small queue, a one-minute default deadline, no
-// persistent cache.
+// result store.
 type Config struct {
 	// MaxConcurrent bounds simultaneous simulations (default 1).
 	MaxConcurrent int
@@ -48,9 +49,6 @@ type Config struct {
 	// shard-count-invariant by the determinism contract; this is purely
 	// a throughput knob.
 	Shards int
-	// Cache, when non-nil, persists responses across restarts keyed by
-	// (canonical spec, measurement version).
-	Cache *experiment.DiskCache
 	// Dispatch, when non-nil, makes this server a cluster coordinator:
 	// computations are forwarded to the worker owning the spec's
 	// canonical key on the hash ring (ring successors on failure) and
@@ -63,10 +61,12 @@ type Config struct {
 	// skip the machine and engine builds entirely.
 	Artifacts *runspec.ArtifactCache
 	// Store, when non-nil, durably records every 200 the spec endpoints
-	// serve (append-only, content-keyed; see internal/store) and enables
-	// the GET /v1/results, /v1/results/{key}, and /v1/crossover read
-	// API. On a coordinator, forwarded results are recorded after
-	// ValidateWorkerBody accepts them.
+	// serve (append-only, content-keyed; see internal/store), answers
+	// specs it already holds under this build's measurement version —
+	// across restarts, and on a coordinator without crossing the
+	// network — and enables the GET /v1/results, /v1/results/{key}, and
+	// /v1/crossover read API. On a coordinator, forwarded results are
+	// recorded after ValidateWorkerBody accepts them.
 	Store *store.Store
 	// SweepHub, when non-nil, is where the background sweep scheduler
 	// publishes per-point progress; GET /v1/sweeps/stream serves it over
@@ -104,13 +104,8 @@ type Server struct {
 	cfg       Config
 	mux       *http.ServeMux
 	metrics   *metrics
-	coalescer *coalescer
+	flights   flights
 	admission *admission
-
-	memo     sync.Map // canonical key -> []byte response body
-	memoLen  int64    // approximate entry count, under memoMu
-	memoMu   sync.Mutex
-	memoCap  int64
 
 	draining  chan struct{} // closed by BeginDrain
 	drainOnce sync.Once
@@ -118,12 +113,6 @@ type Server struct {
 	execStop  context.CancelFunc
 	jobs      sync.WaitGroup // running computations
 }
-
-// memoCapEntries bounds the in-memory response cache: past this many
-// entries new responses are served but not retained (the disk cache,
-// when attached, still holds them). Crude but sufficient — entries are
-// small and the working set of distinct specs rarely approaches this.
-const memoCapEntries = 4096
 
 // New builds a Server. It does not listen; mount Handler on an
 // http.Server (or httptest.Server) of your choosing.
@@ -136,9 +125,8 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:       cfg,
 		metrics:   newMetrics(),
-		coalescer: newCoalescer(),
+		flights:   flights{m: make(map[string]*flight)},
 		admission: newAdmission(cfg.MaxConcurrent, cfg.QueueDepth),
-		memoCap:   memoCapEntries,
 		draining:  make(chan struct{}),
 		execCtx:   ctx,
 		execStop:  stop,
@@ -236,24 +224,4 @@ func (s *Server) isDraining() bool {
 	default:
 		return false
 	}
-}
-
-// memoStore retains a response body up to the cap.
-func (s *Server) memoStore(key string, body []byte) {
-	s.memoMu.Lock()
-	defer s.memoMu.Unlock()
-	if s.memoLen >= s.memoCap {
-		return
-	}
-	if _, loaded := s.memo.LoadOrStore(key, body); !loaded {
-		s.memoLen++
-	}
-}
-
-func (s *Server) memoLoad(key string) ([]byte, bool) {
-	v, ok := s.memo.Load(key)
-	if !ok {
-		return nil, false
-	}
-	return v.([]byte), true
 }

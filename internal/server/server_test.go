@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"repro/internal/api"
-	"repro/internal/experiment"
 	"repro/internal/runspec"
 )
 
@@ -83,8 +82,8 @@ func TestMeasureHappyPath(t *testing.T) {
 	// The response must be the exact bytes Execute+MarshalIndent produce —
 	// the same pipeline betameter -json uses, which is the parity contract.
 	spec := runspec.Spec{
-		Kind:    runspec.KindBeta,
-		Machine: &runspec.MachineSpec{Family: "Mesh", Dim: 2, Size: 16},
+		Kind:        runspec.KindBeta,
+		Machine:     &runspec.MachineSpec{Family: "Mesh", Dim: 2, Size: 16},
 		LoadFactors: []int{2}, Trials: 1, Seed: 3,
 	}
 	want, err := runspec.Execute(spec)
@@ -177,7 +176,7 @@ func TestShutdownDrainsInFlight(t *testing.T) {
 		done <- outcome{code, body}
 	}()
 	<-started
-	// Give the request time to reach the coalescer and start computing.
+	// Give the request time to reach the flight table and start computing.
 	deadline := time.Now().Add(5 * time.Second)
 	for s.Metrics().Executions == 0 {
 		if time.Now().After(deadline) {
@@ -331,27 +330,19 @@ func TestTablesAndHealthz(t *testing.T) {
 	}
 }
 
-// TestDiskCacheAcrossRestarts: a second server over the same cache
-// directory serves the first server's response bytes without running the
-// simulator.
+// TestDiskCacheAcrossRestarts: a second server over the same result
+// store directory serves the first server's response bytes without
+// running the simulator.
 func TestDiskCacheAcrossRestarts(t *testing.T) {
 	dir := t.TempDir()
-	cache1, err := experiment.OpenDiskCache(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, ts1 := newTestServer(t, Config{Cache: cache1})
-	code, body1 := post(t, ts1.URL+"/v1/measure", quickBeta, nil)
+	_, _, url1 := newStoreServer(t, dir, Config{})
+	code, body1 := post(t, url1+"/v1/measure", quickBeta, nil)
 	if code != http.StatusOK {
 		t.Fatalf("first server status %d", code)
 	}
 
-	cache2, err := experiment.OpenDiskCache(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2, ts2 := newTestServer(t, Config{Cache: cache2})
-	code, body2 := post(t, ts2.URL+"/v1/measure", quickBeta, nil)
+	s2, _, url2 := newStoreServer(t, dir, Config{})
+	code, body2 := post(t, url2+"/v1/measure", quickBeta, nil)
 	if code != http.StatusOK {
 		t.Fatalf("second server status %d", code)
 	}
@@ -359,8 +350,8 @@ func TestDiskCacheAcrossRestarts(t *testing.T) {
 		t.Fatal("restarted server served different bytes")
 	}
 	m := s2.Metrics()
-	if m.DiskHits != 1 || m.Executions != 0 {
-		t.Fatalf("restart: disk_hits=%d executions=%d, want 1/0", m.DiskHits, m.Executions)
+	if m.StoreHits != 1 || m.Executions != 0 {
+		t.Fatalf("restart: store_hits=%d executions=%d, want 1/0", m.StoreHits, m.Executions)
 	}
 }
 

@@ -17,10 +17,10 @@ const maxSweepBodyBytes = 4 << 20
 
 // handleSweep serves POST /v1/sweep: one base measurement spec plus a
 // vector of knob points, streamed back point by point. Each point runs
-// through exactly the /v1/measure pipeline — memo cache, coalescing,
-// disk cache, cluster forward, admission — under the point's own
-// canonical key, so a sweep response is byte-for-byte the concatenation
-// of the individual /v1/measure responses (CI diffs this).
+// through exactly the /v1/measure answer path (resolve) under the
+// point's own canonical key, so a sweep response is byte-for-byte the
+// concatenation of the individual /v1/measure responses (CI diffs
+// this).
 //
 // What the batch adds is affinity: points execute in order over the
 // server's shared artifact cache, so every point after the first reuses
@@ -62,15 +62,19 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	flusher, _ := w.(http.Flusher)
 	streamed := false
 	for _, spec := range specs {
-		body, status, errCode, errMsg := s.sweepPoint(ctx, spec, deadline)
-		if status != http.StatusOK {
+		rp, err := s.resolve(ctx, spec, spec.Canonical(), runspec.MachineKey(*spec.Machine), deadline, normalPriority)
+		if err != nil {
+			s.metrics.timeout.Add(1)
+			rp = deadlineReply
+		}
+		if rp.status != http.StatusOK {
 			if !streamed {
 				// Nothing written yet: the sweep can still carry an
 				// honest status line.
-				writeError(w, status, errCode, errMsg)
+				writeError(w, rp.status, rp.code, rp.msg)
 				return
 			}
-			w.Write(api.Envelope(errCode, errMsg))
+			w.Write(api.Envelope(rp.code, rp.msg))
 			return
 		}
 		if !streamed {
@@ -78,42 +82,9 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 			streamed = true
 		}
 		s.metrics.sweepPoints.Add(1)
-		w.Write(body)
+		w.Write(rp.body)
 		if flusher != nil {
 			flusher.Flush()
 		}
-	}
-}
-
-// sweepPoint resolves one point of a sweep: memo hit, or coalesced
-// computation keyed by the point's canonical spec but ring-dispatched
-// by its machine key.
-func (s *Server) sweepPoint(ctx context.Context, spec runspec.Spec, deadline time.Time) (body []byte, status int, errCode, errMsg string) {
-	key := spec.Canonical()
-	if b, ok := s.memoLoad(key); ok {
-		s.metrics.memoHits.Add(1)
-		return b, http.StatusOK, "", ""
-	}
-	ringKey := runspec.MachineKey(*spec.Machine)
-	cl, leader := s.coalescer.join(key)
-	if leader {
-		s.jobs.Add(1)
-		go func() {
-			defer s.jobs.Done()
-			b, st, code, msg := s.compute(spec, key, ringKey, deadline)
-			if st == http.StatusOK {
-				s.recordResult(spec, key, b)
-			}
-			s.coalescer.finish(key, cl, b, st, code, msg)
-		}()
-	} else {
-		s.metrics.coalesced.Add(1)
-	}
-	select {
-	case <-cl.done:
-		return cl.body, cl.status, cl.errCode, cl.errMsg
-	case <-ctx.Done():
-		s.metrics.timeout.Add(1)
-		return nil, http.StatusGatewayTimeout, api.CodeDeadline, "deadline expired before the result was ready"
 	}
 }

@@ -15,10 +15,10 @@
 // Identity is the canonical RunSpec string: a record's Key is a stable
 // digest of spec.Canonical() (see KeyOf), which doubles as the URL id
 // of GET /v1/results/{key}. Appending the same key with the same body
-// is a no-op (deduplicated by body digest without touching disk);
-// appending the same key with a different body — a measurement-version
-// bump — supersedes the old record in the index while the log keeps the
-// full history.
+// and version is a no-op (deduplicated by body digest without touching
+// disk); appending the same key with a different body or version — a
+// measurement-version bump — supersedes the old record in the index
+// while the log keeps the full history.
 //
 // The in-memory index (rebuilt from the log on Open) maps keys to file
 // positions and carries the queryable metadata: kind, family, dim,
@@ -83,8 +83,8 @@ type Meta struct {
 
 // record is the on-disk line format: the meta plus the compact JSON
 // body. The wire form (json.MarshalIndent + newline) is recovered by
-// re-indenting — key order is preserved by json.Indent — which is the
-// same trick the netemud disk cache uses to serve byte-identical hits.
+// re-indenting — key order is preserved by json.Indent — which is what
+// lets the server answer byte-identical store hits.
 type record struct {
 	Meta
 	Body json.RawMessage `json:"body"`
@@ -105,6 +105,12 @@ type Store struct {
 	segBytes int64
 	now      func() time.Time
 
+	// wmu serializes appends and guards the write side (nextSeq,
+	// active, activeN, sealed); every index change is made under both
+	// locks. mu guards the index and the counters for readers and is
+	// never held across a record write, so Get, Query and Len do not
+	// wait on an append's disk I/O.
+	wmu     sync.Mutex
 	mu      sync.RWMutex
 	byKey   map[string]*indexEntry
 	ordered []*indexEntry // ascending Seq; superseded entries removed
@@ -115,7 +121,7 @@ type Store struct {
 
 	appends    int64 // records written to disk
 	dupSkips   int64 // appends deduplicated away
-	superseded int64 // appends that replaced an older body for the key
+	superseded int64 // appends that replaced an older record for the key
 }
 
 // DefaultSegmentBytes is the active-segment size past which Append
@@ -278,8 +284,8 @@ func (s *Store) indexRecord(rec record, segment string, offset, length int64) {
 
 // Close closes the active segment. The store must not be used after.
 func (s *Store) Close() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.wmu.Lock()
+	defer s.wmu.Unlock()
 	if s.active == nil {
 		return nil
 	}
@@ -299,8 +305,8 @@ func (s *Store) Len() int {
 }
 
 // Counts returns the append accounting: records written, appends
-// deduplicated away (same key, same body), and appends that superseded
-// an older body for their key.
+// deduplicated away (same key, version, and body), and appends that
+// superseded an older record for their key.
 func (s *Store) Counts() (appends, dupSkips, superseded int64) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -310,9 +316,11 @@ func (s *Store) Counts() (appends, dupSkips, superseded int64) {
 // Append durably records one result body under its meta. body must be
 // the exact wire bytes of the 200 response (MarshalIndent + newline);
 // it is stored compacted and recovered byte-identically by Body/Get.
-// Re-appending an identical (key, body) pair is a free no-op; a new
-// body for an existing key supersedes it. Returns the record's assigned
-// sequence number (the existing one on a dedup skip).
+// Re-appending an identical (key, version, body) triple is a free
+// no-op; a new body or version for an existing key supersedes it, so a
+// record re-measured under a new version is labelled with it even when
+// its numbers did not change. Returns the record's assigned sequence
+// number (the existing one on a dedup skip).
 func (s *Store) Append(meta Meta, body []byte) (int64, error) {
 	compact, err := compactBody(body)
 	if err != nil {
@@ -320,34 +328,42 @@ func (s *Store) Append(meta Meta, body []byte) (int64, error) {
 	}
 	digest := sha256.Sum256(compact)
 
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	meta.Version = strings.TrimSpace(meta.Version)
+
+	s.wmu.Lock()
+	defer s.wmu.Unlock()
 	if s.active == nil {
 		return 0, fmt.Errorf("store: append on closed store")
 	}
-	if old, ok := s.byKey[meta.Key]; ok && old.bodyDigest == digest {
+	old, existed := s.byKey[meta.Key]
+	if existed && old.bodyDigest == digest && old.meta.Version == meta.Version {
+		s.mu.Lock()
 		s.dupSkips++
+		s.mu.Unlock()
 		return old.meta.Seq, nil
 	}
 	meta.Seq = s.nextSeq
 	meta.StoredUnixNS = s.now().UnixNano()
-	meta.Version = strings.TrimSpace(meta.Version)
 	line, err := json.Marshal(record{Meta: meta, Body: compact})
 	if err != nil {
 		return 0, fmt.Errorf("store: marshal record: %w", err)
 	}
 	line = append(line, '\n')
+	// The record is on file before the index names it, so a reader that
+	// finds the key can always read it.
 	if _, err := s.active.Write(line); err != nil {
 		return 0, fmt.Errorf("store: append: %w", err)
 	}
 	offset := s.activeN
 	s.activeN += int64(len(line))
 	s.nextSeq++
+	s.mu.Lock()
 	s.appends++
-	if _, existed := s.byKey[meta.Key]; existed {
+	if existed {
 		s.superseded++
 	}
 	s.indexRecord(record{Meta: meta, Body: compact}, activeName, offset, int64(len(line)))
+	s.mu.Unlock()
 	if s.activeN >= s.segBytes {
 		if err := s.seal(); err != nil {
 			return meta.Seq, err
@@ -358,14 +374,16 @@ func (s *Store) Append(meta Meta, body []byte) (int64, error) {
 
 // seal renames the active segment into the numbered sequence and opens
 // a fresh one. The rename is atomic, so a sealed segment is always a
-// complete file; index entries pointing into it are repointed first.
-// Called with mu held.
+// complete file; index entries pointing into it are repointed under mu
+// together with the rename. Called with wmu held.
 func (s *Store) seal() error {
 	if err := s.active.Close(); err != nil {
 		return fmt.Errorf("store: sealing active segment: %w", err)
 	}
 	name := fmt.Sprintf("seg-%08d.log", s.sealed+1)
+	s.mu.Lock()
 	if err := os.Rename(filepath.Join(s.dir, activeName), filepath.Join(s.dir, name)); err != nil {
+		s.mu.Unlock()
 		return fmt.Errorf("store: sealing active segment: %w", err)
 	}
 	s.sealed++
@@ -374,6 +392,7 @@ func (s *Store) seal() error {
 			e.segment = name
 		}
 	}
+	s.mu.Unlock()
 	f, err := os.OpenFile(filepath.Join(s.dir, activeName), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return fmt.Errorf("store: opening fresh active segment: %w", err)

@@ -101,6 +101,19 @@ func TestAppendGetRoundTrip(t *testing.T) {
 	if s.Len() != 1 {
 		t.Fatalf("Len = %d after supersede, want 1", s.Len())
 	}
+
+	// Same key, same body, new version: supersedes too, so the record
+	// carries the version it was last measured under.
+	m.Version = "m-next"
+	if _, err := s.Append(m, body2); err != nil {
+		t.Fatal(err)
+	}
+	if got, _, _ := s.Get(m.Key); got.Version != "m-next" {
+		t.Fatalf("version after re-append = %q, want m-next", got.Version)
+	}
+	if appends, _, superseded := s.Counts(); appends != 3 || superseded != 2 {
+		t.Fatalf("appends=%d superseded=%d, want 3/2", appends, superseded)
+	}
 }
 
 // TestTornTailTruncatedOnReopen is the crash-recovery contract: a torn

@@ -37,17 +37,17 @@ func TestParseFaultSpec(t *testing.T) {
 func TestParseFaultSpecErrors(t *testing.T) {
 	for _, spec := range []string{
 		"",
-		"edges:0.05",        // no tick
-		"edges:0.05@100",    // missing t prefix
-		"edges:1.0@t10",     // fraction out of [0,1)
-		"edges:-0.1@t10",    // negative fraction
-		"edges@t10",         // missing fraction
-		"nodes:0@t10",       // zero count
-		"nodes:x@t10",       // non-integer count
-		"heal:3@t10",        // heal takes no amount
-		"wires:0.1@t10",     // unknown kind
-		"edges:0.1@t-5",     // negative tick
-		"edges:0.1@tlater",  // non-integer tick
+		"edges:0.05",       // no tick
+		"edges:0.05@100",   // missing t prefix
+		"edges:1.0@t10",    // fraction out of [0,1)
+		"edges:-0.1@t10",   // negative fraction
+		"edges@t10",        // missing fraction
+		"nodes:0@t10",      // zero count
+		"nodes:x@t10",      // non-integer count
+		"heal:3@t10",       // heal takes no amount
+		"wires:0.1@t10",    // unknown kind
+		"edges:0.1@t-5",    // negative tick
+		"edges:0.1@tlater", // non-integer tick
 	} {
 		if _, err := ParseFaultSpec(spec); err == nil {
 			t.Errorf("spec %q parsed without error", spec)

@@ -9,18 +9,23 @@
 # the scheduler's sweep-done event on /v1/sweeps/stream (the hub
 # replays its event log to late subscribers, so short polling reads are
 # race-free), then for every stored record diffs the stored body
-# against a fresh POST of the record's canonical spec. Finally asserts
-# the /metrics conservation law covers the new read endpoints and that
-# the store section accounts for exactly the scheduled points.
+# against a POST of the record's canonical spec to a second netemud
+# without a store — a node that has never seen the spec, so its answer
+# is a fresh simulation, not the memo or the store echoing the record.
+# Finally asserts the /metrics conservation law covers the new read
+# endpoints and that the store section accounts for exactly the
+# scheduled points.
 #
 # Usage:  scripts/check_store_query.sh
 #
 # Environment:
-#   PORT  localhost port for the server (default 18098)
+#   PORT  localhost port for the store node (default 18098); the fresh
+#         node listens on PORT+1
 set -eu
 cd "$(dirname "$0")/.."
 port="${PORT:-18098}"
 base="http://127.0.0.1:$port"
+fresh="http://127.0.0.1:$((port + 1))"
 
 bin="$(mktemp -d)"
 pids=""
@@ -38,9 +43,13 @@ EOF
 "$bin/netemud" -addr "127.0.0.1:$port" -concurrency 2 \
     -store "$bin/store" -sweeps "$bin/sweeps.json" &
 pids="$pids $!"
-for _ in $(seq 1 50); do
-    curl -sf "$base/healthz" >/dev/null 2>&1 && break
-    sleep 0.2
+"$bin/netemud" -addr "127.0.0.1:$((port + 1))" -concurrency 2 &
+pids="$pids $!"
+for url in "$base" "$fresh"; do
+    for _ in $(seq 1 50); do
+        curl -sf "$url/healthz" >/dev/null 2>&1 && break
+        sleep 0.2
+    done
 done
 
 done=0
@@ -73,11 +82,19 @@ EOF
 n=0
 while read -r key spec; do
     curl -sf "$base/v1/results/$key" > "$bin/stored.json"
-    curl -sf -X POST -d "$spec" "$base/v1/measure" > "$bin/fresh.json"
+    curl -sf -X POST -d "$spec" "$fresh/v1/measure" > "$bin/fresh.json"
     diff "$bin/stored.json" "$bin/fresh.json"
     n=$((n + 1))
 done < "$bin/records.txt"
-echo "store-query parity ok: $n stored results byte-identical to fresh /v1/measure"
+curl -sf "$fresh/metrics" > "$bin/fresh-metrics.json"
+python3 - "$bin/fresh-metrics.json" "$n" <<'EOF'
+import json, sys
+m, n = json.load(open(sys.argv[1])), int(sys.argv[2])
+if m["executions"] != n or m["endpoints"]["/v1/measure"]["by_status"] != {"200": n}:
+    raise SystemExit("fresh node: %d simulations, /v1/measure statuses %s for %d records; its answers were not fresh"
+                     % (m["executions"], m["endpoints"]["/v1/measure"]["by_status"], n))
+EOF
+echo "store-query parity ok: $n stored results byte-identical to a fresh node's /v1/measure"
 
 curl -sf "$base/v1/meta" >/dev/null
 curl -sf "$base/metrics" > "$bin/metrics.json"
@@ -85,7 +102,7 @@ python3 - "$bin/metrics.json" <<'EOF'
 import json, sys
 m = json.load(open(sys.argv[1]))
 eps = m["endpoints"]
-for want in ("/v1/measure", "/v1/results", "/v1/meta"):
+for want in ("/v1/results", "/v1/meta"):
     if want not in eps:
         raise SystemExit("endpoint %s missing from /metrics: %s" % (want, sorted(eps)))
 total = sum(ep["requests"] for ep in eps.values())
