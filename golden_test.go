@@ -2,11 +2,14 @@ package netemu
 
 import (
 	"bytes"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
+
+	"repro/internal/runspec"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files under testdata/")
@@ -116,4 +119,52 @@ func TestSnapshotFaultsGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkGolden(t, "snapshot_mesh2x5_faults.golden.csv", buf.Bytes())
+}
+
+// geometricRoutingSpecs are small runs whose every hop decision goes
+// through the routing engine's next-hop choice on a hypercube, mesh or
+// torus: greedy and Valiant β, open loops with and without a snapshot or
+// a fault schedule, a steady-state β, a mapped emulation on a mesh host,
+// and a mesh whose dimension exceeds the implicit generators' limit.
+func geometricRoutingSpecs() []runspec.Spec {
+	mesh := func(dim, size int) *runspec.MachineSpec {
+		return &runspec.MachineSpec{Family: "Mesh", Dim: dim, Size: size}
+	}
+	torus := func(dim, size int) *runspec.MachineSpec {
+		return &runspec.MachineSpec{Family: "Torus", Dim: dim, Size: size}
+	}
+	hypercube := &runspec.MachineSpec{Family: "WeakHypercube", Size: 64}
+	return []runspec.Spec{
+		{Kind: runspec.KindBeta, Machine: hypercube, LoadFactors: []int{2, 4}, Trials: 1, Seed: 5},
+		{Kind: runspec.KindBeta, Machine: hypercube, LoadFactors: []int{2, 4}, Trials: 1, Strategy: "valiant", Seed: 5},
+		{Kind: runspec.KindOpenLoop, Machine: mesh(2, 36), Rate: 3, Ticks: 60, Snapshot: true, TopK: 4, Seed: 7},
+		{Kind: runspec.KindSteadyBeta, Machine: mesh(3, 27), Ticks: 48, Iters: 2, Seed: 9},
+		{Kind: runspec.KindOpenLoop, Machine: torus(2, 25), Rate: 4, Ticks: 60, Seed: 11},
+		{Kind: runspec.KindOpenLoop, Machine: torus(3, 27), Rate: 4, Ticks: 60, Seed: 13},
+		{Kind: runspec.KindOpenLoop, Machine: torus(2, 36), Rate: 4, Ticks: 80, Faults: "edges:0.1@t20,nodes:2@t40", Seed: 15},
+		{Kind: runspec.KindEmulate, Guest: &runspec.MachineSpec{Family: "DeBruijn", Size: 64}, Host: mesh(2, 16), Steps: 2, Mode: runspec.ModeMapped, Seed: 17},
+		{Kind: runspec.KindOpenLoop, Machine: mesh(10, 1024), Rate: 8, Ticks: 40, Seed: 19},
+	}
+}
+
+// Lock the bytes of runs that route on meshes, tori and hypercubes, the
+// machines with a closed-form next hop. netemubench's correctness check
+// compares against the same build, so only a committed golden can catch
+// a change to the routing decisions themselves.
+func TestGeometricRoutingGolden(t *testing.T) {
+	cache := runspec.NewArtifactCache(0, 0)
+	var buf bytes.Buffer
+	for _, s := range geometricRoutingSpecs() {
+		res, err := runspec.ExecuteCached(cache, s)
+		if err != nil {
+			t.Fatalf("%s: %v", s.Canonical(), err)
+		}
+		b, err := json.MarshalIndent(res, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf.Write(b)
+		buf.WriteByte('\n')
+	}
+	checkGolden(t, "geometric_routing.golden", buf.Bytes())
 }
