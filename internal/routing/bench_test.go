@@ -162,3 +162,48 @@ func BenchmarkSimRoute(b *testing.B) {
 		e.Route(batch, rng)
 	}
 }
+
+// BenchmarkSimStepMachines steps netemubench's four measure-cold machines
+// (built as a spec with seed 0 builds them) with one message per
+// processor kept in flight, topped up outside the timer before every tick
+// and warmed for 32 ticks — the regime behind the benchmark's
+// routing.step_us_p50.<name> rows. The hypercube and the two meshes take
+// the closed-form next hop; DeBruijn-256 has no geometry and is the
+// control.
+func BenchmarkSimStepMachines(b *testing.B) {
+	for _, bm := range []struct {
+		name string
+		f    topology.Family
+		dim  int
+		size int
+	}{
+		{"WeakHypercube-1024", topology.WeakHypercubeFamily, 0, 1024},
+		{"Mesh-1024", topology.MeshFamily, 2, 1024},
+		{"Mesh-64", topology.MeshFamily, 2, 64},
+		{"DeBruijn-256", topology.DeBruijnFamily, 0, 256},
+	} {
+		b.Run(bm.name, func(b *testing.B) {
+			m := topology.Build(bm.f, bm.dim, bm.size, rand.New(rand.NewSource(0)))
+			s := NewEngine(m, Greedy).NewSim(rand.New(rand.NewSource(1)))
+			defer s.Close()
+			dist := traffic.NewSymmetric(m.N())
+			topUp := func() {
+				if k := m.N() - s.InFlight(); k > 0 {
+					s.InjectSampled(dist, k)
+				}
+			}
+			for i := 0; i < 32; i++ {
+				topUp()
+				s.Step()
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				topUp()
+				b.StartTimer()
+				s.Step()
+			}
+		})
+	}
+}
