@@ -22,8 +22,13 @@
 // multigraph flattened into CSR arrays, or (for hypercube/mesh/torus
 // machines built with topology.ImplicitWeakHypercube and friends) a
 // generator that computes neighbours on the fly — the difference between a
-// dim-20 hypercube being simulable or not. The two representations produce
-// byte-identical results; see pickHop and DESIGN.md.
+// dim-20 hypercube being simulable or not. On hypercubes, meshes and tori
+// the fault-free next hop is closed-form in both representations: the
+// engine holds the machine's generator as its shape and picks the hop from
+// coordinates or bits, without a distance field or a neighbour list. Every
+// other machine, and every machine under faults, routes on BFS distance
+// fields. All of these produce byte-identical results; see pickHop and
+// DESIGN.md.
 //
 // The simulator can run sharded: the vertex set is partitioned across k
 // goroutines that exchange boundary packets through per-shard mailboxes
@@ -90,7 +95,7 @@ func (d Discipline) String() string {
 	}
 }
 
-// geomKind tags the implicit-adjacency fast paths.
+// geomKind tags the closed-form next-hop fast paths.
 type geomKind int
 
 const (
@@ -117,16 +122,9 @@ type Engine struct {
 	// with atomic publication so concurrent shards can warm it without
 	// locks: a racing recompute produces the identical field (BFS is
 	// deterministic) and the last store wins. Nil for implicit machines,
-	// whose fault-free distances are always analytic.
+	// whose fault-free distances are always closed-form; never filled on
+	// an explicit machine with a shape unless the shape is cleared.
 	distPtrs []atomic.Pointer[[]int]
-
-	// oracle, when non-nil, computes exact graph distance analytically
-	// (hypercube popcount, mesh/torus coordinate distance), replacing the
-	// O(N) BFS fields whose all-destination warmup is O(N^2) memory. Only
-	// installed when the machine's geometry provably matches its graph;
-	// faulted routing always falls back to masked BFS fields. Implicit
-	// machines always have one.
-	oracle func(u, v int) int
 
 	// Explicit adjacency, flattened CSR-style (nil for implicit machines):
 	// slot j in [edgeBase[u], edgeBase[u+1]) holds neighbour nbrV[j] with
@@ -140,12 +138,23 @@ type Engine struct {
 	// directed edge u->v gets id u*gDeg + rank(v), order-isomorphic to the
 	// CSR ids of the explicit twin (both number edges by (u asc, v asc)),
 	// so id-ordered tie-breaks agree between representations.
-	geom    *topology.Implicit
+	geom *topology.Implicit
+	gDeg int // max degree = per-vertex edge-id stride
+
+	// shape, when non-nil, is the generator of the machine's fault-free
+	// graph, whichever representation holds the adjacency: an implicit
+	// machine's own generator, or the one explicitShape proves a
+	// materialized hypercube, mesh or torus to be. It supplies exact
+	// distances (shape.Distance, replacing O(N) BFS fields whose
+	// all-destination warmup is O(N^2) memory) and the closed-form next
+	// hop, whose parameters setShape unpacks into gk..gStride. Faulted
+	// routing falls back to masked BFS fields. Nil selects the CSR +
+	// BFS-field path, the reference the representation tests compare the
+	// closed forms against.
+	shape   *topology.Implicit
 	gk      geomKind
-	gOrder  int // hypercube order
 	gDim    int // mesh/torus dimension
 	gSide   int // mesh/torus side
-	gDeg    int // max degree = per-vertex edge-id stride
 	gStride [topology.MaxImplicitDim]int
 
 	// caps[v] is v's forwarding capacity (-1 unlimited); nil when the
@@ -232,22 +241,7 @@ func NewEngine(m *topology.Machine, strategy Strategy) *Engine {
 		e.numVerts = im.N()
 		e.gDeg = im.MaxDeg()
 		e.numEdges = e.numVerts * e.gDeg
-		if order, ok := im.Hypercube(); ok {
-			e.gk, e.gOrder = geomHypercube, order
-		} else {
-			dim, side, wrap, _ := im.Grid()
-			e.gDim, e.gSide = dim, side
-			e.gk = geomMesh
-			if wrap {
-				e.gk = geomTorus
-			}
-			stride := 1
-			for d := 0; d < dim; d++ {
-				e.gStride[d] = stride
-				stride *= side
-			}
-		}
-		e.oracle = im.Distance
+		e.setShape(im)
 	} else {
 		g := m.Graph
 		e.numVerts = g.N()
@@ -268,7 +262,7 @@ func NewEngine(m *topology.Machine, strategy Strategy) *Engine {
 			}
 		}
 		e.distPtrs = make([]atomic.Pointer[[]int], g.N())
-		e.oracle = analyticDistance(m)
+		e.setShape(e.explicitShape(m))
 	}
 	if m.VertexCap != nil || m.UniformCap > 0 {
 		e.caps = make([]int64, e.numVerts)
@@ -279,62 +273,88 @@ func NewEngine(m *topology.Machine, strategy Strategy) *Engine {
 	return e
 }
 
-// analyticDistance returns an exact closed-form distance function for
-// machines whose geometry determines their graph, or nil. The guards are
-// conservative: the vertex count, processor count, and total edge
-// multiplicity must all match the pristine construction, so degraded clones
-// (deleted wires or processors, cleared geometry) never get an oracle.
-func analyticDistance(m *topology.Machine) func(u, v int) int {
-	n := m.Graph.N()
+// setShape installs im as the engine's shape and unpacks the parameters
+// the closed-form next hop reads; nil clears it, leaving the CSR +
+// BFS-field path.
+func (e *Engine) setShape(im *topology.Implicit) {
+	e.shape, e.gk = im, geomNone
+	if im == nil {
+		return
+	}
+	if _, ok := im.Hypercube(); ok {
+		e.gk = geomHypercube
+		return
+	}
+	dim, side, wrap, _ := im.Grid()
+	e.gk, e.gDim, e.gSide = geomMesh, dim, side
+	if wrap {
+		e.gk = geomTorus
+	}
+	stride := 1
+	for d := 0; d < dim; d++ {
+		e.gStride[d] = stride
+		stride *= side
+	}
+}
+
+// explicitShape returns the generator a materialized machine provably is,
+// or nil. The family's parameters must name a generator — hypercube
+// (weak or strong: caps are not part of the graph), mesh, or torus of
+// dimension at most MaxImplicitDim, the length of the next hop's
+// coordinate scratch — and the CSR arrays must hold exactly that
+// generator's neighbours in its slot order, every wire of multiplicity 1,
+// so the closed-form next hop's choices and edge ids are the CSR loop's.
+// Degraded clones (deleted wires or processors, cleared geometry) and
+// higher-dimensional meshes fail the guard and route on BFS fields.
+func (e *Engine) explicitShape(m *topology.Machine) *topology.Implicit {
+	n := e.numVerts
 	if m.Procs != n {
 		return nil
 	}
+	var tw *topology.Machine
 	switch m.Family {
 	case topology.WeakHypercubeFamily:
-		order := m.Side
-		if order < 1 || n != 1<<uint(order) || m.Graph.E() != int64(n)*int64(order)/2 {
+		if m.Side < 1 || m.Side > 26 || n != 1<<m.Side {
 			return nil
 		}
-		return func(u, v int) int { return bits.OnesCount(uint(u ^ v)) }
+		tw = topology.ImplicitWeakHypercube(m.Side)
 	case topology.MeshFamily, topology.TorusFamily:
 		dim, side := m.Dim, m.Side
-		if dim < 1 || side < 2 {
+		torus := m.Family == topology.TorusFamily
+		if dim < 1 || dim > topology.MaxImplicitDim || side < 2 || torus && side < 3 {
 			return nil
 		}
 		size := 1
-		for d := 0; d < dim; d++ {
+		for d := 0; d < dim && size <= n; d++ {
 			size *= side
 		}
 		if size != n {
 			return nil
 		}
-		wrap := m.Family == topology.TorusFamily
-		wantE := int64(dim) * int64(n) // torus: one +1 edge per vertex per dim
-		if !wrap {
-			wantE = int64(dim) * int64(n/side) * int64(side-1)
+		if torus {
+			tw = topology.ImplicitTorus(dim, side)
+		} else {
+			tw = topology.ImplicitMesh(dim, side)
 		}
-		if m.Graph.E() != wantE {
+	default:
+		return nil
+	}
+	im := tw.Implicit
+	match := true
+	for u := 0; u < n && match; u++ {
+		base := e.edgeBase[u]
+		if int(e.edgeBase[u+1]-base) != im.Degree(u) {
 			return nil
 		}
-		return func(u, v int) int {
-			d := 0
-			for k := 0; k < dim; k++ {
-				cu, cv := u%side, v%side
-				u /= side
-				v /= side
-				delta := cu - cv
-				if delta < 0 {
-					delta = -delta
-				}
-				if wrap && side-delta < delta {
-					delta = side - delta
-				}
-				d += delta
-			}
-			return d
-		}
+		im.VisitNeighbors(u, func(slot, v int) {
+			id := base + int32(slot)
+			match = match && e.nbrV[id] == int32(v) && e.nbrMult[id] == 1
+		})
 	}
-	return nil
+	if !match {
+		return nil
+	}
+	return im
 }
 
 // edgeEnds recovers the (from, to) vertices of a directed edge id.
@@ -364,8 +384,8 @@ func (e *Engine) dist(dst int) []int {
 		return e.liveDist(dst)
 	}
 	if e.geom != nil {
-		// Implicit machines route on the analytic oracle; a fault-free BFS
-		// field would be an O(N) allocation bug, not a fallback.
+		// Implicit machines route on their shape; a fault-free BFS field
+		// would be an O(N) allocation bug, not a fallback.
 		panic("routing: BFS distance field requested on an implicit machine without faults")
 	}
 	if p := e.distPtrs[dst].Load(); p != nil {
@@ -376,12 +396,12 @@ func (e *Engine) dist(dst int) []int {
 	return d
 }
 
-// distance returns the current routing distance from u to dst: the analytic
-// oracle on pristine geometric machines, the (possibly fault-masked) BFS
-// field otherwise. Under faults, -1 means unreachable.
+// distance returns the current routing distance from u to dst: the
+// shape's closed form on fault-free geometric machines, the (possibly
+// fault-masked) BFS field otherwise. Under faults, -1 means unreachable.
 func (e *Engine) distance(u, dst int) int {
-	if e.oracle != nil && e.live == nil {
-		return e.oracle(u, dst)
+	if e.shape != nil && e.live == nil {
+		return e.shape.Distance(u, dst)
 	}
 	return e.dist(dst)[u]
 }
@@ -437,49 +457,37 @@ func (e *Engine) RouteSharded(batch []traffic.Message, rng *rand.Rand, shards in
 // edgeUsed is indexed by edge id; only edges out of u are read or written,
 // which is what makes concurrent shards safe.
 //
-// Every representation and fast path enumerates the candidates in the same
-// order — neighbours ascending by vertex id — and spends exactly one
-// reservoir draw per unsaturated downhill neighbour, so the decision
-// streams (and therefore all results) are identical across explicit,
-// implicit, serial, and sharded runs.
+// Fault-free machines with a shape take the closed-form fast paths, which
+// read neither a distance field nor a neighbour list; only the base of u's
+// edge ids depends on the representation. Everything else walks u's
+// neighbours against a BFS distance field. Every path enumerates the
+// candidates in the same order — neighbours ascending by vertex id — and
+// spends exactly one reservoir draw per unsaturated downhill neighbour, so
+// the decision streams (and therefore all results) are identical across
+// explicit, implicit, serial, and sharded runs.
 func (e *Engine) pickHop(u, dst int, edgeUsed []int32, vr *vrand) (int, int32) {
-	if e.geom != nil {
-		if e.live != nil {
-			return e.pickHopGeomLive(u, dst, edgeUsed, vr)
+	if e.shape != nil && e.live == nil {
+		var base int32
+		if e.geom != nil {
+			base = int32(u * e.gDeg)
+		} else {
+			base = e.edgeBase[u]
 		}
 		if e.gk == geomHypercube {
-			return e.pickHopHypercube(u, dst, edgeUsed, vr)
+			return e.pickHopHypercube(u, dst, base, edgeUsed, vr)
 		}
-		return e.pickHopGrid(u, dst, edgeUsed, vr)
+		return e.pickHopGrid(u, dst, base, edgeUsed, vr)
 	}
-	base := e.edgeBase[u]
-	end := e.edgeBase[u+1]
-	best := -1
-	var bestEdge int32 = -1
-	count := 0
-	if oracle := e.oracle; oracle != nil && e.live == nil {
-		du := oracle(u, dst) - 1
-		for id := base; id < end; id++ {
-			v := int(e.nbrV[id])
-			if oracle(v, dst) != du {
-				continue
-			}
-			if int64(edgeUsed[id]) >= e.nbrMult[id] {
-				continue
-			}
-			// Reservoir-sample uniformly among available downhill neighbours.
-			count++
-			if vr.intn(count) == 0 {
-				best = v
-				bestEdge = id
-			}
-		}
-		return best, bestEdge
+	if e.geom != nil {
+		return e.pickHopGeomLive(u, dst, edgeUsed, vr)
 	}
 	d := e.dist(dst)
 	du := d[u] - 1
 	lv := e.live
-	for id := base; id < end; id++ {
+	best := -1
+	var bestEdge int32 = -1
+	count := 0
+	for id := e.edgeBase[u]; id < e.edgeBase[u+1]; id++ {
 		v := int(e.nbrV[id])
 		if d[v] != du {
 			continue
@@ -490,6 +498,7 @@ func (e *Engine) pickHop(u, dst int, edgeUsed []int32, vr *vrand) (int, int32) {
 		if int64(edgeUsed[id]) >= e.nbrMult[id] {
 			continue
 		}
+		// Reservoir-sample uniformly among available downhill neighbours.
 		count++
 		if vr.intn(count) == 0 {
 			best = v
@@ -499,13 +508,12 @@ func (e *Engine) pickHop(u, dst int, edgeUsed []int32, vr *vrand) (int, int32) {
 	return best, bestEdge
 }
 
-// pickHopHypercube is pickHop for the fault-free implicit hypercube: the
-// downhill neighbours are the flips of the bits where u and dst differ,
-// enumerated in ascending vertex-id order (set bits high-to-low, then clear
-// bits low-to-high), with edge ids computed from bit ranks — no adjacency
+// pickHopHypercube is pickHop for the fault-free hypercube: the downhill
+// neighbours are the flips of the bits where u and dst differ, enumerated
+// in ascending vertex-id order (set bits high-to-low, then clear bits
+// low-to-high), with edge ids base plus the bit ranks — no adjacency
 // memory touched at all.
-func (e *Engine) pickHopHypercube(u, dst int, edgeUsed []int32, vr *vrand) (int, int32) {
-	base := int32(u * e.gDeg)
+func (e *Engine) pickHopHypercube(u, dst int, base int32, edgeUsed []int32, vr *vrand) (int, int32) {
 	diff := uint(u ^ dst)
 	pu := bits.OnesCount(uint(u))
 	best := -1
@@ -542,14 +550,15 @@ func (e *Engine) pickHopHypercube(u, dst int, edgeUsed []int32, vr *vrand) (int,
 	return best, bestEdge
 }
 
-// pickHopGrid is pickHop for the fault-free implicit mesh and torus. The
-// mesh enumerates existing neighbours in closed ascending order
-// (minus-steps by descending dimension, then plus-steps by ascending
-// dimension); the torus, whose wraparound breaks that monotonicity,
-// gathers its 2·dim neighbours into a stack array and insertion-sorts.
-// Rank slots count every existing neighbour, downhill or not, matching the
-// generator's edge-id assignment.
-func (e *Engine) pickHopGrid(u, dst int, edgeUsed []int32, vr *vrand) (int, int32) {
+// pickHopGrid is pickHop for the fault-free mesh and torus. The mesh
+// enumerates existing neighbours in closed ascending order (minus-steps by
+// descending dimension, then plus-steps by ascending dimension); the
+// torus, whose wraparound breaks that monotonicity, gathers its 2·dim
+// neighbours into a stack array and insertion-sorts. Rank slots count
+// every existing neighbour, downhill or not, so base plus the slot is the
+// edge id in either representation — a mesh boundary vertex has fewer
+// than 2·dim, which is why an explicit base is edgeBase[u], not u*gDeg.
+func (e *Engine) pickHopGrid(u, dst int, base int32, edgeUsed []int32, vr *vrand) (int, int32) {
 	dim, side := e.gDim, e.gSide
 	var cu, cv [topology.MaxImplicitDim]int
 	x, y := u, dst
@@ -559,7 +568,6 @@ func (e *Engine) pickHopGrid(u, dst int, edgeUsed []int32, vr *vrand) (int, int3
 		cv[d] = y % side
 		y /= side
 	}
-	base := int32(u * e.gDeg)
 	best := -1
 	var bestEdge int32 = -1
 	count := 0
@@ -660,8 +668,9 @@ func wrapDelta(delta, side int) int {
 }
 
 // pickHopGeomLive is pickHop for implicit machines under faults: the masked
-// BFS field replaces the oracle and dead wires are skipped, with neighbours
-// enumerated through the generator in the canonical ascending order.
+// BFS field replaces the shape's distances and dead wires are skipped,
+// with neighbours enumerated through the generator in the canonical
+// ascending order.
 func (e *Engine) pickHopGeomLive(u, dst int, edgeUsed []int32, vr *vrand) (int, int32) {
 	d := e.dist(dst)
 	du := d[u] - 1

@@ -19,11 +19,18 @@ import (
 var equivalenceFaultSpec = topology.MustParseFaultSpec("edges:0.15@t20,nodes:2@t40,heal@t60")
 
 // shardedRun drives one instrumented open loop on a fresh engine at the
-// given shard count and returns the result plus the snapshot JSON.
-func shardedRun(t *testing.T, m *topology.Machine, shards int, faults bool) (OpenLoopResult, []byte) {
+// given shard count and returns the result plus the snapshot JSON. With
+// bfs set the engine's shape is cleared, so an explicit machine routes
+// through the CSR + BFS-field path instead of the closed-form next hop —
+// the independent implementation the representation contract compares
+// against.
+func shardedRun(t *testing.T, m *topology.Machine, shards int, faults, bfs bool) (OpenLoopResult, []byte) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(7))
 	e := NewEngine(m, Greedy)
+	if bfs {
+		e.setShape(nil)
+	}
 	e.Shards = shards
 	dist := traffic.NewSymmetric(m.N())
 	var res OpenLoopResult
@@ -42,17 +49,20 @@ func shardedRun(t *testing.T, m *topology.Machine, shards int, faults bool) (Ope
 }
 
 // ISSUE acceptance: the full equivalence matrix. For every Table 4
-// machine, the serial explicit run is the reference; every shard count in
-// {2, 4, 7}, every available representation (explicit CSR, and the
-// implicit generator for hypercube/mesh/torus machines), with and without
-// a fault schedule, must reproduce its OpenLoopResult and snapshot JSON
-// byte-for-byte. The implicit twin is a genuinely independent adjacency
-// implementation (bit-trick and coordinate fast paths instead of CSR
-// loops), so agreement here is the representation contract, not a
-// tautology.
+// machine (plus the strong hypercube, an odd-side torus and a mesh at the
+// implicit generators' dimension limit) the reference is the serial
+// explicit run through the CSR + BFS-field path. Every shard count in
+// {1, 2, 4, 7}, every available representation (explicit CSR, and the
+// implicit generator for weak-hypercube/mesh/torus machines), with and
+// without a fault schedule, must reproduce its OpenLoopResult and snapshot
+// JSON byte-for-byte. On hypercubes, meshes and tori both representations
+// take the closed-form next hop while fault-free, so the BFS-field
+// reference is what keeps this a comparison of two independent
+// implementations rather than a tautology.
 func TestShardedEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
-	for _, m := range table4Machines(rng) {
+	machines := append(table4Machines(rng), topology.StrongHypercube(4), topology.Torus(3, 3), topology.Mesh(topology.MaxImplicitDim, 2))
+	for _, m := range machines {
 		m := m
 		t.Run(m.Name, func(t *testing.T) {
 			reps := []*topology.Machine{m}
@@ -60,27 +70,22 @@ func TestShardedEquivalence(t *testing.T) {
 				reps = append(reps, tw)
 			}
 			for _, faults := range []bool{false, true} {
-				wantRes, wantSnap := shardedRun(t, m, 1, faults)
+				wantRes, wantSnap := shardedRun(t, m, 1, faults, true)
 				if faults && wantRes.Dropped == 0 && wantRes.Retried == 0 {
 					// Still a valid equivalence check, but flag machines
 					// where the schedule had no effect at all.
 					t.Logf("%s: fault schedule caused no drops/retries", m.Name)
 				}
-				for ri, rep := range reps {
+				for _, rep := range reps {
 					implicit := rep.Implicit != nil
-					shardCounts := []int{2, 4, 7}
-					if ri > 0 {
-						// The implicit twin must also match at one shard.
-						shardCounts = []int{1, 2, 4, 7}
-					}
-					for _, shards := range shardCounts {
-						gotRes, gotSnap := shardedRun(t, rep, shards, faults)
+					for _, shards := range []int{1, 2, 4, 7} {
+						gotRes, gotSnap := shardedRun(t, rep, shards, faults, false)
 						if gotRes != wantRes {
-							t.Errorf("implicit=%v faults=%v shards=%d: OpenLoopResult diverged\nserial explicit: %+v\ngot:             %+v",
+							t.Errorf("implicit=%v faults=%v shards=%d: OpenLoopResult diverged\nBFS-field reference: %+v\ngot:                 %+v",
 								implicit, faults, shards, wantRes, gotRes)
 						}
 						if !bytes.Equal(gotSnap, wantSnap) {
-							t.Errorf("implicit=%v faults=%v shards=%d: snapshot JSON diverged from serial explicit",
+							t.Errorf("implicit=%v faults=%v shards=%d: snapshot JSON diverged from the BFS-field reference",
 								implicit, faults, shards)
 						}
 					}
@@ -91,10 +96,10 @@ func TestShardedEquivalence(t *testing.T) {
 }
 
 // TestImplicitEquivalenceLargeSmoke drives a machine too big for the full
-// matrix — an order-14 hypercube (16,384 vertices) — through one sharded
-// implicit run against the serial explicit reference, and builds (without
-// running) the million-vertex instances the implicit representation
-// exists for.
+// matrix — an order-14 hypercube (16,384 vertices) — through a serial
+// explicit run and a sharded implicit run, both on the closed-form next
+// hop, against the serial CSR + BFS-field reference, and builds the
+// million-vertex instances the implicit representation exists for.
 func TestImplicitEquivalenceLargeSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("large equivalence smoke skipped in -short mode")
@@ -104,10 +109,16 @@ func TestImplicitEquivalenceLargeSmoke(t *testing.T) {
 	if !ok {
 		t.Fatal("WeakHypercube(14) has no implicit twin")
 	}
-	wantRes, wantSnap := shardedRun(t, m, 1, false)
-	gotRes, gotSnap := shardedRun(t, tw, 4, false)
-	if gotRes != wantRes || !bytes.Equal(gotSnap, wantSnap) {
-		t.Errorf("order-14 hypercube: implicit sharded run diverged from serial explicit\nwant %+v\ngot  %+v", wantRes, gotRes)
+	wantRes, wantSnap := shardedRun(t, m, 1, false, true)
+	for _, run := range []struct {
+		rep    *topology.Machine
+		shards int
+	}{{m, 1}, {tw, 4}} {
+		gotRes, gotSnap := shardedRun(t, run.rep, run.shards, false, false)
+		if gotRes != wantRes || !bytes.Equal(gotSnap, wantSnap) {
+			t.Errorf("order-14 hypercube (implicit=%v, shards=%d): diverged from the BFS-field reference\nwant %+v\ngot  %+v",
+				run.rep.Implicit != nil, run.shards, wantRes, gotRes)
+		}
 	}
 
 	// The dim-20 hypercube and the 1024x1024 mesh exist only implicitly
@@ -198,45 +209,70 @@ func TestShardedStepSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// The analytic distance oracle must agree with BFS exactly on every
-// machine it is installed for, and must never be installed on a machine
-// whose graph no longer matches its geometry.
+// The closed-form shape must be installed on exactly the pristine
+// hypercubes, meshes and tori of dimension at most MaxImplicitDim, in
+// either representation, and agree with BFS exactly there: its distances
+// are FarthestFirst's keys, and a fault-free run on it must never build a
+// BFS field. Degraded clones, non-geometric machines and higher-
+// dimensional meshes must not get one.
 func TestAnalyticDistanceMatchesBFS(t *testing.T) {
-	oracleMachines := []*topology.Machine{
-		topology.WeakHypercube(4),
-		topology.StrongHypercube(5),
-		topology.Mesh(2, 5),
-		topology.Mesh(3, 3),
-		topology.Torus(2, 5),
-		topology.Torus(3, 3),
+	shaped := []struct {
+		m    *topology.Machine
+		kind geomKind
+	}{
+		{topology.WeakHypercube(4), geomHypercube},
+		{topology.StrongHypercube(5), geomHypercube},
+		{topology.Mesh(2, 5), geomMesh},
+		{topology.Mesh(3, 3), geomMesh},
+		{topology.Mesh(topology.MaxImplicitDim, 2), geomMesh},
+		{topology.Torus(2, 5), geomTorus},
+		{topology.Torus(3, 3), geomTorus},
+		{topology.ImplicitWeakHypercube(4), geomHypercube},
+		{topology.ImplicitMesh(2, 5), geomMesh},
+		{topology.ImplicitTorus(3, 3), geomTorus},
 	}
-	for _, m := range oracleMachines {
+	for _, c := range shaped {
+		m := c.m
 		e := NewEngine(m, Greedy)
-		if e.oracle == nil {
-			t.Errorf("%s: no analytic distance oracle installed", m.Name)
+		if e.shape == nil || e.gk != c.kind {
+			t.Errorf("%s (implicit=%v): shape %v kind %d, want kind %d", m.Name, m.Implicit != nil, e.shape, e.gk, c.kind)
 			continue
 		}
-		n := m.Graph.N()
-		for dst := 0; dst < n; dst++ {
-			d := m.Graph.BFS(dst)
-			for u := 0; u < n; u++ {
-				if got := e.oracle(u, dst); got != d[u] {
-					t.Fatalf("%s: oracle(%d,%d) = %d, BFS says %d", m.Name, u, dst, got, d[u])
+		g := m.Materialize().Graph
+		for dst := 0; dst < g.N(); dst++ {
+			d := g.BFS(dst)
+			for u := range d {
+				if got := e.distance(u, dst); got != d[u] {
+					t.Fatalf("%s: distance(%d,%d) = %d, BFS says %d", m.Name, u, dst, got, d[u])
 				}
 			}
 		}
+		if m.Implicit != nil {
+			continue
+		}
+		e.Discipline = FarthestFirst
+		e.OpenLoop(traffic.NewSymmetric(m.N()), 3, 40, rand.New(rand.NewSource(1)))
+		for dst := range e.distPtrs {
+			if e.distPtrs[dst].Load() != nil {
+				t.Fatalf("%s: fault-free run on the closed-form path built the BFS field of %d", m.Name, dst)
+			}
+		}
 	}
-	// Degraded clones must fall back to BFS fields: the guards compare
-	// edge counts against the pristine construction.
+	// Degraded clones must fall back to BFS fields: the guard compares the
+	// adjacency against the pristine generator.
 	rng := rand.New(rand.NewSource(2))
-	degraded := topology.DeleteRandomEdges(topology.Mesh(2, 5), 0.2, rng)
-	if e := NewEngine(degraded, Greedy); e.oracle != nil {
-		t.Errorf("%s: degraded machine received an analytic oracle", degraded.Name)
+	unshaped := []*topology.Machine{
+		topology.DeleteRandomEdges(topology.Mesh(2, 5), 0.2, rng),
+		topology.DeleteRandomEdges(topology.WeakHypercube(4), 0.2, rng),
+		// Machines with hub vertices or non-processor vertices must not match.
+		topology.GlobalBus(8),
+		topology.MeshOfTrees(2, 4),
+		// Beyond MaxImplicitDim the next hop's coordinate scratch is too short.
+		topology.Mesh(10, 2),
 	}
-	// Machines with hub vertices or non-processor vertices must not match.
-	for _, m := range []*topology.Machine{topology.GlobalBus(8), topology.MeshOfTrees(2, 4)} {
-		if e := NewEngine(m, Greedy); e.oracle != nil {
-			t.Errorf("%s: unexpected analytic oracle", m.Name)
+	for _, m := range unshaped {
+		if e := NewEngine(m, Greedy); e.shape != nil || e.gk != geomNone {
+			t.Errorf("%s: unexpected closed-form shape", m.Name)
 		}
 	}
 }
