@@ -9,16 +9,20 @@
 // plus the goos/goarch/pkg/cpu header lines, and emits
 //
 //	{"goos": ..., "goarch": ..., "cpu": ..., "benchmarks": [
-//	  {"name": ..., "runs": ..., "ns_per_op": ..., "bytes_per_op": ...,
-//	   "allocs_per_op": ...}, ...]}
+//	  {"pkg": ..., "name": ..., "runs": ..., "ns_per_op": ...,
+//	   "bytes_per_op": ..., "allocs_per_op": ...}, ...]}
 //
-// Lines that are not benchmark results (PASS, ok, test logs) are ignored,
-// so the raw `go test` stream can be piped straight through:
+// Each row carries the package of the most recent `pkg:` header, so one
+// stream may span several `go test` runs. Lines that are not benchmark
+// results (PASS, ok, test logs) are ignored, so the raw `go test` stream
+// can be piped straight through:
 //
 //	go test ./internal/routing/ -run '^$' -bench . -benchmem | benchjson
 //
-// Repeated runs of the same benchmark (-count N) are averaged, with the
-// run count summed, so -count 5 yields one stable row per benchmark.
+// A row is identified by (pkg, name): repeated runs of the same benchmark
+// in the same package (-count N) are averaged, with the run count summed,
+// so -count 5 yields one stable row per benchmark, while same-named
+// benchmarks of two packages stay two rows.
 //
 // Regression guard mode:
 //
@@ -29,11 +33,12 @@
 // with -prefix (default BenchmarkSimStep; a comma-separated list covers
 // several families at once, e.g.
 // -prefix BenchmarkSimStep,BenchmarkExecuteColdVsWarm) against the
-// committed record and exits 1 when any regresses by more than -threshold
-// (fractional; 0.25 = 25%). The comparison table goes to stderr; -o writes the fresh JSON to a
-// file (so CI can upload both sides as artifacts) instead of stdout.
-// Benchmarks present on only one side are reported but never fail the
-// check — renames should not break CI runs of unrelated changes.
+// committed row with the same (pkg, name) and exits 1 when any regresses
+// by more than -threshold (fractional; 0.25 = 25%). The comparison table
+// goes to stderr; -o writes the fresh JSON to a file (so CI can upload
+// both sides as artifacts) instead of stdout. Benchmarks present on only
+// one side are reported but never fail the check — renames should not
+// break CI runs of unrelated changes.
 //
 // Service-latency guard mode (no stdin):
 //
@@ -52,6 +57,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"strconv"
@@ -59,6 +65,7 @@ import (
 )
 
 type benchResult struct {
+	Pkg         string  `json:"pkg,omitempty"`
 	Name        string  `json:"name"`
 	Runs        int64   `json:"runs"`
 	NsPerOp     float64 `json:"ns_per_op"`
@@ -68,10 +75,13 @@ type benchResult struct {
 	samples int64
 }
 
+// key identifies a row: the same benchmark name in two packages is two
+// rows.
+func (r *benchResult) key() string { return r.Pkg + " " + r.Name }
+
 type benchFile struct {
 	Goos       string         `json:"goos,omitempty"`
 	Goarch     string         `json:"goarch,omitempty"`
-	Pkg        string         `json:"pkg,omitempty"`
 	CPU        string         `json:"cpu,omitempty"`
 	Benchmarks []*benchResult `json:"benchmarks"`
 }
@@ -96,46 +106,9 @@ func main() {
 		}
 		return
 	}
-	var out benchFile
-	index := map[string]*benchResult{}
-	sc := bufio.NewScanner(os.Stdin)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		switch {
-		case strings.HasPrefix(line, "goos: "):
-			out.Goos = strings.TrimPrefix(line, "goos: ")
-		case strings.HasPrefix(line, "goarch: "):
-			out.Goarch = strings.TrimPrefix(line, "goarch: ")
-		case strings.HasPrefix(line, "pkg: "):
-			out.Pkg = strings.TrimPrefix(line, "pkg: ")
-		case strings.HasPrefix(line, "cpu: "):
-			out.CPU = strings.TrimPrefix(line, "cpu: ")
-		case strings.HasPrefix(line, "Benchmark"):
-			if r := parseBenchLine(line); r != nil {
-				if prev, ok := index[r.Name]; ok {
-					// Average repeated -count runs weighted equally per
-					// line; sum the iteration counts.
-					prev.NsPerOp += r.NsPerOp
-					prev.BytesPerOp += r.BytesPerOp
-					prev.AllocsPerOp += r.AllocsPerOp
-					prev.Runs += r.Runs
-					prev.samples++
-				} else {
-					r.samples = 1
-					index[r.Name] = r
-					out.Benchmarks = append(out.Benchmarks, r)
-				}
-			}
-		}
-	}
-	if err := sc.Err(); err != nil {
+	out, err := parseBench(os.Stdin)
+	if err != nil {
 		log.Fatal(err)
-	}
-	for _, r := range out.Benchmarks {
-		r.NsPerOp /= float64(r.samples)
-		r.BytesPerOp /= float64(r.samples)
-		r.AllocsPerOp /= float64(r.samples)
 	}
 	dst := os.Stdout
 	if *outPath != "" {
@@ -152,24 +125,76 @@ func main() {
 		log.Fatal(err)
 	}
 	if *check != "" {
-		if !checkRegressions(out, *check, *prefix, *threshold) {
+		raw, err := os.ReadFile(*check)
+		if err != nil {
+			log.Fatal(err)
+		}
+		var committed benchFile
+		if err := json.Unmarshal(raw, &committed); err != nil {
+			log.Fatalf("%s: %v", *check, err)
+		}
+		if !checkRegressions(os.Stderr, out, committed, *check, *prefix, *threshold) {
 			os.Exit(1)
 		}
 	}
 }
 
+// parseBench reads a `go test -bench` stream into one record, stamping
+// every row with the package of the latest `pkg:` header and averaging
+// repeated (pkg, name) rows.
+func parseBench(r io.Reader) (benchFile, error) {
+	var out benchFile
+	index := map[string]*benchResult{}
+	pkg := ""
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	for sc.Scan() {
+		line := strings.TrimSpace(sc.Text())
+		switch {
+		case strings.HasPrefix(line, "goos: "):
+			out.Goos = strings.TrimPrefix(line, "goos: ")
+		case strings.HasPrefix(line, "goarch: "):
+			out.Goarch = strings.TrimPrefix(line, "goarch: ")
+		case strings.HasPrefix(line, "pkg: "):
+			pkg = strings.TrimPrefix(line, "pkg: ")
+		case strings.HasPrefix(line, "cpu: "):
+			out.CPU = strings.TrimPrefix(line, "cpu: ")
+		case strings.HasPrefix(line, "Benchmark"):
+			r := parseBenchLine(line)
+			if r == nil {
+				continue
+			}
+			r.Pkg = pkg
+			if prev, ok := index[r.key()]; ok {
+				// Average repeated -count runs weighted equally per
+				// line; sum the iteration counts.
+				prev.NsPerOp += r.NsPerOp
+				prev.BytesPerOp += r.BytesPerOp
+				prev.AllocsPerOp += r.AllocsPerOp
+				prev.Runs += r.Runs
+				prev.samples++
+			} else {
+				r.samples = 1
+				index[r.key()] = r
+				out.Benchmarks = append(out.Benchmarks, r)
+			}
+		}
+	}
+	if err := sc.Err(); err != nil {
+		return benchFile{}, err
+	}
+	for _, r := range out.Benchmarks {
+		r.NsPerOp /= float64(r.samples)
+		r.BytesPerOp /= float64(r.samples)
+		r.AllocsPerOp /= float64(r.samples)
+	}
+	return out, nil
+}
+
 // checkRegressions compares the fresh results against the committed
-// record, reporting every prefixed benchmark to stderr and returning false
-// when any regresses beyond the threshold.
-func checkRegressions(fresh benchFile, committedPath, prefix string, threshold float64) bool {
-	raw, err := os.ReadFile(committedPath)
-	if err != nil {
-		log.Fatal(err)
-	}
-	var committed benchFile
-	if err := json.Unmarshal(raw, &committed); err != nil {
-		log.Fatalf("%s: %v", committedPath, err)
-	}
+// record row by row on (pkg, name), reporting every prefixed benchmark to
+// w and returning false when any regresses beyond the threshold.
+func checkRegressions(w io.Writer, fresh, committed benchFile, committedPath, prefix string, threshold float64) bool {
 	prefixes := strings.Split(prefix, ",")
 	matches := func(name string) bool {
 		for _, p := range prefixes {
@@ -180,9 +205,11 @@ func checkRegressions(fresh benchFile, committedPath, prefix string, threshold f
 		return false
 	}
 	base := map[string]*benchResult{}
+	var order []string
 	for _, r := range committed.Benchmarks {
 		if matches(r.Name) {
-			base[r.Name] = r
+			base[r.key()] = r
+			order = append(order, r.key())
 		}
 	}
 	ok := true
@@ -191,12 +218,12 @@ func checkRegressions(fresh benchFile, committedPath, prefix string, threshold f
 		if !matches(r.Name) {
 			continue
 		}
-		b, found := base[r.Name]
+		b, found := base[r.key()]
 		if !found {
-			fmt.Fprintf(os.Stderr, "  NEW      %-50s %14.0f ns/op (not in %s)\n", r.Name, r.NsPerOp, committedPath)
+			fmt.Fprintf(w, "  NEW      %-50s %14.0f ns/op (not in %s)\n", r.key(), r.NsPerOp, committedPath)
 			continue
 		}
-		delete(base, r.Name)
+		delete(base, r.key())
 		compared++
 		ratio := r.NsPerOp / b.NsPerOp
 		verdict := "ok"
@@ -204,15 +231,17 @@ func checkRegressions(fresh benchFile, committedPath, prefix string, threshold f
 			verdict = "REGRESSED"
 			ok = false
 		}
-		fmt.Fprintf(os.Stderr, "  %-8s %-50s %14.0f -> %.0f ns/op (%+.1f%%)\n",
-			verdict, r.Name, b.NsPerOp, r.NsPerOp, 100*(ratio-1))
+		fmt.Fprintf(w, "  %-8s %-50s %14.0f -> %.0f ns/op (%+.1f%%)\n",
+			verdict, r.key(), b.NsPerOp, r.NsPerOp, 100*(ratio-1))
 	}
-	for name := range base {
-		fmt.Fprintf(os.Stderr, "  MISSING  %-50s (committed but not in this run)\n", name)
+	for _, k := range order {
+		if _, missing := base[k]; missing {
+			fmt.Fprintf(w, "  MISSING  %-50s (committed but not in this run)\n", k)
+		}
 	}
 	if compared == 0 {
 		// A prefix typo or an empty bench run must not masquerade as a pass.
-		fmt.Fprintf(os.Stderr, "benchjson: no benchmarks matching prefix %q on both sides\n", prefix)
+		fmt.Fprintf(w, "benchjson: no benchmarks matching prefix %q on both sides\n", prefix)
 		return false
 	}
 	return ok
