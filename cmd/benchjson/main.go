@@ -160,23 +160,21 @@ func parseBench(r io.Reader) (benchFile, error) {
 		case strings.HasPrefix(line, "cpu: "):
 			out.CPU = strings.TrimPrefix(line, "cpu: ")
 		case strings.HasPrefix(line, "Benchmark"):
-			r := parseBenchLine(line)
-			if r == nil {
-				continue
-			}
-			r.Pkg = pkg
-			if prev, ok := index[r.key()]; ok {
-				// Average repeated -count runs weighted equally per
-				// line; sum the iteration counts.
-				prev.NsPerOp += r.NsPerOp
-				prev.BytesPerOp += r.BytesPerOp
-				prev.AllocsPerOp += r.AllocsPerOp
-				prev.Runs += r.Runs
-				prev.samples++
-			} else {
-				r.samples = 1
-				index[r.key()] = r
-				out.Benchmarks = append(out.Benchmarks, r)
+			if r := parseBenchLine(line); r != nil {
+				r.Pkg = pkg
+				if prev, ok := index[r.key()]; ok {
+					// Average repeated -count runs weighted equally per
+					// line; sum the iteration counts.
+					prev.NsPerOp += r.NsPerOp
+					prev.BytesPerOp += r.BytesPerOp
+					prev.AllocsPerOp += r.AllocsPerOp
+					prev.Runs += r.Runs
+					prev.samples++
+				} else {
+					r.samples = 1
+					index[r.key()] = r
+					out.Benchmarks = append(out.Benchmarks, r)
+				}
 			}
 		}
 	}
@@ -205,11 +203,9 @@ func checkRegressions(w io.Writer, fresh, committed benchFile, committedPath, pr
 		return false
 	}
 	base := map[string]*benchResult{}
-	var order []string
 	for _, r := range committed.Benchmarks {
 		if matches(r.Name) {
 			base[r.key()] = r
-			order = append(order, r.key())
 		}
 	}
 	ok := true
@@ -234,10 +230,8 @@ func checkRegressions(w io.Writer, fresh, committed benchFile, committedPath, pr
 		fmt.Fprintf(w, "  %-8s %-50s %14.0f -> %.0f ns/op (%+.1f%%)\n",
 			verdict, r.key(), b.NsPerOp, r.NsPerOp, 100*(ratio-1))
 	}
-	for _, k := range order {
-		if _, missing := base[k]; missing {
-			fmt.Fprintf(w, "  MISSING  %-50s (committed but not in this run)\n", k)
-		}
+	for k := range base {
+		fmt.Fprintf(w, "  MISSING  %-50s (committed but not in this run)\n", k)
 	}
 	if compared == 0 {
 		// A prefix typo or an empty bench run must not masquerade as a pass.

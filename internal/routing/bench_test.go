@@ -69,8 +69,8 @@ func BenchmarkSimStepFarthestFirst(b *testing.B) {
 }
 
 // BenchmarkSimStepSharded is the scaling curve behind BENCH_routing.json:
-// Step on a dim-16 weak hypercube (65536 vertices, analytic distance
-// oracle, no BFS tables) under a standing load, at 1/2/4/8 shards. The
+// Step on a dim-16 weak hypercube (65536 vertices, closed-form next hop,
+// no BFS tables) under a standing load, at 1/2/4/8 shards. The
 // serial (shards=1) sub-benchmark is the baseline; on an 8-core machine
 // the 8-shard run should be ≥3× faster. scripts/bench_routing.sh runs
 // this and records the numbers.

@@ -122,8 +122,8 @@ type Engine struct {
 	// with atomic publication so concurrent shards can warm it without
 	// locks: a racing recompute produces the identical field (BFS is
 	// deterministic) and the last store wins. Nil for implicit machines,
-	// whose fault-free distances are always closed-form; never filled on
-	// an explicit machine with a shape unless the shape is cleared.
+	// whose fault-free distances are always closed-form, and never filled
+	// while an explicit machine has a shape.
 	distPtrs []atomic.Pointer[[]int]
 
 	// Explicit adjacency, flattened CSR-style (nil for implicit machines):
@@ -298,45 +298,23 @@ func (e *Engine) setShape(im *topology.Implicit) {
 }
 
 // explicitShape returns the generator a materialized machine provably is,
-// or nil. The family's parameters must name a generator — hypercube
-// (weak or strong: caps are not part of the graph), mesh, or torus of
-// dimension at most MaxImplicitDim, the length of the next hop's
-// coordinate scratch — and the CSR arrays must hold exactly that
-// generator's neighbours in its slot order, every wire of multiplicity 1,
-// so the closed-form next hop's choices and edge ids are the CSR loop's.
-// Degraded clones (deleted wires or processors, cleared geometry) and
-// higher-dimensional meshes fail the guard and route on BFS fields.
+// or nil. The family, dimension and vertex count name the candidate the
+// way topology.BuildImplicit names a machine — a hypercube (weak or
+// strong: caps are not part of the graph), mesh or torus of dimension at
+// most MaxImplicitDim, the length of the next hop's coordinate scratch —
+// and the CSR arrays must hold exactly that generator's neighbours in its
+// slot order, every wire of multiplicity 1, so the closed-form next hop's
+// choices and edge ids are the CSR loop's. Degraded clones (deleted wires
+// or processors) and higher-dimensional meshes fail and route on BFS
+// fields.
 func (e *Engine) explicitShape(m *topology.Machine) *topology.Implicit {
 	n := e.numVerts
-	if m.Procs != n {
+	if m.Procs != n || !topology.ImplicitSupported(m.Family) ||
+		m.Family != topology.WeakHypercubeFamily && (m.Dim < 1 || m.Dim > topology.MaxImplicitDim) {
 		return nil
 	}
-	var tw *topology.Machine
-	switch m.Family {
-	case topology.WeakHypercubeFamily:
-		if m.Side < 1 || m.Side > 26 || n != 1<<m.Side {
-			return nil
-		}
-		tw = topology.ImplicitWeakHypercube(m.Side)
-	case topology.MeshFamily, topology.TorusFamily:
-		dim, side := m.Dim, m.Side
-		torus := m.Family == topology.TorusFamily
-		if dim < 1 || dim > topology.MaxImplicitDim || side < 2 || torus && side < 3 {
-			return nil
-		}
-		size := 1
-		for d := 0; d < dim && size <= n; d++ {
-			size *= side
-		}
-		if size != n {
-			return nil
-		}
-		if torus {
-			tw = topology.ImplicitTorus(dim, side)
-		} else {
-			tw = topology.ImplicitMesh(dim, side)
-		}
-	default:
+	tw, err := topology.BuildImplicit(m.Family, m.Dim, n)
+	if err != nil || tw.N() != n {
 		return nil
 	}
 	im := tw.Implicit
@@ -481,13 +459,15 @@ func (e *Engine) pickHop(u, dst int, edgeUsed []int32, vr *vrand) (int, int32) {
 	if e.geom != nil {
 		return e.pickHopGeomLive(u, dst, edgeUsed, vr)
 	}
-	d := e.dist(dst)
-	du := d[u] - 1
-	lv := e.live
+	base := e.edgeBase[u]
+	end := e.edgeBase[u+1]
 	best := -1
 	var bestEdge int32 = -1
 	count := 0
-	for id := e.edgeBase[u]; id < e.edgeBase[u+1]; id++ {
+	d := e.dist(dst)
+	du := d[u] - 1
+	lv := e.live
+	for id := base; id < end; id++ {
 		v := int(e.nbrV[id])
 		if d[v] != du {
 			continue

@@ -43,8 +43,8 @@ type liveState struct {
 // EnableFaults switches the engine into liveness-aware routing. An engine
 // with faults enabled belongs to the Sim driving it: the fault mask is
 // engine state, so do not share it across concurrent or interleaved sims.
-// Works on both representations; an implicit machine under faults swaps
-// its analytic oracle for masked BFS fields over the generated adjacency.
+// Works on both representations; a machine under faults swaps its
+// closed-form shape, if any, for masked BFS fields over its adjacency.
 func (e *Engine) EnableFaults() {
 	if e.live == nil {
 		e.live = &liveState{

@@ -32,7 +32,8 @@ const (
 
 // MaxImplicitDim bounds the dimension of implicit meshes and tori; the
 // per-vertex coordinate scratch in the routing hot path is a fixed-size
-// array of this length.
+// array of this length, so materialized meshes and tori of higher
+// dimension route on BFS distance fields instead of the closed form.
 const MaxImplicitDim = 8
 
 // Implicit generates the adjacency of one geometric machine on demand.
@@ -176,8 +177,9 @@ func (im *Implicit) Neighbor(u, slot int) int {
 	return found
 }
 
-// Distance returns the exact graph distance between u and v — the same
-// closed forms the routing engine's analytic oracles use.
+// Distance returns the exact graph distance between u and v. It is the
+// routing engine's distance on every machine whose shape is a generator,
+// materialized or implicit, so the closed form lives only here.
 func (im *Implicit) Distance(u, v int) int {
 	switch im.kind {
 	case implHypercube:
