@@ -143,7 +143,7 @@ type Engine struct {
 
 	// shape, when non-nil, is the generator of the machine's fault-free
 	// graph, whichever representation holds the adjacency: an implicit
-	// machine's own generator, or the one explicitShape proves a
+	// machine's own generator, or the one explicitShape finds a pristine
 	// materialized hypercube, mesh or torus to be. It supplies exact
 	// distances (shape.Distance, replacing O(N) BFS fields whose
 	// all-destination warmup is O(N^2) memory) and the closed-form next
@@ -297,16 +297,16 @@ func (e *Engine) setShape(im *topology.Implicit) {
 	}
 }
 
-// explicitShape returns the generator a materialized machine provably is,
-// or nil. The family, dimension and vertex count name the candidate the
-// way topology.BuildImplicit names a machine — a hypercube (weak or
-// strong: caps are not part of the graph), mesh or torus of dimension at
-// most MaxImplicitDim, the length of the next hop's coordinate scratch —
-// and the CSR arrays must hold exactly that generator's neighbours in its
-// slot order, every wire of multiplicity 1, so the closed-form next hop's
-// choices and edge ids are the CSR loop's. Degraded clones (deleted wires
-// or processors) and higher-dimensional meshes fail and route on BFS
-// fields.
+// explicitShape returns the generator a materialized machine is, or nil.
+// The family, dimension and vertex count name the candidate the way
+// topology.BuildImplicit names a machine — a hypercube (weak or strong:
+// caps are not part of the graph), mesh or torus of dimension at most
+// MaxImplicitDim, the length of the next hop's coordinate scratch. The
+// machine must also keep every processor and wire of that build, each
+// wire of multiplicity 1 (2·E CSR slots): topology's degraded clones only
+// ever delete, so equal counts mean nothing was deleted, and the
+// closed-form next hop then makes the CSR loop's choices with its edge
+// ids. Degraded clones and higher-dimensional meshes route on BFS fields.
 func (e *Engine) explicitShape(m *topology.Machine) *topology.Implicit {
 	n := e.numVerts
 	if m.Procs != n || !topology.ImplicitSupported(m.Family) ||
@@ -314,25 +314,10 @@ func (e *Engine) explicitShape(m *topology.Machine) *topology.Implicit {
 		return nil
 	}
 	tw, err := topology.BuildImplicit(m.Family, m.Dim, n)
-	if err != nil || tw.N() != n {
+	if err != nil || tw.N() != n || tw.EdgeCount() != m.Graph.E() || int64(e.numEdges) != 2*m.Graph.E() {
 		return nil
 	}
-	im := tw.Implicit
-	match := true
-	for u := 0; u < n && match; u++ {
-		base := e.edgeBase[u]
-		if int(e.edgeBase[u+1]-base) != im.Degree(u) {
-			return nil
-		}
-		im.VisitNeighbors(u, func(slot, v int) {
-			id := base + int32(slot)
-			match = match && e.nbrV[id] == int32(v) && e.nbrMult[id] == 1
-		})
-	}
-	if !match {
-		return nil
-	}
-	return im
+	return tw.Implicit
 }
 
 // edgeEnds recovers the (from, to) vertices of a directed edge id.

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/multigraph"
 	"repro/internal/topology"
 	"repro/internal/traffic"
 )
@@ -258,12 +259,27 @@ func TestAnalyticDistanceMatchesBFS(t *testing.T) {
 			}
 		}
 	}
-	// Degraded clones must fall back to BFS fields: the guard compares the
-	// adjacency against the pristine generator.
+	// Degraded clones must fall back to BFS fields: the guard compares
+	// vertex, processor and wire counts against the pristine build, and a
+	// wire of multiplicity 2 standing in for a deleted one keeps the wire
+	// count but not the neighbour-slot count.
 	rng := rand.New(rand.NewSource(2))
+	doubled := topology.Mesh(2, 3)
+	g := multigraph.New(doubled.N())
+	for i, ed := range doubled.Graph.Edges() {
+		switch i {
+		case 0:
+			g.AddEdge(ed.U, ed.V, 2)
+		case 1:
+		default:
+			g.AddEdge(ed.U, ed.V, ed.Mult)
+		}
+	}
+	doubled.Graph = g
 	unshaped := []*topology.Machine{
 		topology.DeleteRandomEdges(topology.Mesh(2, 5), 0.2, rng),
 		topology.DeleteRandomEdges(topology.WeakHypercube(4), 0.2, rng),
+		doubled,
 		// Machines with hub vertices or non-processor vertices must not match.
 		topology.GlobalBus(8),
 		topology.MeshOfTrees(2, 4),
