@@ -270,7 +270,7 @@ func TestAnalyticDistanceMatchesBFS(t *testing.T) {
 		switch i {
 		case 0:
 			g.AddEdge(ed.U, ed.V, 2)
-		case 1:
+		case 1: // deleted
 		default:
 			g.AddEdge(ed.U, ed.V, ed.Mult)
 		}
