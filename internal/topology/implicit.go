@@ -177,9 +177,10 @@ func (im *Implicit) Neighbor(u, slot int) int {
 	return found
 }
 
-// Distance returns the exact graph distance between u and v. It is the
-// routing engine's distance on every machine whose shape is a generator,
-// materialized or implicit, so the closed form lives only here.
+// Distance returns the exact graph distance between u and v. The routing
+// engine uses it as the fault-free distance on every hypercube, mesh and
+// torus it routes with a closed-form next hop, materialized or implicit,
+// so the closed form lives only here.
 func (im *Implicit) Distance(u, v int) int {
 	switch im.kind {
 	case implHypercube:
