@@ -48,22 +48,6 @@ type MeasureOptions = bandwidth.MeasureOptions
 // Measurement is one operational bandwidth estimate.
 type Measurement = bandwidth.Measurement
 
-// MeasureBeta measures β(M) operationally: batches of all-pairs messages
-// are routed on the packet simulator and the saturated delivery rate is
-// fitted. This is the paper's functional definition of bandwidth.
-//
-// Deprecated: use Run with a RunBeta spec; this is its one-line wrapper.
-func MeasureBeta(m *Machine, opts MeasureOptions, seed int64) Measurement {
-	return *mustRun(m, betaSpec(opts, seed)).Measurement
-}
-
-// betaSpec translates legacy MeasureOptions into the RunBeta spec fields.
-func betaSpec(opts MeasureOptions, seed int64) RunSpec {
-	opts = opts.Canonical()
-	return RunSpec{Kind: RunBeta, LoadFactors: opts.LoadFactors, Trials: opts.Trials,
-		Strategy: opts.Strategy.String(), Shards: opts.Shards, Seed: seed}
-}
-
 // GraphBeta estimates β via Theorem 6's graph form E(T)/C(M,T) with
 // all-pairs traffic, using a fractional congestion estimator with the
 // given path spread.
@@ -91,7 +75,7 @@ func MeasurePermutation(m *Machine, rounds int, seed int64) RouteStats {
 	perm := traffic.RandomPermutation(m.N(), rng)
 	batch := traffic.Batch(perm, rounds*m.N(), rng)
 	eng := routing.NewEngine(m, routing.Greedy)
-	return eng.Route(batch, rng)
+	return eng.Route(batch, rng, 1)
 }
 
 // BottleneckReport is the outcome of the paper's bottleneck-freeness audit.
@@ -125,45 +109,9 @@ func WriteTable(w io.Writer, title string, rows []TableRow) error {
 // WriteTable4 renders the reproduced Table 4 (β and λ per machine).
 func WriteTable4(w io.Writer, k int) error { return core.WriteTable4(w, k) }
 
-// MeasureSteadyBeta estimates β by open-loop saturation search: continuous
-// injection with bisection on the rate until queues stay bounded. Slower
-// but tail-free compared to MeasureBeta.
-//
-// Deprecated: use Run with a RunSteadyBeta spec.
-func MeasureSteadyBeta(m *Machine, ticks, iters int, seed int64) float64 {
-	return MeasureSteadyBetaSharded(m, ticks, iters, 1, seed)
-}
-
-// MeasureSteadyBetaSharded is MeasureSteadyBeta on a simulator sharded
-// across the given number of goroutines (0 or 1 = serial). The value is
-// bit-identical at every shard count; sharding only buys wall-clock time on
-// large machines.
-//
-// Deprecated: use Run with a RunSteadyBeta spec and Shards set.
-func MeasureSteadyBetaSharded(m *Machine, ticks, iters, shards int, seed int64) float64 {
-	return mustRun(m, RunSpec{Kind: RunSteadyBeta, Ticks: ticks, Iters: iters, Shards: shards, Seed: seed}).Beta
-}
-
 // OpenLoopResult reports a steady-state open-loop run: throughput, mean
 // and tail latency, backlog, and stability.
 type OpenLoopResult = routing.OpenLoopResult
-
-// MeasureOpenLoop injects all-pairs traffic at the given rate for the
-// given ticks and reports the steady-state behaviour.
-//
-// Deprecated: use Run with a RunOpenLoop spec.
-func MeasureOpenLoop(m *Machine, rate float64, ticks int, seed int64) OpenLoopResult {
-	return MeasureOpenLoopSharded(m, rate, ticks, 1, seed)
-}
-
-// MeasureOpenLoopSharded is MeasureOpenLoop on a simulator sharded across
-// the given number of goroutines (0 or 1 = serial); the result is
-// bit-identical at every shard count.
-//
-// Deprecated: use Run with a RunOpenLoop spec and Shards set.
-func MeasureOpenLoopSharded(m *Machine, rate float64, ticks, shards int, seed int64) OpenLoopResult {
-	return *mustRun(m, RunSpec{Kind: RunOpenLoop, Rate: rate, Ticks: ticks, Shards: shards, Seed: seed}).OpenLoop
-}
 
 // Snapshot is a point-in-time statistical export of a routing run:
 // counters, latency quantiles, queue-occupancy histogram, top-k edge
@@ -171,30 +119,14 @@ func MeasureOpenLoopSharded(m *Machine, rate float64, ticks, shards int, seed in
 // -stats flag of cmd/betameter and cmd/emusim.
 type Snapshot = routing.Snapshot
 
-// MeasureOpenLoopSnapshot is MeasureOpenLoop with full instrumentation: it
-// additionally returns the Snapshot of the run. topK bounds the edge
-// utilization list (<= 0 means 10).
-//
-// Deprecated: use Run with a RunOpenLoop spec and Snapshot set.
-func MeasureOpenLoopSnapshot(m *Machine, rate float64, ticks, topK int, seed int64) (OpenLoopResult, Snapshot) {
-	return MeasureOpenLoopSnapshotSharded(m, rate, ticks, topK, 1, seed)
-}
-
-// MeasureOpenLoopSnapshotSharded is MeasureOpenLoopSnapshot on a simulator
-// sharded across the given number of goroutines (0 or 1 = serial); result
-// and snapshot are bit-identical at every shard count.
-//
-// Deprecated: use Run with a RunOpenLoop spec, Snapshot, and Shards set.
-func MeasureOpenLoopSnapshotSharded(m *Machine, rate float64, ticks, topK, shards int, seed int64) (OpenLoopResult, Snapshot) {
-	res := mustRun(m, RunSpec{Kind: RunOpenLoop, Rate: rate, Ticks: ticks, TopK: topK, Snapshot: true, Shards: shards, Seed: seed})
-	return *res.OpenLoop, *res.Snapshot
-}
-
 // NewLocalityTraffic returns a distance-decaying traffic distribution on
 // the machine's graph (decay in (0,1); smaller = more local). Local
 // traffic evades the bandwidth bound — most messages avoid the thin cuts —
 // which is exactly why the theorem is stated for symmetric traffic.
 func NewLocalityTraffic(m *Machine, decay float64) traffic.Distribution {
+	if m.Graph == nil {
+		panic("netemu: locality traffic needs a materialized graph; " + m.Name + " is implicit")
+	}
 	if m.N() != m.Graph.N() {
 		panic("netemu: locality traffic needs a pure processor machine")
 	}
@@ -204,7 +136,7 @@ func NewLocalityTraffic(m *Machine, decay float64) traffic.Distribution {
 // MeasureBetaUnder measures the delivery rate of m under an arbitrary
 // distribution (for comparisons against the symmetric β).
 func MeasureBetaUnder(m *Machine, dist traffic.Distribution, opts MeasureOptions, seed int64) Measurement {
-	return bandwidth.MeasureBeta(m, dist, opts, rand.New(rand.NewSource(seed)))
+	return bandwidth.MeasureBeta(routing.NewEngine(m, opts.Strategy), dist, opts, rand.New(rand.NewSource(seed)))
 }
 
 // TrafficDistribution is the interface traffic patterns implement.

@@ -35,7 +35,7 @@ func BenchmarkAblationStrategy(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				rng := rand.New(rand.NewSource(int64(i)))
 				batch := traffic.Batch(rev, 4*db.N(), rng)
-				ticks = eng.Route(batch, rng).Ticks
+				ticks = eng.Route(batch, rng, 1).Ticks
 			}
 			b.ReportMetric(float64(ticks), "ticks")
 		})
@@ -105,7 +105,7 @@ func BenchmarkAblationRedundancy(b *testing.B) {
 		b.Run(map[int]string{1: "dup1", 2: "dup2", 3: "dup3"}[dup], func(b *testing.B) {
 			var res EmulationResult
 			for i := 0; i < b.N; i++ {
-				res = EmulateCircuit(guest, host, 3, dup, int64(i))
+				res = *mustRunEmulation(b, guest, host, RunSpec{Kind: RunEmulate, Steps: 3, Mode: RunModeCircuit, Duplicity: dup, Seed: int64(i)}).EmulationResult
 			}
 			b.ReportMetric(res.Slowdown, "slowdown")
 			b.ReportMetric(res.Inefficiency, "inefficiency")
@@ -137,7 +137,7 @@ func BenchmarkAblationScheduler(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			rng := rand.New(rand.NewSource(int64(i)))
 			_, batch := buildPackets(rng)
-			ticks = eng.Route(batch, rng).Ticks
+			ticks = eng.Route(batch, rng, 1).Ticks
 		}
 		b.ReportMetric(float64(ticks), "ticks")
 	})
@@ -175,9 +175,9 @@ func BenchmarkAblationOverlap(b *testing.B) {
 			var res EmulationResult
 			for i := 0; i < b.N; i++ {
 				if pipelined {
-					res = EmulatePipelined(guest, host, 3, int64(i))
+					res = *mustRunEmulation(b, guest, host, RunSpec{Kind: RunEmulate, Steps: 3, Mode: RunModePipelined, Seed: int64(i)}).EmulationResult
 				} else {
-					res = Emulate(guest, host, 3, int64(i))
+					res = *mustRunEmulation(b, guest, host, RunSpec{Kind: RunEmulate, Steps: 3, Seed: int64(i)}).EmulationResult
 				}
 			}
 			b.ReportMetric(res.Slowdown, "slowdown")
@@ -192,7 +192,7 @@ func BenchmarkAblationBetaEstimators(b *testing.B) {
 	b.Run("batch", func(b *testing.B) {
 		var v float64
 		for i := 0; i < b.N; i++ {
-			v = MeasureBeta(m, benchOpts, int64(i)).Beta
+			v = mustRun(b, m, benchBeta(int64(i))).Beta
 		}
 		b.ReportMetric(v, "beta")
 	})
@@ -206,7 +206,7 @@ func BenchmarkAblationBetaEstimators(b *testing.B) {
 	b.Run("steady", func(b *testing.B) {
 		var v float64
 		for i := 0; i < b.N; i++ {
-			v = MeasureSteadyBeta(m, 250, 7, int64(i))
+			v = mustRun(b, m, RunSpec{Kind: RunSteadyBeta, Ticks: 250, Iters: 7, Seed: int64(i)}).Beta
 		}
 		b.ReportMetric(v, "beta")
 	})
@@ -259,7 +259,7 @@ func BenchmarkFaultTolerance(b *testing.B) {
 				d := DegradeEdges(m, 0.3, int64(i))
 				survival = SurvivalFraction(d)
 				s := Survivor(d)
-				beta = MeasureBeta(s, benchOpts, int64(i)).Beta
+				beta = mustRun(b, s, benchBeta(int64(i))).Beta
 			}
 			b.ReportMetric(survival, "survival")
 			b.ReportMetric(beta, "beta")
@@ -279,7 +279,7 @@ func BenchmarkAblationDiscipline(b *testing.B) {
 				eng := routing.NewEngine(m, routing.Greedy)
 				eng.Discipline = disc
 				batch := traffic.Batch(traffic.NewSymmetric(m.N()), 6*m.N(), rng)
-				ticks = eng.Route(batch, rng).Ticks
+				ticks = eng.Route(batch, rng, 1).Ticks
 			}
 			b.ReportMetric(float64(ticks), "ticks")
 		})

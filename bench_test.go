@@ -27,6 +27,11 @@ import (
 // estimator's stable regime.
 var benchOpts = MeasureOptions{LoadFactors: []int{2, 4, 8}, Trials: 2}
 
+// benchBeta is the RunBeta spec of benchOpts.
+func benchBeta(seed int64) RunSpec {
+	return RunSpec{Kind: RunBeta, LoadFactors: benchOpts.LoadFactors, Trials: benchOpts.Trials, Seed: seed}
+}
+
 // table4Machines are the concrete instances measured for Table 4.
 func table4Machines() []*Machine {
 	return []*Machine{
@@ -60,7 +65,7 @@ func BenchmarkTable4Measured(b *testing.B) {
 		b.Run(m.Name, func(b *testing.B) {
 			var beta float64
 			for i := 0; i < b.N; i++ {
-				beta = MeasureBeta(m, benchOpts, int64(i)).Beta
+				beta = mustRun(b, m, benchBeta(int64(i))).Beta
 			}
 			b.ReportMetric(beta, "beta")
 			b.ReportMetric(beta/float64(m.N()), "beta/node")
@@ -94,7 +99,7 @@ func BenchmarkTable4Exponent(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			var a float64
 			for i := 0; i < b.N; i++ {
-				points := sweep(c.family, c.dim, c.sizes, int64(i))
+				points := sweep(b, c.family, c.dim, c.sizes, int64(i))
 				a, _, _, _ = bandwidth.FitGrowth(points)
 			}
 			b.ReportMetric(a, "exp")
@@ -102,11 +107,11 @@ func BenchmarkTable4Exponent(b *testing.B) {
 	}
 }
 
-func sweep(f Family, dim int, sizes []int, seed int64) []bandwidth.SweepPoint {
+func sweep(tb testing.TB, f Family, dim int, sizes []int, seed int64) []bandwidth.SweepPoint {
 	var pts []bandwidth.SweepPoint
 	for _, size := range sizes {
 		m := NewMachine(f, dim, size, seed)
-		meas := MeasureBeta(m, benchOpts, seed+int64(size))
+		meas := mustRun(tb, m, benchBeta(seed+int64(size)))
 		pts = append(pts, bandwidth.SweepPoint{N: m.N(), Beta: meas.Beta})
 	}
 	return pts
@@ -196,7 +201,7 @@ func BenchmarkTheorem6(b *testing.B) {
 		b.Run(m.Name, func(b *testing.B) {
 			var ratio float64
 			for i := 0; i < b.N; i++ {
-				op := MeasureBeta(m, benchOpts, int64(i)).Beta
+				op := mustRun(b, m, benchBeta(int64(i))).Beta
 				gt := GraphBeta(m, 6, int64(i))
 				ratio = op / gt
 			}
@@ -387,13 +392,13 @@ func BenchmarkAlgorithmPatterns(b *testing.B) {
 // the queueing-theoretic face of β as a capacity.
 func BenchmarkLatencyVsLoad(b *testing.B) {
 	m := NewMesh(2, 8)
-	sat := MeasureSteadyBeta(m, 300, 8, 1)
+	sat := mustRun(b, m, RunSpec{Kind: RunSteadyBeta, Ticks: 300, Iters: 8, Seed: 1}).Beta
 	for _, frac := range []float64{0.25, 0.5, 0.75, 0.9} {
 		b.Run(fmt.Sprintf("load%.0f%%", frac*100), func(b *testing.B) {
 			var mean float64
 			var p95 int
 			for i := 0; i < b.N; i++ {
-				res := openLoopAt(m, sat*frac, int64(i))
+				res := openLoopAt(b, m, sat*frac, int64(i))
 				mean = res.MeanLatency
 				p95 = res.P95Latency
 			}
@@ -403,9 +408,9 @@ func BenchmarkLatencyVsLoad(b *testing.B) {
 	}
 }
 
-func openLoopAt(m *Machine, rate float64, seed int64) OpenLoopResult {
+func openLoopAt(tb testing.TB, m *Machine, rate float64, seed int64) OpenLoopResult {
 	if rate < 0.1 {
 		rate = 0.1
 	}
-	return MeasureOpenLoop(m, rate, 400, seed)
+	return *mustRun(tb, m, RunSpec{Kind: RunOpenLoop, Rate: rate, Ticks: 400, Seed: seed}).OpenLoop
 }

@@ -62,9 +62,11 @@ import (
 	"repro"
 	"repro/internal/bandwidth"
 	"repro/internal/profiling"
+	"repro/internal/routing"
 	"repro/internal/runspec"
 	"repro/internal/server/specflags"
 	"repro/internal/topology"
+	"repro/internal/traffic"
 )
 
 func main() {
@@ -171,7 +173,7 @@ func main() {
 		return
 	}
 
-	opts := netemu.MeasureOptions{LoadFactors: mf.LoadList, Trials: mf.Trials, Shards: nshards, Implicit: implicit}
+	opts := netemu.MeasureOptions{LoadFactors: mf.LoadList, Trials: mf.Trials, Shards: nshards}
 	rng := rand.New(rand.NewSource(*seed))
 
 	var points []bandwidth.SweepPoint
@@ -199,7 +201,8 @@ func main() {
 			}
 			fmt.Print(info)
 		}
-		meas := bandwidth.MeasureSymmetricBeta(m, opts, rng)
+		eng := routing.NewEngine(m, routing.Greedy)
+		meas := bandwidth.MeasureBeta(eng, traffic.NewSymmetric(m.N()), opts, rng)
 		points = append(points, bandwidth.SweepPoint{N: m.N(), Beta: meas.Beta})
 		lastMachine, lastBeta = m, meas.Beta
 		line := fmt.Sprintf("%-10d %12.2f", m.N(), meas.Beta)
@@ -212,7 +215,7 @@ func main() {
 			line += fmt.Sprintf(" %12.2f %12.2f", b.Flux, b.Bisection)
 		}
 		if *steady {
-			line += fmt.Sprintf(" %12.2f", bandwidth.SteadyStateBetaSharded(m, 300, 8, nshards, rng))
+			line += fmt.Sprintf(" %12.2f", bandwidth.SteadyStateBeta(eng, 300, 8, nshards, rng))
 		}
 		fmt.Println(line)
 	}
@@ -228,26 +231,27 @@ func main() {
 		if olRate <= 0 {
 			olRate = 1
 		}
-		var res netemu.OpenLoopResult
-		var snap netemu.Snapshot
+		out, err := netemu.Run(lastMachine, netemu.RunSpec{Kind: netemu.RunOpenLoop, Rate: olRate, Ticks: *statsTicks,
+			TopK: *topK, Snapshot: true, Faults: *faults, Shards: nshards, Seed: *seed})
+		if err != nil {
+			log.Fatal(err)
+		}
 		if *faults != "" {
-			res, snap = netemu.MeasureOpenLoopSnapshotUnderFaultsSharded(lastMachine, olRate, *statsTicks, *topK, nshards, *faults, *seed)
+			res := out.OpenLoop
 			fmt.Printf("\nfaults %q on %s at rate %.2f over %d ticks:\n", *faults, lastMachine.Name, olRate, *statsTicks)
 			fmt.Printf("  injected %d  delivered %d  dropped %d  retried %d  backlog %d\n",
 				res.Injected, res.Delivered, res.Dropped, res.Retried, res.Backlog)
 			fmt.Printf("  delivered rate %.2f/tick (fault-free target %.2f)\n", res.Throughput, olRate)
-		} else {
-			_, snap = netemu.MeasureOpenLoopSnapshotSharded(lastMachine, olRate, *statsTicks, *topK, nshards, *seed)
 		}
 		if *stats != "" {
-			if err := writeSnapshot(*stats, snap); err != nil {
+			if err := writeSnapshot(*stats, out.Snapshot); err != nil {
 				log.Fatal(err)
 			}
 		}
 	}
 }
 
-func writeSnapshot(path string, snap netemu.Snapshot) error {
+func writeSnapshot(path string, snap *netemu.Snapshot) error {
 	if path == "-" {
 		return snap.WriteJSON(os.Stdout)
 	}

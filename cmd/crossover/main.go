@@ -96,9 +96,12 @@ func main() {
 			rows = append(rows, experiment.Go(r, key, func(rng *rand.Rand) measured {
 				guest := topology.Build(gf, *gdim, *gsize, rng)
 				host := topology.Build(hf, *hdim, m, rng)
-				res := netemu.Emulate(guest, host, *steps, rng.Int63())
+				res, err := netemu.RunEmulation(guest, host, netemu.RunSpec{Kind: netemu.RunEmulate, Steps: *steps, Seed: rng.Int63()})
+				if err != nil {
+					log.Fatal(err)
+				}
 				return measured{
-					slowdown:  res.Slowdown,
+					slowdown:  res.Emulation.Slowdown,
 					betaRatio: guestBeta.Wait().Beta / hostBeta.Wait().Beta,
 				}
 			}))

@@ -158,19 +158,26 @@ func main() {
 		// Run the host at 90% of its measured saturation rate so the
 		// snapshot shows the loaded-but-stable regime the emulation
 		// bound cares about.
-		sat := netemu.MeasureSteadyBetaSharded(host, 200, 6, nshards, *seed)
-		rate := 0.9 * sat
+		sat, err := netemu.Run(host, netemu.RunSpec{Kind: netemu.RunSteadyBeta, Ticks: 200, Iters: 6, Shards: nshards, Seed: *seed})
+		if err != nil {
+			log.Fatal(err)
+		}
+		rate := 0.9 * sat.Beta
 		if rate <= 0 {
 			rate = 1
 		}
-		_, snap := netemu.MeasureOpenLoopSnapshotSharded(host, rate, *statsTicks, *topK, nshards, *seed)
-		if err := writeSnapshot(*stats, snap); err != nil {
+		ol, err := netemu.Run(host, netemu.RunSpec{Kind: netemu.RunOpenLoop, Rate: rate, Ticks: *statsTicks,
+			TopK: *topK, Snapshot: true, Shards: nshards, Seed: *seed})
+		if err != nil {
+			log.Fatal(err)
+		}
+		if err := writeSnapshot(*stats, ol.Snapshot); err != nil {
 			log.Fatal(err)
 		}
 	}
 }
 
-func writeSnapshot(path string, snap netemu.Snapshot) error {
+func writeSnapshot(path string, snap *netemu.Snapshot) error {
 	if path == "-" {
 		return snap.WriteJSON(os.Stdout)
 	}

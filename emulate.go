@@ -13,25 +13,6 @@ import (
 // and the load bound |G|/|H|.
 type EmulationResult = emulation.Result
 
-// Emulate runs the direct contraction emulation of guest on host for the
-// given number of guest steps: each host processor simulates a local block
-// of guest processors; every guest step all cross-block guest wires become
-// routed messages.
-//
-// Deprecated: use RunEmulation with a RunEmulate spec.
-func Emulate(guest, host *Machine, steps int, seed int64) EmulationResult {
-	return *mustRunEmulation(guest, host, RunSpec{Kind: RunEmulate, Steps: steps, Seed: seed}).EmulationResult
-}
-
-// EmulateCircuit runs the redundant-model emulation through an explicit
-// computation circuit with the given duplicity (1 = non-redundant). This is
-// the general model the paper's lower bound quantifies over.
-//
-// Deprecated: use RunEmulation with Mode RunModeCircuit.
-func EmulateCircuit(guest, host *Machine, steps, duplicity int, seed int64) EmulationResult {
-	return *mustRunEmulation(guest, host, RunSpec{Kind: RunEmulate, Steps: steps, Mode: RunModeCircuit, Duplicity: duplicity, Seed: seed}).EmulationResult
-}
-
 // BoundCheck compares a measured emulation against the theorem's numeric
 // prediction.
 type BoundCheck = core.Check
@@ -46,14 +27,6 @@ func VerifyBound(guest, host *Machine, steps int, seed int64) (BoundCheck, error
 // CrossoverCurvePoint is one Figure 1 sample: the two slowdown bounds at a
 // host size.
 type CrossoverCurvePoint = core.CurvePoint
-
-// EmulatePipelined is Emulate with compute/communication overlap: each
-// guest step costs the host max(compute, route) ticks instead of their sum.
-//
-// Deprecated: use RunEmulation with Mode RunModePipelined.
-func EmulatePipelined(guest, host *Machine, steps int, seed int64) EmulationResult {
-	return *mustRunEmulation(guest, host, RunSpec{Kind: RunEmulate, Steps: steps, Mode: RunModePipelined, Seed: seed}).EmulationResult
-}
 
 // MappedContraction computes a locality-preserving guest-to-host
 // assignment by recursive coordinated bisection (the Berman–Snyder mapping

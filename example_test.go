@@ -55,9 +55,13 @@ func ExampleNewMesh() {
 
 // Emulations are deterministic given a seed; the slowdown respects the
 // load bound |G|/|H|.
-func ExampleEmulate() {
-	res := netemu.Emulate(netemu.NewDeBruijn(6), netemu.NewMesh(2, 4), 2, 1)
-	fmt.Println(res.LoadBound, res.Slowdown >= res.LoadBound)
+func ExampleRunEmulation() {
+	res, err := netemu.RunEmulation(netemu.NewDeBruijn(6), netemu.NewMesh(2, 4),
+		netemu.RunSpec{Kind: netemu.RunEmulate, Steps: 2, Seed: 1})
+	if err != nil {
+		panic(err)
+	}
+	fmt.Println(res.Emulation.LoadBound, res.Emulation.Slowdown >= res.Emulation.LoadBound)
 	// Output: 4 true
 }
 

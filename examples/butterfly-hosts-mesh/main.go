@@ -38,8 +38,16 @@ func main() {
 	bfly := netemu.NewButterfly(6) // 448 (7 levels x 64 rows)
 	fmt.Printf("machines: %v, %v\n\n", mesh, bfly)
 
-	a := netemu.Emulate(mesh, bfly, 4, 1)
-	b := netemu.Emulate(bfly, mesh, 4, 1)
+	spec := netemu.RunSpec{Kind: netemu.RunEmulate, Steps: 4, Seed: 1}
+	fwdRun, err := netemu.RunEmulation(mesh, bfly, spec)
+	if err != nil {
+		log.Fatal(err)
+	}
+	revRun, err := netemu.RunEmulation(bfly, mesh, spec)
+	if err != nil {
+		log.Fatal(err)
+	}
+	a, b := fwdRun.Emulation, revRun.Emulation
 	fmt.Printf("mesh on butterfly: slowdown %6.1f (load bound %.2f)\n", a.Slowdown, a.LoadBound)
 	fmt.Printf("butterfly on mesh: slowdown %6.1f (load bound %.2f)\n\n", b.Slowdown, b.LoadBound)
 

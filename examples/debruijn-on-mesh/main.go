@@ -30,13 +30,16 @@ func main() {
 	for _, side := range []int{2, 4, 6, 8, 12, 16} {
 		host := netemu.NewMesh(2, side)
 		m := float64(host.N())
-		res := netemu.Emulate(guest, host, 4, 1)
+		res, err := netemu.RunEmulation(guest, host, netemu.RunSpec{Kind: netemu.RunEmulate, Steps: 4, Seed: 1})
+		if err != nil {
+			log.Fatal(err)
+		}
 		fmt.Printf("%-10d %12.1f %12.1f %12.1f %12.1f\n",
 			host.N(),
 			bound.LoadSlowdown(n, m),
 			bound.CommunicationSlowdown(n, m),
 			bound.Slowdown(n, m),
-			res.Slowdown)
+			res.Emulation.Slowdown)
 	}
 
 	mx, slow := bound.CrossoverPoint(n)

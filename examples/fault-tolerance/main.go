@@ -18,11 +18,22 @@ package main
 
 import (
 	"fmt"
+	"log"
 	"math/rand"
 
 	"repro"
 	"repro/internal/experiment"
 )
+
+// beta measures m's symmetric bandwidth with the default load factors and
+// trials.
+func beta(m *netemu.Machine, seed int64) float64 {
+	res, err := netemu.Run(m, netemu.RunSpec{Kind: netemu.RunBeta, Seed: seed})
+	if err != nil {
+		log.Fatal(err)
+	}
+	return res.Beta
+}
 
 func main() {
 	r := experiment.New(1, 0)
@@ -43,11 +54,11 @@ func main() {
 				} else {
 					m = netemu.NewMultibutterfly(5, rng.Int63())
 				}
-				intact := netemu.MeasureBeta(m, netemu.MeasureOptions{}, rng.Int63()).Beta
+				intact := beta(m, rng.Int63())
 				d := netemu.DegradeEdges(m, frac, rng.Int63())
 				surv := netemu.SurvivalFraction(d)
 				s := netemu.Survivor(d)
-				degraded := netemu.MeasureBeta(s, netemu.MeasureOptions{}, rng.Int63()).Beta
+				degraded := beta(s, rng.Int63())
 				return row{which: which, frac: frac, surv: surv, intact: intact, degraded: degraded}
 			}))
 		}
@@ -64,7 +75,11 @@ func main() {
 			} else {
 				m = netemu.NewMultibutterfly(4, rng.Int63())
 			}
-			return netemu.MeasureBetaUnderFaults(m, fracs, 240, rng.Int63())
+			res, err := netemu.Run(m, netemu.RunSpec{Kind: netemu.RunFaultCurve, FaultFracs: fracs, Ticks: 240, Seed: rng.Int63()})
+			if err != nil {
+				log.Fatal(err)
+			}
+			return res.FaultCurve
 		})
 	}
 

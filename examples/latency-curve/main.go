@@ -15,13 +15,21 @@ import (
 
 func main() {
 	m := netemu.NewMesh(2, 8)
-	sat := netemu.MeasureSteadyBeta(m, 300, 8, 1)
+	steady, err := netemu.Run(m, netemu.RunSpec{Kind: netemu.RunSteadyBeta, Ticks: 300, Iters: 8, Seed: 1})
+	if err != nil {
+		log.Fatal(err)
+	}
+	sat := steady.Beta
 	fmt.Printf("machine: %v\nsaturation rate: %.1f messages/tick\n\n", m, sat)
 	fmt.Printf("%-10s %12s %12s %10s\n", "load", "throughput", "mean lat", "p95 lat")
 
 	series := plot.Series{Name: "mean latency", Marker: '*'}
 	for _, frac := range []float64{0.2, 0.35, 0.5, 0.65, 0.8, 0.9, 0.95} {
-		res := netemu.MeasureOpenLoop(m, sat*frac, 500, 2)
+		run, err := netemu.Run(m, netemu.RunSpec{Kind: netemu.RunOpenLoop, Rate: sat * frac, Ticks: 500, Seed: 2})
+		if err != nil {
+			log.Fatal(err)
+		}
+		res := run.OpenLoop
 		fmt.Printf("%8.0f%% %12.2f %12.2f %10d\n",
 			frac*100, res.Throughput, res.MeanLatency, res.P95Latency)
 		series.X = append(series.X, frac*100)

@@ -40,8 +40,14 @@ func main() {
 	// packet-routing simulator.
 	g := netemu.NewDeBruijn(8) // n = 256
 	h := netemu.NewMesh(2, 16) // m = 256
-	mg := netemu.MeasureBeta(g, netemu.MeasureOptions{}, 1)
-	mh := netemu.MeasureBeta(h, netemu.MeasureOptions{}, 1)
+	mg, err := netemu.Run(g, netemu.RunSpec{Kind: netemu.RunBeta, Seed: 1})
+	if err != nil {
+		log.Fatal(err)
+	}
+	mh, err := netemu.Run(h, netemu.RunSpec{Kind: netemu.RunBeta, Seed: 1})
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("measured β(%s) = %.1f msgs/tick\n", g.Name, mg.Beta)
 	fmt.Printf("measured β(%s) = %.1f msgs/tick\n", h.Name, mh.Beta)
 
@@ -54,6 +60,9 @@ func main() {
 	fmt.Printf("\ntheorem: slowdown ≥ max(%.1f load, %.1f bandwidth)\n",
 		bound.LoadSlowdown(n, m), bound.CommunicationSlowdown(n, m))
 
-	res := netemu.Emulate(g, h, 4, 1)
-	fmt.Printf("measured slowdown of a direct emulation: %.1f\n", res.Slowdown)
+	res, err := netemu.RunEmulation(g, h, netemu.RunSpec{Kind: netemu.RunEmulate, Steps: 4, Seed: 1})
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("measured slowdown of a direct emulation: %.1f\n", res.Emulation.Slowdown)
 }

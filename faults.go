@@ -1,8 +1,6 @@
 package netemu
 
 import (
-	"fmt"
-
 	"repro/internal/bandwidth"
 	"repro/internal/emulation"
 	"repro/internal/routing"
@@ -63,66 +61,7 @@ func MustParseFaultSpec(spec string) FaultPlan { return topology.MustParseFaultS
 // after a wire-fault event, plus the delivered/dropped/retried breakdown.
 type FaultPoint = bandwidth.FaultPoint
 
-// MeasureBetaUnderFaults produces a degradation curve for m under symmetric
-// traffic: for each fraction, a continuous run near saturation loses that
-// share of its wires a third of the way in, and the delivery rate is
-// compared across the pre- and post-fault windows.
-//
-// Deprecated: use Run with a RunFaultCurve spec.
-func MeasureBetaUnderFaults(m *Machine, fracs []float64, ticks int, seed int64) []FaultPoint {
-	return MeasureBetaUnderFaultsSharded(m, fracs, ticks, 1, seed)
-}
-
-// MeasureBetaUnderFaultsSharded is MeasureBetaUnderFaults on a simulator
-// sharded across the given number of goroutines (0 or 1 = serial). The
-// liveness mask shards with the vertex partition; the curve is
-// bit-identical at every shard count.
-//
-// Deprecated: use Run with a RunFaultCurve spec and Shards set.
-func MeasureBetaUnderFaultsSharded(m *Machine, fracs []float64, ticks, shards int, seed int64) []FaultPoint {
-	return mustRun(m, RunSpec{Kind: RunFaultCurve, FaultFracs: fracs, Ticks: ticks, Shards: shards, Seed: seed}).FaultCurve
-}
-
-// MeasureOpenLoopSnapshotUnderFaults is MeasureOpenLoopSnapshot with a
-// fault scenario running mid-measurement: the spec is parsed, materialized
-// against m, and executed while traffic flows. Stranded packets retry with
-// the default FaultOptions; the snapshot carries the dropped/retried
-// counters and the per-tick dropped series.
-//
-// Deprecated: use Run with a RunOpenLoop spec, Snapshot, and Faults set.
-func MeasureOpenLoopSnapshotUnderFaults(m *Machine, rate float64, ticks, topK int, spec string, seed int64) (OpenLoopResult, Snapshot) {
-	return MeasureOpenLoopSnapshotUnderFaultsSharded(m, rate, ticks, topK, 1, spec, seed)
-}
-
-// MeasureOpenLoopSnapshotUnderFaultsSharded is
-// MeasureOpenLoopSnapshotUnderFaults on a simulator sharded across the
-// given number of goroutines (0 or 1 = serial); result and snapshot are
-// bit-identical at every shard count.
-//
-// Deprecated: use Run with a RunOpenLoop spec, Snapshot, Faults, and
-// Shards set.
-func MeasureOpenLoopSnapshotUnderFaultsSharded(m *Machine, rate float64, ticks, topK, shards int, spec string, seed int64) (OpenLoopResult, Snapshot) {
-	res := mustRun(m, RunSpec{Kind: RunOpenLoop, Rate: rate, Ticks: ticks, TopK: topK, Snapshot: true, Faults: spec, Shards: shards, Seed: seed})
-	return *res.OpenLoop, *res.Snapshot
-}
-
 // DegradedEmulation reports an emulation that lost host processors mid-run:
 // whole-run totals plus the pre/post slowdown split, the dead-host set, and
 // how many guest processors were remapped.
 type DegradedEmulation = emulation.DegradedResult
-
-// EmulateDegraded runs the contraction emulation of guest on host, killing
-// failCount random host processors after failStep of the steps guest steps.
-// The dead hosts' guests are remapped to the nearest surviving host and the
-// run continues on the degraded machine; the result reports the slowdown
-// penalty the failure cost.
-//
-// Deprecated: use RunEmulation with a "nodes:K@tS" Faults clause.
-func EmulateDegraded(guest, host *Machine, steps, failStep, failCount int, seed int64) DegradedEmulation {
-	return *mustRunEmulation(guest, host, RunSpec{
-		Kind:   RunEmulate,
-		Steps:  steps,
-		Faults: fmt.Sprintf("nodes:%d@t%d", failCount, failStep),
-		Seed:   seed,
-	}).DegradedResult
-}

@@ -71,12 +71,11 @@ func TestNettablesGolden(t *testing.T) {
 	checkGolden(t, "nettables_all.golden", got)
 }
 
-// ISSUE satellite: lock the -stats JSON schema (and the CSV series format)
-// behind golden files. The run is fully deterministic: fixed machine,
-// rate, ticks, and seed.
+// Lock the -stats JSON schema (and the CSV series format) behind golden
+// files. The run is fully deterministic: fixed machine, rate, ticks, and
+// seed.
 func TestSnapshotGolden(t *testing.T) {
-	m := NewMesh(2, 5)
-	_, snap := MeasureOpenLoopSnapshot(m, 4, 120, 5, 7)
+	snap := mustRun(t, NewMesh(2, 5), RunSpec{Kind: RunOpenLoop, Rate: 4, Ticks: 120, TopK: 5, Snapshot: true, Seed: 7}).Snapshot
 
 	var buf bytes.Buffer
 	if err := snap.WriteJSON(&buf); err != nil {
@@ -95,8 +94,9 @@ func TestSnapshotGolden(t *testing.T) {
 // counters and the per-tick dropped series must stay byte-stable, and the
 // schema version marks pre-fault snapshots as stale.
 func TestSnapshotFaultsGolden(t *testing.T) {
-	m := NewMesh(2, 5)
-	res, snap := MeasureOpenLoopSnapshotUnderFaults(m, 4, 120, 5, "edges:0.15@t30,nodes:2@t60", 7)
+	out := mustRun(t, NewMesh(2, 5), RunSpec{Kind: RunOpenLoop, Rate: 4, Ticks: 120, TopK: 5, Snapshot: true,
+		Faults: "edges:0.15@t30,nodes:2@t60", Seed: 7})
+	res, snap := out.OpenLoop, out.Snapshot
 
 	if snap.SchemaVersion != 2 {
 		t.Fatalf("schema version %d, want 2", snap.SchemaVersion)

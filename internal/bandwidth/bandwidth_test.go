@@ -12,6 +12,12 @@ import (
 	"repro/internal/traffic"
 )
 
+// symmetricBeta measures β(M) under the symmetric distribution — the
+// paper's headline quantity — on a fresh engine.
+func symmetricBeta(m *topology.Machine, opts MeasureOptions, rng *rand.Rand) Measurement {
+	return MeasureBeta(routing.NewEngine(m, opts.Strategy), traffic.NewSymmetric(m.N()), opts, rng)
+}
+
 func TestTable4KnownEntries(t *testing.T) {
 	cases := []struct {
 		f         topology.Family
@@ -81,8 +87,8 @@ func TestPerNodeBeta(t *testing.T) {
 func TestMeasureBetaLinearArrayConstant(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	opts := MeasureOptions{LoadFactors: []int{4}, Trials: 2}
-	small := MeasureSymmetricBeta(topology.LinearArray(32), opts, rng)
-	big := MeasureSymmetricBeta(topology.LinearArray(128), opts, rng)
+	small := symmetricBeta(topology.LinearArray(32), opts, rng)
+	big := symmetricBeta(topology.LinearArray(128), opts, rng)
 	// β(linear array) = Θ(1): quadrupling the machine should not much
 	// change the rate.
 	if small.Beta <= 0 || big.Beta <= 0 {
@@ -97,8 +103,8 @@ func TestMeasureBetaLinearArrayConstant(t *testing.T) {
 func TestMeasureBetaMeshGrows(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	opts := MeasureOptions{LoadFactors: []int{4, 8}, Trials: 2}
-	small := MeasureSymmetricBeta(topology.Mesh(2, 6), opts, rng) // n=36
-	big := MeasureSymmetricBeta(topology.Mesh(2, 12), opts, rng)  // n=144
+	small := symmetricBeta(topology.Mesh(2, 6), opts, rng) // n=36
+	big := symmetricBeta(topology.Mesh(2, 12), opts, rng)  // n=144
 	// β(mesh²) = Θ(√n): 4x size => ~2x rate.
 	ratio := big.Beta / small.Beta
 	if ratio < 1.4 || ratio > 3.0 {
@@ -109,7 +115,7 @@ func TestMeasureBetaMeshGrows(t *testing.T) {
 func TestMeasureBetaGlobalBusIsOne(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	opts := MeasureOptions{LoadFactors: []int{4}, Trials: 2}
-	meas := MeasureSymmetricBeta(topology.GlobalBus(64), opts, rng)
+	meas := symmetricBeta(topology.GlobalBus(64), opts, rng)
 	if meas.Beta < 0.5 || meas.Beta > 1.5 {
 		t.Fatalf("bus beta = %.3f, want ~1", meas.Beta)
 	}
@@ -124,7 +130,7 @@ func TestMeasureBetaRespectsUpperBounds(t *testing.T) {
 		topology.DeBruijn(6),
 		topology.XTree(5),
 	} {
-		meas := MeasureSymmetricBeta(m, opts, rng)
+		meas := symmetricBeta(m, opts, rng)
 		b := UpperBounds(m, 4, rng)
 		if meas.Beta > b.Flux*1.05 {
 			t.Errorf("%s: measured %.2f exceeds flux bound %.2f", m.Name, meas.Beta, b.Flux)
@@ -145,7 +151,7 @@ func TestBisectionBoundBindsOnTree(t *testing.T) {
 	if b.Min() != b.Bisection {
 		t.Fatalf("Min should pick bisection (%v)", b)
 	}
-	meas := MeasureSymmetricBeta(m, MeasureOptions{LoadFactors: []int{6}, Trials: 1}, rng)
+	meas := symmetricBeta(m, MeasureOptions{LoadFactors: []int{6}, Trials: 1}, rng)
 	if meas.Beta > b.Bisection*1.1 {
 		t.Fatalf("measured %.2f above bisection bound %.2f", meas.Beta, b.Bisection)
 	}
@@ -158,7 +164,7 @@ func TestMeasureMismatchedDistPanics(t *testing.T) {
 			t.Fatal("no panic")
 		}
 	}()
-	MeasureBeta(topology.Ring(8), traffic.NewSymmetric(9), MeasureOptions{}, rng)
+	MeasureBeta(routing.NewEngine(topology.Ring(8), routing.Greedy), traffic.NewSymmetric(9), MeasureOptions{}, rng)
 }
 
 func TestGraphTheoreticBetaMatchesMeasured(t *testing.T) {
@@ -167,7 +173,7 @@ func TestGraphTheoreticBetaMatchesMeasured(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	m := topology.Mesh(2, 6)
 	gt := GraphTheoreticBeta(m, traffic.NewSymmetric(m.N()), 6, rng)
-	meas := MeasureSymmetricBeta(m, MeasureOptions{LoadFactors: []int{6}, Trials: 2}, rng)
+	meas := symmetricBeta(m, MeasureOptions{LoadFactors: []int{6}, Trials: 2}, rng)
 	if gt <= 0 || meas.Beta <= 0 {
 		t.Fatalf("rates: %v %v", gt, meas.Beta)
 	}
@@ -252,7 +258,7 @@ func TestAuditBottleneckTree(t *testing.T) {
 func TestMeasureWithValiant(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	opts := MeasureOptions{LoadFactors: []int{4}, Trials: 1, Strategy: routing.Valiant}
-	meas := MeasureSymmetricBeta(topology.Butterfly(3), opts, rng)
+	meas := symmetricBeta(topology.Butterfly(3), opts, rng)
 	if meas.Beta <= 0 {
 		t.Fatal("zero rate under valiant")
 	}
@@ -286,8 +292,8 @@ func TestImprovedGraphBetaPyramidScaling(t *testing.T) {
 
 func TestSteadyStateBetaOrdersMachines(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
-	arr := SteadyStateBeta(topology.LinearArray(64), 250, 7, rng)
-	mesh := SteadyStateBeta(topology.Mesh(2, 8), 250, 7, rng)
+	arr := SteadyStateBeta(routing.NewEngine(topology.LinearArray(64), routing.Greedy), 250, 7, 1, rng)
+	mesh := SteadyStateBeta(routing.NewEngine(topology.Mesh(2, 8), routing.Greedy), 250, 7, 1, rng)
 	if arr <= 0 || mesh <= 0 {
 		t.Fatalf("rates %v %v", arr, mesh)
 	}
@@ -348,8 +354,8 @@ func TestSweepBetaParallelMatchesShape(t *testing.T) {
 func TestWeakVsStrongHypercube(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
 	opts := MeasureOptions{LoadFactors: []int{2, 4, 8}, Trials: 2}
-	weak := MeasureSymmetricBeta(topology.WeakHypercube(6), opts, rng)
-	strong := MeasureSymmetricBeta(topology.StrongHypercube(6), opts, rng)
+	weak := symmetricBeta(topology.WeakHypercube(6), opts, rng)
+	strong := symmetricBeta(topology.StrongHypercube(6), opts, rng)
 	if strong.Beta < 2*weak.Beta {
 		t.Fatalf("strong %.1f not well above weak %.1f", strong.Beta, weak.Beta)
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"repro/internal/routing"
 	"repro/internal/topology"
 	"repro/internal/traffic"
 )
@@ -51,7 +52,8 @@ func AuditBottleneck(m *topology.Machine, trials int, opts MeasureOptions, rng *
 	if m.N() < 4 {
 		panic(fmt.Sprintf("bandwidth: machine %s too small to audit", m.Name))
 	}
-	sym := MeasureSymmetricBeta(m, opts, rng)
+	eng := routing.NewEngine(m, opts.Strategy)
+	sym := MeasureBeta(eng, traffic.NewSymmetric(m.N()), opts, rng)
 	report := BottleneckReport{Machine: m, SymmetricBeta: sym.Beta}
 	for t := 0; t < trials; t++ {
 		// Bias subset sizes toward large fractions, where a bottleneck
@@ -64,7 +66,7 @@ func AuditBottleneck(m *topology.Machine, trials int, opts MeasureOptions, rng *
 			size = m.N()
 		}
 		q := traffic.RandomQuasiSymmetric(m.N(), size, 0.5, rng)
-		meas := MeasureBeta(m, q, opts, rng)
+		meas := MeasureBeta(eng, q, opts, rng)
 		ratio := 0.0
 		if sym.Beta > 0 {
 			ratio = meas.Beta / sym.Beta

@@ -50,7 +50,7 @@ func TestMeasureBetaLoadFactorOrderInvariant(t *testing.T) {
 	var ref Measurement
 	for i, lfs := range orders {
 		opts := MeasureOptions{LoadFactors: lfs, Trials: 2}
-		got := MeasureSymmetricBeta(m, opts, rand.New(rand.NewSource(21)))
+		got := symmetricBeta(m, opts, rand.New(rand.NewSource(21)))
 		if i == 0 {
 			ref = got
 			continue
@@ -70,8 +70,8 @@ func TestMeasureBetaLoadFactorOrderInvariant(t *testing.T) {
 // subset of the load factors reproduces exactly the same per-load rates.
 func TestMeasureBetaLoadFactorsIndependent(t *testing.T) {
 	m := topology.Mesh(2, 6)
-	full := MeasureSymmetricBeta(m, MeasureOptions{LoadFactors: []int{2, 4, 8}, Trials: 2}, rand.New(rand.NewSource(33)))
-	only8 := MeasureSymmetricBeta(m, MeasureOptions{LoadFactors: []int{8}, Trials: 2}, rand.New(rand.NewSource(33)))
+	full := symmetricBeta(m, MeasureOptions{LoadFactors: []int{2, 4, 8}, Trials: 2}, rand.New(rand.NewSource(33)))
+	only8 := symmetricBeta(m, MeasureOptions{LoadFactors: []int{8}, Trials: 2}, rand.New(rand.NewSource(33)))
 	if full.RateByLoad[8] != only8.RateByLoad[8] {
 		t.Fatalf("rate at load 8 depends on other load factors: %v vs %v",
 			full.RateByLoad[8], only8.RateByLoad[8])

@@ -128,18 +128,15 @@ func (p FaultPoint) Retention() float64 {
 // discarded as re-convergence transient). Stranded packets retry with the
 // default budget/backoff/TTL and count as dropped when they give up.
 //
+// The runs are sharded the given number of ways (the liveness mask shards
+// with the vertex partition: dead processors drop their queues
+// shard-locally and the conservation invariant holds globally); the curve
+// is bit-identical at every shard count.
+//
 // Determinism: each fraction runs on its own plan stream keyed by the
 // fraction's bit pattern, so the curve is invariant under reordering of
 // fracs and each point is independent of the others.
-func MeasureBetaUnderFaults(m *topology.Machine, fracs []float64, ticks int, plan measure.SeedPlan) []FaultPoint {
-	return MeasureBetaUnderFaultsSharded(m, fracs, ticks, 1, plan)
-}
-
-// MeasureBetaUnderFaultsSharded is MeasureBetaUnderFaults on a sharded
-// simulator (the liveness mask shards with it: dead processors drop their
-// queues shard-locally and the conservation invariant holds globally). The
-// curve is bit-identical at every shard count.
-func MeasureBetaUnderFaultsSharded(m *topology.Machine, fracs []float64, ticks, shards int, plan measure.SeedPlan) []FaultPoint {
+func MeasureBetaUnderFaults(m *topology.Machine, fracs []float64, ticks, shards int, plan measure.SeedPlan) []FaultPoint {
 	if ticks < 30 {
 		panic(fmt.Sprintf("bandwidth: %d ticks cannot hold pre-fault, transient, and post-fault windows; use >= 30", ticks))
 	}
@@ -158,9 +155,7 @@ func faultPoint(m *topology.Machine, frac float64, ticks, shards int, plan measu
 
 	// Find the intact machine's saturation rate, then drive the fault run
 	// just below it so the pre-fault window measures a stable β.
-	probe := routing.NewEngine(m, routing.Greedy)
-	probe.Shards = shards
-	sat := probe.SaturationRate(dist, 2*float64(m.Graph.E()), 200, 8, rng)
+	sat := routing.NewEngine(m, routing.Greedy).SaturationRate(dist, 2*float64(m.Graph.E()), 200, 8, rng, shards)
 	rate := 0.9 * sat
 	if rate <= 0 {
 		panic(fmt.Sprintf("bandwidth: %s saturates at rate 0", m.Name))
@@ -172,9 +167,7 @@ func faultPoint(m *topology.Machine, frac float64, ticks, shards int, plan measu
 
 	// A fresh engine for the fault run: an engine with faults enabled
 	// belongs to its sim.
-	eng := routing.NewEngine(m, routing.Greedy)
-	eng.Shards = shards
-	s := eng.NewSim(rng)
+	s := routing.NewEngine(m, routing.Greedy).NewShardedSim(rng, shards)
 	defer s.Close()
 	s.SetFaults(sched, routing.FaultOptions{})
 

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/measure"
+	"repro/internal/routing"
 	"repro/internal/topology"
 	"repro/internal/traffic"
 )
@@ -21,7 +22,7 @@ func TestMeasureBetaOnDisconnectedMachine(t *testing.T) {
 	if len(failed) != 4 {
 		t.Fatalf("failed %d processors, want 4", len(failed))
 	}
-	meas := MeasureBeta(m, traffic.NewSymmetric(m.N()), MeasureOptions{LoadFactors: []int{2, 4}, Trials: 1}, rng)
+	meas := symmetricBeta(m, MeasureOptions{LoadFactors: []int{2, 4}, Trials: 1}, rng)
 	if meas.Beta <= 0 {
 		t.Fatalf("β = %v on the surviving component, want > 0", meas.Beta)
 	}
@@ -38,7 +39,7 @@ func TestDeliverableDistPassThrough(t *testing.T) {
 	if got := deliverableDist(m, dist); got != dist {
 		t.Fatalf("connected machine was wrapped: %v", got.Name())
 	}
-	meas := MeasureBeta(m, dist, MeasureOptions{LoadFactors: []int{2}, Trials: 1}, rand.New(rand.NewSource(52)))
+	meas := MeasureBeta(routing.NewEngine(m, routing.Greedy), dist, MeasureOptions{LoadFactors: []int{2}, Trials: 1}, rand.New(rand.NewSource(52)))
 	if meas.Dist != "symmetric[16]" {
 		t.Fatalf("distribution %q gained a suffix on a connected machine", meas.Dist)
 	}
@@ -74,7 +75,7 @@ func TestMeasureBetaUnderFaults(t *testing.T) {
 	m := topology.Butterfly(3)
 	plan := measure.NewSeedPlan(7)
 	fracs := []float64{0, 0.3}
-	pts := MeasureBetaUnderFaults(m, fracs, 240, plan)
+	pts := MeasureBetaUnderFaults(m, fracs, 240, 1, plan)
 	if len(pts) != 2 {
 		t.Fatalf("%d points", len(pts))
 	}
@@ -99,7 +100,7 @@ func TestMeasureBetaUnderFaults(t *testing.T) {
 		t.Fatalf("ledger overflow: %+v", heavy)
 	}
 	// Same plan, reversed fracs: the same two points.
-	rev := MeasureBetaUnderFaults(m, []float64{0.3, 0}, 240, plan)
+	rev := MeasureBetaUnderFaults(m, []float64{0.3, 0}, 240, 1, plan)
 	if rev[1] != zero || rev[0] != heavy {
 		t.Fatalf("curve depends on frac ordering:\n%+v\n%+v", pts, rev)
 	}
@@ -111,5 +112,5 @@ func TestMeasureBetaUnderFaultsTooFewTicksPanics(t *testing.T) {
 			t.Fatal("no panic")
 		}
 	}()
-	MeasureBetaUnderFaults(topology.Ring(8), []float64{0.1}, 10, measure.NewSeedPlan(1))
+	MeasureBetaUnderFaults(topology.Ring(8), []float64{0.1}, 10, 1, measure.NewSeedPlan(1))
 }

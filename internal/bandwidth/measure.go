@@ -64,29 +64,23 @@ type Measurement struct {
 	RateByLoad map[int]float64
 }
 
-// MeasureBeta estimates β(M, π) operationally. The paper defines β as the
-// limit of m/r(m); at finite m the raw ratio is dragged down by the batch's
-// startup and drain tails (r(m) ≈ m/β + tail), so the estimator regresses
-// delivery time against batch size over all trials and returns the inverse
-// slope, which cancels the additive tail. With a single load factor the
-// regression degenerates and the raw ratio is used.
+// MeasureBeta estimates β(M, π) operationally on eng's machine. The paper
+// defines β as the limit of m/r(m); at finite m the raw ratio is dragged
+// down by the batch's startup and drain tails (r(m) ≈ m/β + tail), so the
+// estimator regresses delivery time against batch size over all trials
+// and returns the inverse slope, which cancels the additive tail. With a
+// single load factor the regression degenerates and the raw ratio is used.
+//
+// The engine (typically cached) is never mutated — the shard count comes
+// from opts — so one engine can serve concurrent measurements, and warm
+// results are byte-identical to a fresh engine's. Build it with
+// opts.Strategy.
 //
 // Determinism: one seed is drawn from rng to root a measure.SeedPlan, and
 // every (load factor, trial) pair runs on its own stream keyed by its
 // values. The result is therefore invariant under reordering of
 // opts.LoadFactors, and trials of one load factor do not perturb another's.
-func MeasureBeta(m *topology.Machine, dist traffic.Distribution, opts MeasureOptions, rng *rand.Rand) Measurement {
-	opts = opts.withDefaults()
-	return MeasureBetaOn(routing.NewEngine(m, opts.Strategy), dist, opts, rng)
-}
-
-// MeasureBetaOn is MeasureBeta on a prebuilt (typically cached) engine: the
-// engine's machine and distance fields are reused across calls and the
-// engine is never mutated — the shard count comes from opts, not e.Shards —
-// so one engine can serve concurrent measurements. The rng draw order is
-// exactly MeasureBeta's, which makes warm (cached-engine) results
-// byte-identical to cold ones.
-func MeasureBetaOn(eng *routing.Engine, dist traffic.Distribution, opts MeasureOptions, rng *rand.Rand) Measurement {
+func MeasureBeta(eng *routing.Engine, dist traffic.Distribution, opts MeasureOptions, rng *rand.Rand) Measurement {
 	m := eng.M
 	if dist.N() != m.N() {
 		panic(fmt.Sprintf("bandwidth: distribution over %d endpoints on machine of %d", dist.N(), m.N()))
@@ -108,7 +102,7 @@ func MeasureBetaOn(eng *routing.Engine, dist traffic.Distribution, opts MeasureO
 		for t := 0; t < opts.Trials; t++ {
 			trng := plan.RNG(uint64(lf), uint64(t))
 			batch := traffic.Batch(dist, batchSize, trng)
-			st := eng.RouteSharded(batch, trng, opts.Shards)
+			st := eng.Route(batch, trng, opts.Shards)
 			msgs += float64(st.Messages)
 			ticks += float64(st.Ticks)
 			pts = append(pts, point{x: float64(st.Messages), y: float64(st.Ticks)})
@@ -176,12 +170,6 @@ func regressionSlope(xs, ys []float64) (float64, bool) {
 	return (n*sxy - sx*sy) / den, true
 }
 
-// MeasureSymmetricBeta measures β(M) under the symmetric distribution —
-// the paper's headline quantity.
-func MeasureSymmetricBeta(m *topology.Machine, opts MeasureOptions, rng *rand.Rand) Measurement {
-	return MeasureBeta(m, traffic.NewSymmetric(m.N()), opts, rng)
-}
-
 // SweepPoint is one machine size in a growth sweep.
 type SweepPoint struct {
 	N    int
@@ -218,7 +206,7 @@ func sweepPoint(f topology.Family, dim, size, index int, opts MeasureOptions, pl
 	} else {
 		m = topology.Build(f, dim, size, rng)
 	}
-	meas := MeasureSymmetricBeta(m, opts, rng)
+	meas := MeasureBeta(routing.NewEngine(m, opts.Strategy), traffic.NewSymmetric(m.N()), opts, rng)
 	return SweepPoint{N: m.N(), Beta: meas.Beta}
 }
 

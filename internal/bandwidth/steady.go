@@ -4,34 +4,23 @@ import (
 	"math/rand"
 
 	"repro/internal/routing"
-	"repro/internal/topology"
 	"repro/internal/traffic"
 )
 
-// SteadyStateBeta estimates β by open-loop saturation search: messages are
-// injected continuously at a trial rate and the largest rate the machine
-// sustains with bounded queues is found by bisection. This is the closest
-// implementation of the paper's "expected average message delivery rate"
-// — no batch tails at all — at the cost of longer runs than MeasureBeta.
+// SteadyStateBeta estimates β by open-loop saturation search on eng's
+// machine: messages are injected continuously at a trial rate and the
+// largest rate the machine sustains with bounded queues is found by
+// bisection. This is the closest implementation of the paper's "expected
+// average message delivery rate" — no batch tails at all — at the cost of
+// longer runs than MeasureBeta.
 //
 // ticks is the run length per trial rate (300–500 works), iters the
-// bisection depth (8–12).
-func SteadyStateBeta(m *topology.Machine, ticks, iters int, rng *rand.Rand) float64 {
-	return SteadyStateBetaSharded(m, ticks, iters, 1, rng)
-}
-
-// SteadyStateBetaSharded is SteadyStateBeta on a sharded simulator: the
-// vertex set is split across the given number of goroutines per tick. The
-// returned value is bit-identical at every shard count.
-func SteadyStateBetaSharded(m *topology.Machine, ticks, iters, shards int, rng *rand.Rand) float64 {
-	return SteadyStateBetaOn(routing.NewEngine(m, routing.Greedy), ticks, iters, shards, rng)
-}
-
-// SteadyStateBetaOn is SteadyStateBetaSharded on a prebuilt (typically
-// cached) engine, which it never mutates. The rng draw order — the
-// UpperBounds flux draw before the bisection — is exactly the historical
-// one, so cached-engine results are byte-identical to cold ones.
-func SteadyStateBetaOn(eng *routing.Engine, ticks, iters, shards int, rng *rand.Rand) float64 {
+// bisection depth (8–12). The probes run sharded the given number of ways
+// on the (typically cached, greedy) engine, which is never mutated; the
+// value is bit-identical at every shard count. The rng draw order — the
+// UpperBounds flux draw before the bisection — makes warm results
+// byte-identical to a fresh engine's.
+func SteadyStateBeta(eng *routing.Engine, ticks, iters, shards int, rng *rand.Rand) float64 {
 	m := eng.M
 	dist := traffic.NewSymmetric(m.N())
 	// The flux bound caps the search window.
@@ -39,5 +28,5 @@ func SteadyStateBetaOn(eng *routing.Engine, ticks, iters, shards int, rng *rand.
 	if upper < 2 {
 		upper = 2
 	}
-	return eng.SaturationRateSharded(dist, upper, ticks, iters, rng, shards)
+	return eng.SaturationRate(dist, upper, ticks, iters, rng, shards)
 }

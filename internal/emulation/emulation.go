@@ -225,7 +225,7 @@ func direct(guest, host *topology.Machine, steps int, assign []int, overlap bool
 		if len(template) > 0 {
 			batch := make([]traffic.Message, len(template))
 			copy(batch, template)
-			stepRoute = eng.Route(batch, rng).Ticks
+			stepRoute = eng.Route(batch, rng, 1).Ticks
 			res.RouteTicks += stepRoute
 		}
 		if overlap {
@@ -288,7 +288,7 @@ func Circuit(guest, host *topology.Machine, steps, duplicity int, rng *rand.Rand
 			}
 		}
 		if len(batch) > 0 {
-			st := eng.Route(batch, rng)
+			st := eng.Route(batch, rng, 1)
 			res.RouteTicks += st.Ticks
 		}
 	}

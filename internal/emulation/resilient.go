@@ -63,7 +63,7 @@ func runDirectPhase(host *topology.Machine, template []traffic.Message, compute,
 		if len(template) > 0 {
 			batch := make([]traffic.Message, len(template))
 			copy(batch, template)
-			routeTicks += eng.Route(batch, rng).Ticks
+			routeTicks += eng.Route(batch, rng, 1).Ticks
 		}
 	}
 	return computeTicks + routeTicks, computeTicks, routeTicks

@@ -78,12 +78,10 @@ func (r *Runner) BetaFuture(f topology.Family, dim, size int, opts bandwidth.Mea
 				return bandwidth.Measurement{Machine: m, Dist: e.Dist, Beta: e.Beta, RateByLoad: e.RateByLoad}
 			}
 		}
-		var meas bandwidth.Measurement
-		if eng != nil {
-			meas = bandwidth.MeasureBetaOn(eng, traffic.NewSymmetric(m.N()), opts, rng)
-		} else {
-			meas = bandwidth.MeasureSymmetricBeta(m, opts, rng)
+		if eng == nil {
+			eng = routing.NewEngine(m, opts.Strategy)
 		}
+		meas := bandwidth.MeasureBeta(eng, traffic.NewSymmetric(m.N()), opts, rng)
 		if r.disk != nil {
 			r.disk.store(r.diskKey(key), betaEntry{Dist: meas.Dist, Beta: meas.Beta, RateByLoad: meas.RateByLoad})
 		}

@@ -156,5 +156,5 @@ func (p Pattern) MeasureOn(host *topology.Machine, vertexMap []int, rng *rand.Ra
 		return 0
 	}
 	eng := routing.NewEngine(host, routing.Greedy)
-	return eng.Route(batch, rng).Ticks
+	return eng.Route(batch, rng, 1).Ticks
 }

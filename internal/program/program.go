@@ -136,7 +136,7 @@ func RunEmulated(p Program, guest, host *topology.Machine, steps int, rng *rand.
 		if len(template) > 0 {
 			batch := make([]traffic.Message, len(template))
 			copy(batch, template)
-			res.RouteTicks += eng.Route(batch, rng).Ticks
+			res.RouteTicks += eng.Route(batch, rng, 1).Ticks
 		}
 		// Semantics: identical to the native step. (The messages above
 		// paid for delivering exactly the cross-block words used here;

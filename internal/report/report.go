@@ -254,7 +254,11 @@ func figure1(r *experiment.Runner, o Options) string {
 		futs[i] = experiment.Go(r, key, func(rng *rand.Rand) float64 {
 			guest := netemu.NewDeBruijn(8)
 			host := netemu.NewMesh(2, side)
-			return netemu.Emulate(guest, host, 4, rng.Int63()).Slowdown
+			res, err := netemu.RunEmulation(guest, host, netemu.RunSpec{Kind: netemu.RunEmulate, Steps: 4, Seed: rng.Int63()})
+			if err != nil {
+				panic(fmt.Sprintf("report: figure1 side %d: %v", side, err))
+			}
+			return res.Emulation.Slowdown
 		})
 	}
 	for i, side := range sides {
@@ -464,8 +468,11 @@ func faults(r *experiment.Runner, o Options) string {
 			}
 			d := netemu.DegradeEdges(m, 0.3, rng.Int63())
 			surv := netemu.SurvivalFraction(d)
-			beta := netemu.MeasureBeta(netemu.Survivor(d), netemu.MeasureOptions{}, rng.Int63()).Beta
-			return trial{survival: surv, beta: beta}
+			res, err := netemu.Run(netemu.Survivor(d), netemu.RunSpec{Kind: netemu.RunBeta, Seed: rng.Int63()})
+			if err != nil {
+				panic(fmt.Sprintf("report: faults %s: %v", which, err))
+			}
+			return trial{survival: surv, beta: res.Beta}
 		})
 	}
 	for i, which := range kinds {
@@ -502,7 +509,11 @@ func resilience(r *experiment.Runner, o Options) string {
 			} else {
 				m = netemu.NewMultibutterfly(4, rng.Int63())
 			}
-			return netemu.MeasureBetaUnderFaults(m, fracs, ticks, rng.Int63())
+			res, err := netemu.Run(m, netemu.RunSpec{Kind: netemu.RunFaultCurve, FaultFracs: fracs, Ticks: ticks, Seed: rng.Int63()})
+			if err != nil {
+				panic(fmt.Sprintf("report: resilience %s: %v", which, err))
+			}
+			return res.FaultCurve
 		})
 	}
 	fmt.Fprintf(&b, "| machine | wire faults | β pre | β post | retained | dropped | retried |\n")

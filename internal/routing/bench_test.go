@@ -146,7 +146,7 @@ func BenchmarkSimOpenLoop(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		rng := rand.New(rand.NewSource(int64(i)))
-		e.OpenLoop(dist, 4, 200, rng)
+		e.OpenLoop(dist, rng, OpenLoopOptions{Rate: 4, Ticks: 200})
 	}
 }
 
@@ -159,7 +159,7 @@ func BenchmarkSimRoute(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.Route(batch, rng)
+		e.Route(batch, rng, 1)
 	}
 }
 

@@ -112,12 +112,6 @@ type Engine struct {
 	Strategy   Strategy
 	Discipline Discipline
 
-	// Shards is the shard count NewSim uses: the vertex set is partitioned
-	// across this many goroutines per tick. 0 or 1 means serial. The
-	// determinism contract guarantees identical results at every value, so
-	// this is purely a throughput knob.
-	Shards int
-
 	// distPtrs caches per-destination BFS distance fields. Lazily filled
 	// with atomic publication so concurrent shards can warm it without
 	// locks: a racing recompute produces the identical field (BFS is
@@ -166,7 +160,7 @@ type Engine struct {
 	// nothing beyond a nil check.
 	live *liveState
 
-	// simFree pools retired sims for reuse via AcquireSim/ReleaseSim, so
+	// simFree pools retired sims for reuse via acquireSim/releaseSim, so
 	// repeated measurements on one engine (open-loop bisection, warm
 	// sweeps) recycle the queue arenas and per-vertex tables instead of
 	// reallocating ~N words per run.
@@ -182,12 +176,12 @@ type Engine struct {
 // the cap, extra sims are closed rather than hoarded.
 const simPoolCap = 4
 
-// AcquireSim returns a sim sharded the given number of ways (clamped like
+// acquireSim returns a sim sharded the given number of ways (clamped like
 // NewShardedSim), recycling a pooled one when a retired sim with the same
 // shard count exists. The recycled sim is Reset on rng, so results are
 // byte-identical to a fresh NewShardedSim — pooling is purely an allocation
-// optimization. Pair with ReleaseSim (or Close).
-func (e *Engine) AcquireSim(rng *rand.Rand, shards int) *Sim {
+// optimization. Pair with releaseSim (or Close).
+func (e *Engine) acquireSim(rng *rand.Rand, shards int) *Sim {
 	if shards < 1 {
 		shards = 1
 	}
@@ -209,15 +203,12 @@ func (e *Engine) AcquireSim(rng *rand.Rand, shards int) *Sim {
 	return e.NewShardedSim(rng, shards)
 }
 
-// ReleaseSim retires a sim into the engine's pool for a later AcquireSim.
+// releaseSim retires a sim into the engine's pool for a later acquireSim.
 // Closed sims are ignored; sims that ran a fault schedule, or overflow the
 // pool, are closed instead of pooled.
-func (e *Engine) ReleaseSim(s *Sim) {
-	if s == nil || s.closed {
+func (e *Engine) releaseSim(s *Sim) {
+	if s.closed {
 		return
-	}
-	if s.eng != e {
-		panic("routing: ReleaseSim on a foreign engine")
 	}
 	if s.faults != nil {
 		s.Close()
@@ -379,22 +370,18 @@ type Stats struct {
 }
 
 // Route injects the batch at tick 0 (every message waits at its source) and
-// runs the machine until all messages are delivered, returning the stats.
-// Messages whose source equals destination are rejected with a panic — the
-// traffic package never produces them.
-func (e *Engine) Route(batch []traffic.Message, rng *rand.Rand) Stats {
-	return e.RouteSharded(batch, rng, e.Shards)
-}
-
-// RouteSharded is Route with an explicit shard count, so concurrent callers
-// sharing one cached engine never mutate e.Shards. The run recycles a
-// pooled sim; results are byte-identical at every shard count.
-func (e *Engine) RouteSharded(batch []traffic.Message, rng *rand.Rand, shards int) Stats {
+// runs the machine on a sim sharded the given number of ways (0 or 1 =
+// serial) until all messages are delivered, returning the stats. Messages
+// whose source equals destination are rejected with a panic — the traffic
+// package never produces them. The run recycles a pooled sim and never
+// mutates the engine, so concurrent callers may share one; results are
+// byte-identical at every shard count.
+func (e *Engine) Route(batch []traffic.Message, rng *rand.Rand, shards int) Stats {
 	if len(batch) == 0 {
 		return Stats{}
 	}
-	s := e.AcquireSim(rng, shards)
-	defer e.ReleaseSim(s)
+	s := e.acquireSim(rng, shards)
+	defer e.releaseSim(s)
 	s.Inject(batch)
 	limit := 200*len(batch) + 100*e.numVerts + 1000
 	for s.InFlight() > 0 {

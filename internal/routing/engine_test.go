@@ -13,7 +13,7 @@ func TestSingleMessageTakesDistanceTicks(t *testing.T) {
 	m := topology.LinearArray(10)
 	e := NewEngine(m, Greedy)
 	rng := rand.New(rand.NewSource(1))
-	st := e.Route([]traffic.Message{{Src: 0, Dst: 9}}, rng)
+	st := e.Route([]traffic.Message{{Src: 0, Dst: 9}}, rng, 1)
 	if st.Ticks != 9 {
 		t.Fatalf("ticks = %d, want 9", st.Ticks)
 	}
@@ -28,7 +28,7 @@ func TestSingleMessageTakesDistanceTicks(t *testing.T) {
 func TestEmptyBatch(t *testing.T) {
 	m := topology.Ring(6)
 	e := NewEngine(m, Greedy)
-	st := e.Route(nil, rand.New(rand.NewSource(2)))
+	st := e.Route(nil, rand.New(rand.NewSource(2)), 1)
 	if st.Ticks != 0 || st.Messages != 0 {
 		t.Fatalf("empty batch stats: %+v", st)
 	}
@@ -42,7 +42,7 @@ func TestSelfMessagePanics(t *testing.T) {
 			t.Fatal("no panic")
 		}
 	}()
-	e.Route([]traffic.Message{{Src: 2, Dst: 2}}, rand.New(rand.NewSource(3)))
+	e.Route([]traffic.Message{{Src: 2, Dst: 2}}, rand.New(rand.NewSource(3)), 1)
 }
 
 func TestNonProcessorEndpointPanics(t *testing.T) {
@@ -53,7 +53,7 @@ func TestNonProcessorEndpointPanics(t *testing.T) {
 			t.Fatal("no panic")
 		}
 	}()
-	e.Route([]traffic.Message{{Src: 0, Dst: 8}}, rand.New(rand.NewSource(4)))
+	e.Route([]traffic.Message{{Src: 0, Dst: 8}}, rand.New(rand.NewSource(4)), 1)
 }
 
 func TestWireCapacitySerializes(t *testing.T) {
@@ -63,7 +63,7 @@ func TestWireCapacitySerializes(t *testing.T) {
 	m := topology.LinearArray(2)
 	e := NewEngine(m, Greedy)
 	rng := rand.New(rand.NewSource(5))
-	st := e.Route([]traffic.Message{{Src: 0, Dst: 1}, {Src: 0, Dst: 1}}, rng)
+	st := e.Route([]traffic.Message{{Src: 0, Dst: 1}, {Src: 0, Dst: 1}}, rng, 1)
 	if st.Ticks != 2 {
 		t.Fatalf("ticks = %d, want 2", st.Ticks)
 	}
@@ -74,7 +74,7 @@ func TestOppositeDirectionsShareWire(t *testing.T) {
 	m := topology.LinearArray(2)
 	e := NewEngine(m, Greedy)
 	rng := rand.New(rand.NewSource(6))
-	st := e.Route([]traffic.Message{{Src: 0, Dst: 1}, {Src: 1, Dst: 0}}, rng)
+	st := e.Route([]traffic.Message{{Src: 0, Dst: 1}, {Src: 1, Dst: 0}}, rng, 1)
 	if st.Ticks != 1 {
 		t.Fatalf("ticks = %d, want 1 (full duplex)", st.Ticks)
 	}
@@ -87,7 +87,7 @@ func TestGlobalBusSerializesThroughHub(t *testing.T) {
 	e := NewEngine(m, Greedy)
 	rng := rand.New(rand.NewSource(7))
 	batch := traffic.Batch(traffic.NewSymmetric(16), 20, rng)
-	st := e.Route(batch, rng)
+	st := e.Route(batch, rng, 1)
 	if st.Ticks < 20 || st.Ticks > 23 {
 		t.Fatalf("ticks = %d, want ~21 (hub serializes)", st.Ticks)
 	}
@@ -100,7 +100,7 @@ func TestWeakHypercubeOnePort(t *testing.T) {
 	e := NewEngine(m, Greedy)
 	rng := rand.New(rand.NewSource(8))
 	batch := []traffic.Message{{Src: 0, Dst: 1}, {Src: 0, Dst: 2}, {Src: 0, Dst: 4}}
-	st := e.Route(batch, rng)
+	st := e.Route(batch, rng, 1)
 	if st.Ticks != 3 {
 		t.Fatalf("ticks = %d, want 3 (one port per step)", st.Ticks)
 	}
@@ -111,7 +111,7 @@ func TestAllMessagesDelivered(t *testing.T) {
 	m := topology.Mesh(2, 6)
 	e := NewEngine(m, Greedy)
 	batch := traffic.Batch(traffic.NewSymmetric(36), 500, rng)
-	st := e.Route(batch, rng)
+	st := e.Route(batch, rng, 1)
 	if st.Messages != 500 {
 		t.Fatalf("messages = %d", st.Messages)
 	}
@@ -134,7 +134,7 @@ func TestGreedyHopsEqualVolume(t *testing.T) {
 	m := topology.Torus(2, 5)
 	e := NewEngine(m, Greedy)
 	batch := traffic.Batch(traffic.NewSymmetric(25), 200, rng)
-	st := e.Route(batch, rng)
+	st := e.Route(batch, rng, 1)
 	var volume int64
 	for _, msg := range batch {
 		volume += int64(m.Graph.BFS(msg.Src)[msg.Dst])
@@ -149,7 +149,7 @@ func TestValiantDelivers(t *testing.T) {
 	m := topology.Butterfly(3)
 	e := NewEngine(m, Valiant)
 	batch := traffic.Batch(traffic.NewSymmetric(m.N()), 300, rng)
-	st := e.Route(batch, rng)
+	st := e.Route(batch, rng, 1)
 	if st.Messages != 300 || st.Ticks <= 0 {
 		t.Fatalf("bad stats %+v", st)
 	}
@@ -174,8 +174,8 @@ func TestValiantBeatsGreedyOnAdversarialPermutation(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		batch = append(batch, traffic.Batch(perm, m.N(), rng)...)
 	}
-	g := NewEngine(m, Greedy).Route(batch, rand.New(rand.NewSource(13)))
-	v := NewEngine(m, Valiant).Route(batch, rand.New(rand.NewSource(13)))
+	g := NewEngine(m, Greedy).Route(batch, rand.New(rand.NewSource(13)), 1)
+	v := NewEngine(m, Valiant).Route(batch, rand.New(rand.NewSource(13)), 1)
 	if g.Messages != v.Messages {
 		t.Fatal("mismatched batches")
 	}
@@ -194,8 +194,8 @@ func TestRateScalesWithParallelism(t *testing.T) {
 	mesh := topology.Mesh(2, 8)
 	arr := topology.LinearArray(64)
 	batch := traffic.Batch(traffic.NewSymmetric(64), 800, rng)
-	ms := NewEngine(mesh, Greedy).Route(batch, rand.New(rand.NewSource(15)))
-	as := NewEngine(arr, Greedy).Route(batch, rand.New(rand.NewSource(15)))
+	ms := NewEngine(mesh, Greedy).Route(batch, rand.New(rand.NewSource(15)), 1)
+	as := NewEngine(arr, Greedy).Route(batch, rand.New(rand.NewSource(15)), 1)
 	if ms.Rate <= 2*as.Rate {
 		t.Fatalf("mesh rate %.2f not >> array rate %.2f", ms.Rate, as.Rate)
 	}
@@ -225,7 +225,7 @@ func TestPropertyRoutingSane(t *testing.T) {
 		m := families[int(famIdx)%len(families)]()
 		e := NewEngine(m, Greedy)
 		batch := traffic.Batch(traffic.NewSymmetric(m.N()), 50+rng.Intn(100), rng)
-		st := e.Route(batch, rng)
+		st := e.Route(batch, rng, 1)
 		if st.Messages != len(batch) {
 			return false
 		}

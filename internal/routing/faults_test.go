@@ -251,7 +251,7 @@ func TestOpenLoopFaultsSnapshot(t *testing.T) {
 	e := NewEngine(m, Greedy)
 	rng := rand.New(rand.NewSource(49))
 	sched := topology.MustParseFaultSpec("edges:0.2@t30,nodes:2@t60").Materialize(m, rng)
-	res, sn := e.OpenLoopFaultsSnapshot(traffic.NewSymmetric(m.N()), 3, 150, rng, 5, sched, FaultOptions{})
+	res, sn := e.OpenLoop(traffic.NewSymmetric(m.N()), rng, OpenLoopOptions{Rate: 3, Ticks: 150, Snapshot: true, TopK: 5, Faults: sched})
 	if sn.SchemaVersion != SnapshotSchemaVersion {
 		t.Fatalf("schema version %d, want %d", sn.SchemaVersion, SnapshotSchemaVersion)
 	}

@@ -103,7 +103,7 @@ func TestSnapshotSeriesMatchCounters(t *testing.T) {
 	m := topology.Mesh(2, 5)
 	e := NewEngine(m, Greedy)
 	rng := rand.New(rand.NewSource(5))
-	res, snap := e.OpenLoopSnapshot(traffic.NewSymmetric(m.N()), 2, 100, rng, 5)
+	res, snap := e.OpenLoop(traffic.NewSymmetric(m.N()), rng, OpenLoopOptions{Rate: 2, Ticks: 100, Snapshot: true, TopK: 5})
 	if snap.Ticks != 100 || len(snap.DeliveredSeries) != 100 || len(snap.InjectedSeries) != 100 {
 		t.Fatalf("series lengths %d/%d, ticks %d", len(snap.DeliveredSeries), len(snap.InjectedSeries), snap.Ticks)
 	}
@@ -149,8 +149,8 @@ func TestStatsDoNotPerturbRun(t *testing.T) {
 	m := topology.Mesh(2, 6)
 	e := NewEngine(m, Greedy)
 	dist := traffic.NewSymmetric(m.N())
-	plain := e.OpenLoop(dist, 3, 150, rand.New(rand.NewSource(9)))
-	instr, _ := e.OpenLoopSnapshot(dist, 3, 150, rand.New(rand.NewSource(9)), 10)
+	plain, _ := e.OpenLoop(dist, rand.New(rand.NewSource(9)), OpenLoopOptions{Rate: 3, Ticks: 150})
+	instr, _ := e.OpenLoop(dist, rand.New(rand.NewSource(9)), OpenLoopOptions{Rate: 3, Ticks: 150, Snapshot: true, TopK: 10})
 	if plain != instr {
 		t.Fatalf("instrumented run diverged:\nplain %+v\ninstr %+v", plain, instr)
 	}

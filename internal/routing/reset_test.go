@@ -20,7 +20,8 @@ import (
 func coldOpenLoop(m *topology.Machine, shards int, seed int64) OpenLoopResult {
 	e := NewEngine(m, Greedy)
 	dist := traffic.NewSymmetric(m.N())
-	return e.OpenLoopSharded(dist, 3, 80, rand.New(rand.NewSource(seed)), shards)
+	res, _ := e.OpenLoop(dist, rand.New(rand.NewSource(seed)), OpenLoopOptions{Rate: 3, Ticks: 80, Shards: shards})
+	return res
 }
 
 func TestResetColdVsWarmOpenLoop(t *testing.T) {
@@ -35,7 +36,7 @@ func TestResetColdVsWarmOpenLoop(t *testing.T) {
 				// the rest recycle the pooled sim. Every one must match a
 				// cold run on a fresh engine with the same seed.
 				for seed := int64(1); seed <= 3; seed++ {
-					warm := e.OpenLoopSharded(dist, 3, 80, rand.New(rand.NewSource(seed)), shards)
+					warm, _ := e.OpenLoop(dist, rand.New(rand.NewSource(seed)), OpenLoopOptions{Rate: 3, Ticks: 80, Shards: shards})
 					cold := coldOpenLoop(m, shards, seed)
 					if warm != cold {
 						t.Errorf("shards=%d seed=%d: warm run diverged from cold\ncold: %+v\nwarm: %+v",
@@ -55,12 +56,12 @@ func TestResetColdVsWarmRoute(t *testing.T) {
 		for seed := int64(1); seed <= 3; seed++ {
 			rng := rand.New(rand.NewSource(seed))
 			batch := traffic.Batch(dist, 4*m.N(), rng)
-			warm := e.RouteSharded(batch, rng, shards)
+			warm := e.Route(batch, rng, shards)
 
 			ec := NewEngine(m, Greedy)
 			crng := rand.New(rand.NewSource(seed))
 			cbatch := traffic.Batch(dist, 4*m.N(), crng)
-			cold := ec.RouteSharded(cbatch, crng, shards)
+			cold := ec.Route(cbatch, crng, shards)
 			if warm != cold {
 				t.Errorf("shards=%d seed=%d: warm Route diverged from cold\ncold: %+v\nwarm: %+v",
 					shards, seed, cold, warm)
@@ -74,7 +75,7 @@ func TestResetColdVsWarmRoute(t *testing.T) {
 func TestResetColdVsWarmSnapshot(t *testing.T) {
 	m := topology.DeBruijn(4)
 	dist := traffic.NewSymmetric(m.N())
-	snapJSON := func(snap Snapshot) []byte {
+	snapJSON := func(snap *Snapshot) []byte {
 		var buf bytes.Buffer
 		if err := snap.WriteJSON(&buf); err != nil {
 			t.Fatal(err)
@@ -83,11 +84,12 @@ func TestResetColdVsWarmSnapshot(t *testing.T) {
 	}
 	for _, shards := range []int{1, 4} {
 		e := NewEngine(m, Greedy)
+		o := OpenLoopOptions{Rate: 3, Ticks: 80, Shards: shards, Snapshot: true, TopK: 8}
 		for seed := int64(1); seed <= 3; seed++ {
-			warmRes, warmSnap := e.OpenLoopSnapshotSharded(dist, 3, 80, rand.New(rand.NewSource(seed)), 8, shards)
+			warmRes, warmSnap := e.OpenLoop(dist, rand.New(rand.NewSource(seed)), o)
 
 			ec := NewEngine(m, Greedy)
-			coldRes, coldSnap := ec.OpenLoopSnapshotSharded(dist, 3, 80, rand.New(rand.NewSource(seed)), 8, shards)
+			coldRes, coldSnap := ec.OpenLoop(dist, rand.New(rand.NewSource(seed)), o)
 			if warmRes != coldRes {
 				t.Errorf("shards=%d seed=%d: warm snapshot run result diverged\ncold: %+v\nwarm: %+v",
 					shards, seed, coldRes, warmRes)
@@ -117,7 +119,7 @@ func TestResetRefusesFaultedSim(t *testing.T) {
 	s.Reset(rng)
 }
 
-// ReleaseSim must close (not pool) faulted sims: a later AcquireSim on the
+// releaseSim must close (not pool) faulted sims: a later acquireSim on the
 // same engine must come back fresh, not contaminated.
 func TestReleaseSimClosesFaulted(t *testing.T) {
 	m := topology.Mesh(2, 4)
@@ -126,13 +128,13 @@ func TestReleaseSimClosesFaulted(t *testing.T) {
 	s := e.NewSim(rng)
 	sched := topology.MustParseFaultSpec("edges:0.2@t2").Materialize(m, rng)
 	s.SetFaults(sched, FaultOptions{})
-	e.ReleaseSim(s)
+	e.releaseSim(s)
 	if !s.closed {
-		t.Fatal("ReleaseSim pooled a faulted sim instead of closing it")
+		t.Fatal("releaseSim pooled a faulted sim instead of closing it")
 	}
-	s2 := e.AcquireSim(rng, 1)
+	s2 := e.acquireSim(rng, 1)
 	if s2 == s {
-		t.Fatal("AcquireSim returned the faulted sim")
+		t.Fatal("acquireSim returned the faulted sim")
 	}
 	s2.Close()
 }
@@ -147,9 +149,9 @@ func TestOpenLoopWarmAllocs(t *testing.T) {
 	e := NewEngine(m, Greedy)
 	dist := traffic.NewSymmetric(m.N())
 	rng := rand.New(rand.NewSource(1))
-	e.OpenLoop(dist, 4, 200, rng) // cold: builds the sim, fills the pool
+	e.OpenLoop(dist, rng, OpenLoopOptions{Rate: 4, Ticks: 200}) // cold: builds the sim, fills the pool
 	avg := testing.AllocsPerRun(20, func() {
-		e.OpenLoop(dist, 4, 200, rng)
+		e.OpenLoop(dist, rng, OpenLoopOptions{Rate: 4, Ticks: 200})
 	})
 	// Budget: the warm path may allocate a handful of words (histogram
 	// growth on an unlucky run), never the ~39 allocs / 413 KB a cold sim

@@ -10,9 +10,8 @@ import (
 	"repro/internal/traffic"
 )
 
-// The sharding determinism contract (ISSUE acceptance): a sim partitioned
-// across any number of shards — and under any partition shape — produces
-// results bit-for-bit identical to the serial sim. These tests drive every
+// The sharding determinism contract: a sim partitioned across any number
+// of shards produces results bit-for-bit identical to the serial sim. These tests drive every
 // Table 4 machine through instrumented open loops, with and without a
 // fault schedule, and compare both the OpenLoopResult and the full
 // snapshot JSON byte-for-byte.
@@ -32,16 +31,11 @@ func shardedRun(t *testing.T, m *topology.Machine, shards int, faults, bfs bool)
 	if bfs {
 		e.setShape(nil)
 	}
-	e.Shards = shards
-	dist := traffic.NewSymmetric(m.N())
-	var res OpenLoopResult
-	var snap Snapshot
+	o := OpenLoopOptions{Rate: 3, Ticks: 80, Shards: shards, Snapshot: true, TopK: 8}
 	if faults {
-		sched := equivalenceFaultSpec.Materialize(m, rng)
-		res, snap = e.OpenLoopFaultsSnapshot(dist, 3, 80, rng, 8, sched, FaultOptions{})
-	} else {
-		res, snap = e.OpenLoopSnapshot(dist, 3, 80, rng, 8)
+		o.Faults = equivalenceFaultSpec.Materialize(m, rng)
 	}
+	res, snap := e.OpenLoop(traffic.NewSymmetric(m.N()), rng, o)
 	var buf bytes.Buffer
 	if err := snap.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
@@ -144,48 +138,6 @@ func TestImplicitEquivalenceLargeSmoke(t *testing.T) {
 	}
 }
 
-// The partition shape must be as irrelevant as the shard count: a BFS
-// partition assigns completely different vertex sets to each worker than
-// the contiguous default, and the results must still match serial bytes.
-func TestShardedEquivalenceBFSPartition(t *testing.T) {
-	rng := rand.New(rand.NewSource(43))
-	machines := []*topology.Machine{
-		topology.Mesh(2, 6),
-		topology.Butterfly(3),
-		topology.Expander(24, 4, rng),
-	}
-	drive := func(s *Sim, m *topology.Machine) []byte {
-		defer s.Close()
-		s.EnableStats()
-		dist := traffic.NewSymmetric(m.N())
-		for tick := 0; tick < 60; tick++ {
-			s.InjectSampled(dist, 3)
-			s.Step()
-		}
-		snap := s.Snapshot(8)
-		var buf bytes.Buffer
-		if err := snap.WriteJSON(&buf); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}
-	for _, m := range machines {
-		m := m
-		t.Run(m.Name, func(t *testing.T) {
-			eSerial := NewEngine(m, Greedy)
-			want := drive(eSerial.NewSim(rand.New(rand.NewSource(5))), m)
-			for _, k := range []int{2, 3, 5} {
-				assign := topology.BFSPartition(m.Graph, k)
-				ePart := NewEngine(m, Greedy)
-				got := drive(ePart.NewPartitionedSim(rand.New(rand.NewSource(5)), assign), m)
-				if !bytes.Equal(got, want) {
-					t.Errorf("BFS partition k=%d diverged from serial", k)
-				}
-			}
-		})
-	}
-}
-
 // ISSUE acceptance: the fault-free sharded steady state stays within the
 // per-shard allocation budget (0.1 allocs per tick per shard). The phase
 // barriers reuse long-lived workers and channels, mailboxes and touched
@@ -252,7 +204,7 @@ func TestAnalyticDistanceMatchesBFS(t *testing.T) {
 			continue
 		}
 		e.Discipline = FarthestFirst
-		e.OpenLoop(traffic.NewSymmetric(m.N()), 3, 40, rand.New(rand.NewSource(1)))
+		e.OpenLoop(traffic.NewSymmetric(m.N()), rand.New(rand.NewSource(1)), OpenLoopOptions{Rate: 3, Ticks: 40})
 		for dst := range e.distPtrs {
 			if e.distPtrs[dst].Load() != nil {
 				t.Fatalf("%s: fault-free run on the closed-form path built the BFS field of %d", m.Name, dst)
@@ -318,29 +270,4 @@ func TestShardedSimLifecycle(t *testing.T) {
 		}
 	}()
 	s.Step()
-}
-
-// BFSPartition must produce balanced, complete partitions, and on a ring
-// its connected regions cut far fewer edges than a round-robin assignment
-// would.
-func TestBFSPartitionShape(t *testing.T) {
-	m := topology.Ring(30)
-	for _, k := range []int{1, 2, 3, 7} {
-		assign := topology.BFSPartition(m.Graph, k)
-		counts := make(map[int]int)
-		for _, sh := range assign {
-			counts[sh]++
-		}
-		if len(counts) != k {
-			t.Fatalf("k=%d: %d regions", k, len(counts))
-		}
-		for sh, c := range counts {
-			if c < 30/k || c > 30/k+1 {
-				t.Errorf("k=%d: region %d has %d vertices", k, sh, c)
-			}
-		}
-	}
-	if cut := topology.PartitionCutEdges(m.Graph, topology.BFSPartition(m.Graph, 3)); cut != 3 {
-		t.Errorf("ring cut by 3 BFS regions crosses %d edges, want 3", cut)
-	}
 }

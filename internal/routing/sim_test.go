@@ -56,7 +56,7 @@ func TestOpenLoopLowRateIsStable(t *testing.T) {
 	m := topology.Mesh(2, 6)
 	e := NewEngine(m, Greedy)
 	rng := rand.New(rand.NewSource(3))
-	res := e.OpenLoop(traffic.NewSymmetric(m.N()), 2.0, 400, rng)
+	res, _ := e.OpenLoop(traffic.NewSymmetric(m.N()), rng, OpenLoopOptions{Rate: 2.0, Ticks: 400})
 	if !res.Stable {
 		t.Fatalf("rate 2 on a 36-mesh should be stable: %+v", res)
 	}
@@ -75,7 +75,7 @@ func TestOpenLoopOverloadIsUnstable(t *testing.T) {
 	m := topology.LinearArray(32)
 	e := NewEngine(m, Greedy)
 	rng := rand.New(rand.NewSource(4))
-	res := e.OpenLoop(traffic.NewSymmetric(m.N()), 20, 200, rng)
+	res, _ := e.OpenLoop(traffic.NewSymmetric(m.N()), rng, OpenLoopOptions{Rate: 20, Ticks: 200})
 	if res.Stable {
 		t.Fatalf("rate 20 on an array reported stable: %+v", res)
 	}
@@ -93,15 +93,15 @@ func TestOpenLoopBadParamsPanic(t *testing.T) {
 			t.Fatal("no panic")
 		}
 	}()
-	e.OpenLoop(traffic.NewSymmetric(8), 0, 100, rng)
+	e.OpenLoop(traffic.NewSymmetric(8), rng, OpenLoopOptions{Rate: 0, Ticks: 100})
 }
 
 func TestSaturationRateOrdersMachines(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	arr := topology.LinearArray(64)
 	mesh := topology.Mesh(2, 8)
-	arrBeta := NewEngine(arr, Greedy).SaturationRate(traffic.NewSymmetric(64), 2*float64(arr.Graph.E()), 300, 8, rng)
-	meshBeta := NewEngine(mesh, Greedy).SaturationRate(traffic.NewSymmetric(64), 2*float64(mesh.Graph.E()), 300, 8, rng)
+	arrBeta := NewEngine(arr, Greedy).SaturationRate(traffic.NewSymmetric(64), 2*float64(arr.Graph.E()), 300, 8, rng, 1)
+	meshBeta := NewEngine(mesh, Greedy).SaturationRate(traffic.NewSymmetric(64), 2*float64(mesh.Graph.E()), 300, 8, rng, 1)
 	if arrBeta <= 0 || meshBeta <= 0 {
 		t.Fatalf("rates %v %v", arrBeta, meshBeta)
 	}
@@ -121,9 +121,9 @@ func TestSaturationMatchesBatchEstimate(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	m := topology.Mesh(2, 6)
 	e := NewEngine(m, Greedy)
-	sat := e.SaturationRate(traffic.NewSymmetric(m.N()), 2*float64(m.Graph.E()), 300, 8, rng)
+	sat := e.SaturationRate(traffic.NewSymmetric(m.N()), 2*float64(m.Graph.E()), 300, 8, rng, 1)
 	batch := traffic.Batch(traffic.NewSymmetric(m.N()), 8*m.N(), rng)
-	raw := e.Route(batch, rng).Rate
+	raw := e.Route(batch, rng, 1).Rate
 	ratio := sat / raw
 	if ratio < 0.4 || ratio > 3 {
 		t.Fatalf("open-loop %v vs batch %v: ratio %v outside Θ(1)", sat, raw, ratio)
@@ -184,7 +184,7 @@ func TestOpenLoopReportsP95(t *testing.T) {
 	m := topology.Mesh(2, 5)
 	e := NewEngine(m, Greedy)
 	rng := rand.New(rand.NewSource(9))
-	res := e.OpenLoop(traffic.NewSymmetric(m.N()), 2, 200, rng)
+	res, _ := e.OpenLoop(traffic.NewSymmetric(m.N()), rng, OpenLoopOptions{Rate: 2, Ticks: 200})
 	if res.P95Latency < 1 {
 		t.Fatalf("p95 = %d", res.P95Latency)
 	}
@@ -230,7 +230,7 @@ func TestFarthestFirstDeliversEverything(t *testing.T) {
 	e.Discipline = FarthestFirst
 	rng := rand.New(rand.NewSource(31))
 	batch := traffic.Batch(traffic.NewSymmetric(m.N()), 300, rng)
-	st := e.Route(batch, rng)
+	st := e.Route(batch, rng, 1)
 	if st.Messages != 300 || st.Rate <= 0 {
 		t.Fatalf("stats %+v", st)
 	}

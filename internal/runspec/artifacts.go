@@ -4,12 +4,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
-	"math/rand"
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/bandwidth"
-	"repro/internal/measure"
 	"repro/internal/routing"
 	"repro/internal/topology"
 )
@@ -105,8 +102,9 @@ func (c *ArtifactCache) Machine(ms MachineSpec) (*topology.Machine, error) {
 
 // Engine returns a routing engine for ms under the given strategy, building
 // (and warming) it at most once per key. Cached engines are shared: callers
-// must route through the explicit-shards entry points (RouteSharded,
-// OpenLoopSharded, ...) and must never call EnableFaults on them.
+// may route, open-loop and bisect on them (each call takes its shard count
+// as an argument and never mutates the engine), but must never arm faults
+// on them or call EnableFaults.
 func (c *ArtifactCache) Engine(ms MachineSpec, strategy routing.Strategy) (*routing.Engine, error) {
 	m, err := c.Machine(ms)
 	if err != nil {
@@ -208,61 +206,15 @@ func ExecuteCached(c *ArtifactCache, s Spec) (Result, error) {
 	return res, err
 }
 
-// runCached executes one measurement spec over the cache. The rng
-// derivations per kind are exactly Run's, so results are byte-identical.
+// runCached executes one measurement spec over the cache: Run's body on
+// the cached machine, with fault-free runs sharing the cached engine.
 func runCached(c *ArtifactCache, s Spec) (Result, error) {
 	ms := *s.Machine
 	m, err := c.Machine(ms)
 	if err != nil {
 		return Result{}, err
 	}
-	res := Result{Kind: s.Kind, Spec: canonicalEcho(s), Machine: m.Name}
-	switch s.Kind {
-	case KindBeta:
-		strat, _ := ParseStrategy(s.Strategy)
-		eng, err := c.Engine(ms, strat)
-		if err != nil {
-			return Result{}, err
-		}
-		opts := bandwidth.MeasureOptions{
-			LoadFactors: s.LoadFactors,
-			Trials:      s.Trials,
-			Strategy:    strat,
-			Shards:      s.Shards,
-		}
-		dist, err := buildTraffic(m, s.Traffic)
-		if err != nil {
-			return Result{}, err
-		}
-		meas := bandwidth.MeasureBetaOn(eng, dist, opts, rand.New(rand.NewSource(s.Seed)))
-		res.Beta = meas.Beta
-		res.Dist = meas.Dist
-		res.RateByLoad = meas.RateByLoad
-		res.Measurement = &meas
-	case KindSteadyBeta:
-		eng, err := c.Engine(ms, routing.Greedy)
-		if err != nil {
-			return Result{}, err
-		}
-		res.Beta = bandwidth.SteadyStateBetaOn(eng, s.Ticks, s.Iters, s.Shards, rand.New(rand.NewSource(s.Seed)))
-	case KindOpenLoop:
-		var eng *routing.Engine
-		if s.Faults != "" {
-			// Fault masks live on the engine; a faulted run owns its engine.
-			eng = routing.NewEngine(m, routing.Greedy)
-		} else {
-			eng, err = c.Engine(ms, routing.Greedy)
-			if err != nil {
-				return Result{}, err
-			}
-		}
-		runOpenLoop(eng, m, s, &res)
-	case KindFaultCurve:
-		// Fresh engines are built per fault fraction inside; the cached
-		// machine itself is never mutated by fault injection.
-		res.FaultCurve = bandwidth.MeasureBetaUnderFaultsSharded(m, s.FaultFracs, s.Ticks, s.Shards, measure.NewSeedPlan(s.Seed))
-	case KindLambda:
-		res.Diameter, res.AvgDist = bandwidth.MeasureLambda(m, rand.New(rand.NewSource(s.Seed)))
-	}
-	return res, nil
+	return run(m, s, func(strategy routing.Strategy) (*routing.Engine, error) {
+		return c.Engine(ms, strategy)
+	})
 }

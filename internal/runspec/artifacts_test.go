@@ -134,7 +134,7 @@ func TestArtifactCacheConcurrentStress(t *testing.T) {
 				// sims are acquired, run, and recycled.
 				dist := traffic.NewSymmetric(eng.M.N())
 				batch := traffic.Batch(dist, eng.M.N(), rng)
-				st := eng.RouteSharded(batch, rng, 1+g%3)
+				st := eng.Route(batch, rng, 1+g%3)
 				if st.Messages != len(batch) {
 					errs <- fmt.Errorf("goroutine %d: routed %d of %d", g, st.Messages, len(batch))
 					return

@@ -85,71 +85,84 @@ func canonicalEcho(s Spec) Spec {
 	return stripRepresentation(s.Normalized())
 }
 
-// Run executes a measurement spec against a prebuilt machine. The RNG
-// derivation per kind is exactly the historical facade functions', so the
-// deprecated wrappers over Run return byte-identical results to their old
-// bodies. KindEmulate needs two machines; use RunEmulation or Execute.
+// Run executes a measurement spec against a prebuilt machine, on fresh
+// engines. KindEmulate needs two machines; use RunEmulation or Execute.
 func Run(m *topology.Machine, s Spec) (Result, error) {
 	s = s.Normalized()
 	if err := s.Validate(); err != nil {
 		return Result{}, err
 	}
+	if s.Kind == KindEmulate {
+		return Result{}, fmt.Errorf("runspec: emulate needs guest and host machines; use RunEmulation or Execute")
+	}
+	return run(m, s, func(strategy routing.Strategy) (*routing.Engine, error) {
+		return routing.NewEngine(m, strategy), nil
+	})
+}
+
+// run executes a validated measurement spec on m. Fault-free runs take
+// their engine from engine — fresh for Run, shared for runCached — and
+// never mutate it; faulted open loops build their own, because fault
+// masks live on the engine. The rng derivation per kind lives only here,
+// which is what makes cached results byte-identical to cold ones.
+func run(m *topology.Machine, s Spec, engine func(routing.Strategy) (*routing.Engine, error)) (Result, error) {
+	if m.Graph == nil {
+		if err := s.checkImplicit(); err != nil {
+			return Result{}, err
+		}
+	}
 	res := Result{Kind: s.Kind, Spec: canonicalEcho(s), Machine: m.Name}
+	rng := rand.New(rand.NewSource(s.Seed))
 	switch s.Kind {
 	case KindBeta:
 		strat, _ := ParseStrategy(s.Strategy)
+		dist, err := buildTraffic(m, s.Traffic)
+		if err != nil {
+			return Result{}, err
+		}
+		eng, err := engine(strat)
+		if err != nil {
+			return Result{}, err
+		}
 		opts := bandwidth.MeasureOptions{
 			LoadFactors: s.LoadFactors,
 			Trials:      s.Trials,
 			Strategy:    strat,
 			Shards:      s.Shards,
 		}
-		dist, err := buildTraffic(m, s.Traffic)
-		if err != nil {
-			return Result{}, err
-		}
-		meas := bandwidth.MeasureBeta(m, dist, opts, rand.New(rand.NewSource(s.Seed)))
+		meas := bandwidth.MeasureBeta(eng, dist, opts, rng)
 		res.Beta = meas.Beta
 		res.Dist = meas.Dist
 		res.RateByLoad = meas.RateByLoad
 		res.Measurement = &meas
 	case KindSteadyBeta:
-		res.Beta = bandwidth.SteadyStateBetaSharded(m, s.Ticks, s.Iters, s.Shards, rand.New(rand.NewSource(s.Seed)))
+		eng, err := engine(routing.Greedy)
+		if err != nil {
+			return Result{}, err
+		}
+		res.Beta = bandwidth.SteadyStateBeta(eng, s.Ticks, s.Iters, s.Shards, rng)
 	case KindOpenLoop:
-		runOpenLoop(routing.NewEngine(m, routing.Greedy), m, s, &res)
+		o := routing.OpenLoopOptions{Rate: s.Rate, Ticks: s.Ticks, Shards: s.Shards, Snapshot: s.Snapshot, TopK: s.TopK}
+		var eng *routing.Engine
+		if s.Faults != "" {
+			eng = routing.NewEngine(m, routing.Greedy)
+			o.Faults = topology.MustParseFaultSpec(s.Faults).Materialize(m, rng)
+		} else {
+			var err error
+			if eng, err = engine(routing.Greedy); err != nil {
+				return Result{}, err
+			}
+		}
+		ol, snap := eng.OpenLoop(traffic.NewSymmetric(m.N()), rng, o)
+		res.OpenLoop, res.Snapshot = &ol, snap
 	case KindFaultCurve:
-		res.FaultCurve = bandwidth.MeasureBetaUnderFaultsSharded(m, s.FaultFracs, s.Ticks, s.Shards, measure.NewSeedPlan(s.Seed))
+		// Fresh engines are built per fault fraction inside; the machine
+		// itself is never mutated by fault injection.
+		res.FaultCurve = bandwidth.MeasureBetaUnderFaults(m, s.FaultFracs, s.Ticks, s.Shards, measure.NewSeedPlan(s.Seed))
 	case KindLambda:
-		res.Diameter, res.AvgDist = bandwidth.MeasureLambda(m, rand.New(rand.NewSource(s.Seed)))
-	case KindEmulate:
-		return Result{}, fmt.Errorf("runspec: emulate needs guest and host machines; use RunEmulation or Execute")
+		res.Diameter, res.AvgDist = bandwidth.MeasureLambda(m, rng)
 	}
 	return res, nil
-}
-
-// runOpenLoop drives a KindOpenLoop spec on the given engine (owned by the
-// caller for faulted runs, possibly cached and shared otherwise) through
-// the explicit-shards entry points, so a shared engine is never mutated.
-// Run and runCached both funnel through it, which is what makes cached
-// open-loop results byte-identical to cold ones.
-func runOpenLoop(eng *routing.Engine, m *topology.Machine, s Spec, res *Result) {
-	dist := traffic.NewSymmetric(m.N())
-	rng := rand.New(rand.NewSource(s.Seed))
-	switch {
-	case s.Faults != "":
-		sched := topology.MustParseFaultSpec(s.Faults).Materialize(m, rng)
-		ol, snap := eng.OpenLoopFaultsSnapshotSharded(dist, s.Rate, s.Ticks, rng, s.TopK, sched, routing.FaultOptions{}, s.Shards)
-		res.OpenLoop = &ol
-		if s.Snapshot {
-			res.Snapshot = &snap
-		}
-	case s.Snapshot:
-		ol, snap := eng.OpenLoopSnapshotSharded(dist, s.Rate, s.Ticks, rng, s.TopK, s.Shards)
-		res.OpenLoop, res.Snapshot = &ol, &snap
-	default:
-		ol := eng.OpenLoopSharded(dist, s.Rate, s.Ticks, rng, s.Shards)
-		res.OpenLoop = &ol
-	}
 }
 
 // RunEmulation executes a KindEmulate spec against prebuilt guest and host
@@ -161,6 +174,9 @@ func RunEmulation(guest, host *topology.Machine, s Spec) (Result, error) {
 	}
 	if err := s.Validate(); err != nil {
 		return Result{}, err
+	}
+	if guest.Graph == nil || host.Graph == nil {
+		return Result{}, fmt.Errorf("runspec: emulation needs materialized graphs; %s on %s is implicit", guest.Name, host.Name)
 	}
 	res := Result{Kind: s.Kind, Spec: canonicalEcho(s)}
 	var er emulation.Result
@@ -281,9 +297,6 @@ func buildTraffic(m *topology.Machine, spec string) (traffic.Distribution, error
 	}
 	if !locality {
 		return traffic.NewSymmetric(m.N()), nil
-	}
-	if m.Graph == nil {
-		return nil, fmt.Errorf("runspec: locality traffic needs a materialized graph, %s is implicit", m.Name)
 	}
 	if m.N() != m.Graph.N() {
 		return nil, fmt.Errorf("runspec: locality traffic needs a pure processor machine, %s has switches", m.Name)

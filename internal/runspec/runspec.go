@@ -315,18 +315,29 @@ func (s Spec) Validate() error {
 	// Guest/Host presence is Execute's concern: RunEmulation accepts
 	// prebuilt machines with no machine specs in the spec at all.
 	if s.Machine != nil && s.Machine.Adjacency == AdjImplicit {
-		switch s.Kind {
-		case KindOpenLoop:
-		case KindBeta:
-			if locality, _, err := parseTraffic(s.Traffic); err == nil && locality {
-				return fmt.Errorf("runspec: locality traffic needs a materialized graph; adjacency %q only supports symmetric traffic", AdjImplicit)
-			}
-		default:
-			return fmt.Errorf("runspec: kind %s needs a materialized graph; adjacency %q supports beta and open-loop only", s.Kind, AdjImplicit)
+		if err := s.checkImplicit(); err != nil {
+			return err
 		}
 	}
 	if s.Guest != nil && s.Guest.Adjacency == AdjImplicit || s.Host != nil && s.Host.Adjacency == AdjImplicit {
 		return fmt.Errorf("runspec: emulation needs materialized graphs; guest and host cannot use adjacency %q", AdjImplicit)
+	}
+	return nil
+}
+
+// checkImplicit rejects what an implicit machine — generators, no edge
+// list — cannot run: every kind but symmetric-traffic beta and open loop
+// needs a materialized graph. Validate applies it to a spec's machine
+// spec, run to the machine it is handed.
+func (s Spec) checkImplicit() error {
+	switch s.Kind {
+	case KindOpenLoop:
+	case KindBeta:
+		if locality, _, err := parseTraffic(s.Traffic); err == nil && locality {
+			return fmt.Errorf("runspec: locality traffic needs a materialized graph; adjacency %q only supports symmetric traffic", AdjImplicit)
+		}
+	default:
+		return fmt.Errorf("runspec: kind %s needs a materialized graph; adjacency %q supports beta and open-loop only", s.Kind, AdjImplicit)
 	}
 	return nil
 }

@@ -8,6 +8,26 @@ import (
 	"repro/internal/topology"
 )
 
+// mustRun is Run for tests and benchmarks: a spec error stops tb.
+func mustRun(tb testing.TB, m *Machine, spec RunSpec) RunResult {
+	tb.Helper()
+	res, err := Run(m, spec)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return res
+}
+
+// mustRunEmulation is mustRun for RunEmulation.
+func mustRunEmulation(tb testing.TB, guest, host *Machine, spec RunSpec) RunResult {
+	tb.Helper()
+	res, err := RunEmulation(guest, host, spec)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return res
+}
+
 func TestNewMachineAllFamilies(t *testing.T) {
 	for _, f := range Families() {
 		dim := 0
@@ -58,7 +78,7 @@ func TestMaxHostSizeHeadline(t *testing.T) {
 
 func TestMeasureBetaFacade(t *testing.T) {
 	m := NewMesh(2, 6)
-	meas := MeasureBeta(m, MeasureOptions{LoadFactors: []int{2, 4}, Trials: 1}, 42)
+	meas := mustRun(t, m, RunSpec{Kind: RunBeta, LoadFactors: []int{2, 4}, Trials: 1, Seed: 42})
 	if meas.Beta <= 0 {
 		t.Fatal("no rate")
 	}
@@ -78,11 +98,11 @@ func TestMeasurePermutation(t *testing.T) {
 }
 
 func TestEmulateFacade(t *testing.T) {
-	res := Emulate(NewDeBruijn(5), NewMesh(2, 4), 2, 42)
+	res := mustRunEmulation(t, NewDeBruijn(5), NewMesh(2, 4), RunSpec{Kind: RunEmulate, Steps: 2, Seed: 42}).Emulation
 	if res.Slowdown < res.LoadBound {
 		t.Fatalf("slowdown %.1f below load %.1f", res.Slowdown, res.LoadBound)
 	}
-	circ := EmulateCircuit(NewRing(16), NewRing(4), 2, 2, 42)
+	circ := mustRunEmulation(t, NewRing(16), NewRing(4), RunSpec{Kind: RunEmulate, Steps: 2, Mode: RunModeCircuit, Duplicity: 2, Seed: 42}).Emulation
 	if circ.Inefficiency < 1.5 {
 		t.Fatalf("redundant inefficiency = %v", circ.Inefficiency)
 	}
@@ -122,8 +142,9 @@ func TestAuditBottleneckFacade(t *testing.T) {
 }
 
 func TestDeterminismWithSeed(t *testing.T) {
-	a := Emulate(NewDeBruijn(5), NewMesh(2, 4), 2, 7)
-	b := Emulate(NewDeBruijn(5), NewMesh(2, 4), 2, 7)
+	spec := RunSpec{Kind: RunEmulate, Steps: 2, Seed: 7}
+	a := mustRunEmulation(t, NewDeBruijn(5), NewMesh(2, 4), spec).Emulation
+	b := mustRunEmulation(t, NewDeBruijn(5), NewMesh(2, 4), spec).Emulation
 	if a.HostTicks != b.HostTicks {
 		t.Fatalf("non-deterministic: %d vs %d", a.HostTicks, b.HostTicks)
 	}
@@ -154,15 +175,15 @@ func TestProgramFacade(t *testing.T) {
 }
 
 func TestPipelinedFacade(t *testing.T) {
-	seq := Emulate(NewDeBruijn(5), NewMesh(2, 4), 2, 5)
-	pipe := EmulatePipelined(NewDeBruijn(5), NewMesh(2, 4), 2, 5)
+	seq := mustRunEmulation(t, NewDeBruijn(5), NewMesh(2, 4), RunSpec{Kind: RunEmulate, Steps: 2, Seed: 5}).Emulation
+	pipe := mustRunEmulation(t, NewDeBruijn(5), NewMesh(2, 4), RunSpec{Kind: RunEmulate, Steps: 2, Mode: RunModePipelined, Seed: 5}).Emulation
 	if pipe.HostTicks > seq.HostTicks {
 		t.Fatalf("pipelined %d > sequential %d", pipe.HostTicks, seq.HostTicks)
 	}
 }
 
 func TestSteadyBetaFacade(t *testing.T) {
-	if beta := MeasureSteadyBeta(NewMesh(2, 5), 200, 6, 5); beta <= 0 {
+	if beta := mustRun(t, NewMesh(2, 5), RunSpec{Kind: RunSteadyBeta, Ticks: 200, Iters: 6, Seed: 5}).Beta; beta <= 0 {
 		t.Fatalf("steady beta %v", beta)
 	}
 }
@@ -212,7 +233,7 @@ func TestPatternFacade(t *testing.T) {
 }
 
 func TestOpenLoopFacade(t *testing.T) {
-	res := MeasureOpenLoop(NewMesh(2, 5), 2, 200, 4)
+	res := mustRun(t, NewMesh(2, 5), RunSpec{Kind: RunOpenLoop, Rate: 2, Ticks: 200, Seed: 4}).OpenLoop
 	if res.Throughput <= 0 || res.P95Latency < 1 {
 		t.Fatalf("open loop result %+v", res)
 	}
@@ -221,7 +242,7 @@ func TestOpenLoopFacade(t *testing.T) {
 func TestLocalityFacadeBeatsSymmetricOnArray(t *testing.T) {
 	m := NewLinearArray(48)
 	opts := MeasureOptions{LoadFactors: []int{2, 4}, Trials: 1}
-	sym := MeasureBeta(m, opts, 6).Beta
+	sym := mustRun(t, m, RunSpec{Kind: RunBeta, LoadFactors: opts.LoadFactors, Trials: opts.Trials, Seed: 6}).Beta
 	local := MeasureBetaUnder(m, NewLocalityTraffic(m, 0.25), opts, 6).Beta
 	if local <= sym {
 		t.Fatalf("local rate %.1f should exceed symmetric %.1f on an array", local, sym)
@@ -239,11 +260,11 @@ func TestEmulateOnFaultedMeshSurvivor(t *testing.T) {
 	if survivor.N() >= mesh.N() {
 		t.Fatalf("survivor kept %d processors", survivor.N())
 	}
-	res := Emulate(NewMesh(2, 8), survivor, 3, 21)
+	res := mustRunEmulation(t, NewMesh(2, 8), survivor, RunSpec{Kind: RunEmulate, Steps: 3, Seed: 21}).Emulation
 	if res.Slowdown <= 0 {
 		t.Fatalf("slowdown %v", res.Slowdown)
 	}
-	back := Emulate(survivor, NewMesh(2, 4), 3, 22)
+	back := mustRunEmulation(t, survivor, NewMesh(2, 4), RunSpec{Kind: RunEmulate, Steps: 3, Seed: 22}).Emulation
 	if back.Slowdown <= 0 {
 		t.Fatalf("reverse slowdown %v", back.Slowdown)
 	}

@@ -53,14 +53,13 @@ func TestSystemAllFamiliesMeasurable(t *testing.T) {
 	if testing.Short() {
 		t.Skip("family sweep skipped in -short mode")
 	}
-	opts := MeasureOptions{LoadFactors: []int{2, 4}, Trials: 1}
 	for _, f := range Families() {
 		dim := 0
 		if f.Dimensioned() {
 			dim = 2
 		}
 		m := NewMachine(f, dim, 80, 4)
-		meas := MeasureBeta(m, opts, 4)
+		meas := mustRun(t, m, RunSpec{Kind: RunBeta, LoadFactors: []int{2, 4}, Trials: 1, Seed: 4})
 		if meas.Beta <= 0 {
 			t.Errorf("%v: zero bandwidth", f)
 		}
