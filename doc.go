@@ -14,13 +14,14 @@
 //   - machine construction for every family the paper analyses
 //     (NewMachine and the named constructors);
 //   - bandwidth, three ways: analytic Table 4 formulas (AnalyticBeta),
-//     operational measurement on a packet-routing simulator (MeasureBeta),
-//     and the graph-theoretic E(T)/C(H,T) form (GraphBeta);
+//     operational measurement on a packet-routing simulator (Run with a
+//     RunBeta or RunSteadyBeta spec), and the graph-theoretic E(T)/C(H,T)
+//     form (GraphBeta);
 //   - the Efficient Emulation Theorem: slowdown lower bounds and maximum
 //     host sizes for family pairs (SlowdownBound), reproducing the paper's
 //     Tables 1-3 and Figure 1;
 //   - executable emulations whose measured slowdown can be checked against
-//     the bound (Emulate, EmulateCircuit, VerifyBound);
+//     the bound (RunEmulation, VerifyBound);
 //   - the bottleneck-freeness audit from the paper's host-side condition
 //     (AuditBottleneck).
 //
@@ -29,30 +30,16 @@
 // Every simulator-backed measurement and emulation is expressible as a
 // serializable request — a RunSpec — executed by Run (prebuilt machine),
 // RunEmulation (prebuilt guest and host), or Execute (machines built from
-// the spec). The spec's Canonical() string is the system-wide identity:
-// the experiment orchestrator's memo cache, its persistent DiskCache, and
-// the netemud service's flight table and result store all key off it, and
-// results are byte-identical however the request arrives (facade call,
-// CLI flag set, or HTTP POST).
-//
-// The historical per-variant facade functions remain as thin deprecated
-// wrappers over Run. Old call → new spec:
-//
-//	MeasureBeta(m, opts, seed)                            Run(m, RunSpec{Kind: RunBeta, LoadFactors: …, Trials: …, Seed: seed})
-//	MeasureSteadyBeta(m, ticks, iters, seed)              Run(m, RunSpec{Kind: RunSteadyBeta, Ticks: ticks, Iters: iters, Seed: seed})
-//	MeasureSteadyBetaSharded(m, t, i, shards, seed)       … same, plus Shards: shards
-//	MeasureOpenLoop(m, rate, ticks, seed)                 Run(m, RunSpec{Kind: RunOpenLoop, Rate: rate, Ticks: ticks, Seed: seed})
-//	MeasureOpenLoopSnapshot(m, rate, ticks, topK, seed)   … same, plus Snapshot: true, TopK: topK
-//	MeasureBetaUnderFaults(m, fracs, ticks, seed)         Run(m, RunSpec{Kind: RunFaultCurve, FaultFracs: fracs, Ticks: ticks, Seed: seed})
-//	MeasureOpenLoopSnapshotUnderFaults(m, r, t, k, f, s)  Run(m, RunSpec{Kind: RunOpenLoop, Rate: r, Ticks: t, TopK: k, Snapshot: true, Faults: f, Seed: s})
-//	Emulate(guest, host, steps, seed)                     RunEmulation(guest, host, RunSpec{Kind: RunEmulate, Steps: steps, Seed: seed})
-//	EmulateCircuit(g, h, steps, dup, seed)                … same, plus Mode: RunModeCircuit, Duplicity: dup
-//	EmulatePipelined(g, h, steps, seed)                   … same, plus Mode: RunModePipelined
-//	EmulateDegraded(g, h, steps, failStep, k, seed)       … same, plus Faults: "nodes:K@tS"
-//
-// Sharded variants differ only in the Shards field, which is excluded
-// from Canonical() — the determinism contract makes results identical at
-// every shard count, so shard count is not part of a request's identity.
+// the spec). There is one entry point per operation: the run kind, the
+// emulation mode, a mid-run fault scenario, a snapshot and the shard count
+// are all fields of the spec, and a spec the machine cannot run is an
+// error. The spec's Canonical() string is the system-wide identity: the
+// experiment orchestrator's memo cache, its persistent DiskCache, and the
+// netemud service's flight table and result store all key off it, and
+// results are byte-identical however the request arrives (Run call, CLI
+// flag set, or HTTP POST). Shards is excluded from Canonical(): the
+// simulator's determinism contract makes results identical at every
+// shard count, so shard count is not part of a request's identity.
 //
 // Everything is deterministic given a seed; all randomness flows through
 // explicitly seeded generators.
