@@ -2,11 +2,12 @@
 // report comparing the paper's claims against measured values: Table 4
 // formulas vs fitted exponents, Tables 1-3 symbolic entries, the Figure 1
 // crossover, the emulation-matrix bound checks, bottleneck audits, the
-// Theorem 6 equivalence, and the prior-work baseline comparison.
+// Theorem 6 equivalence with its packet timetables, the Lemma 9/11
+// witness construction, and the prior-work baseline comparison.
 //
 // Sections run as jobs on the deterministic experiment orchestrator
 // (internal/experiment): the output is byte-identical at any -workers
-// value, so parallelism is free. With -cache, β/λ measurements persist as
+// value, so parallelism is free. With -cache, β measurements persist as
 // JSON files in the given directory and repeat runs are served from it —
 // also without changing a byte, since entries are keyed by measurement
 // identity, seed, and measurement version, and hits replay the machine
@@ -37,7 +38,7 @@ func main() {
 	quick := flag.Bool("quick", false, "smaller sweeps for a fast run")
 	seed := flag.Int64("seed", 1, "rng seed")
 	workers := flag.Int("workers", 0, "concurrent measurement jobs (0 = GOMAXPROCS); output is identical at any value")
-	cacheDir := flag.String("cache", "", "persist β/λ measurements in this directory and reuse them across runs; output is identical with or without it")
+	cacheDir := flag.String("cache", "", "persist β measurements in this directory and reuse them across runs; output is identical with or without it")
 	out := flag.String("o", "", "output file (default stdout)")
 	prof := profiling.RegisterFlags(flag.CommandLine)
 	flag.Parse()

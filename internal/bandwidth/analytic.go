@@ -77,13 +77,3 @@ func Table4(f topology.Family, dim int) (Analytic, error) {
 		return Analytic{}, fmt.Errorf("bandwidth: no Table 4 entry for family %v", f)
 	}
 }
-
-// MustTable4 is Table4 that panics on error, for the fixed family lists in
-// table generators.
-func MustTable4(f topology.Family, dim int) Analytic {
-	a, err := Table4(f, dim)
-	if err != nil {
-		panic(err)
-	}
-	return a
-}

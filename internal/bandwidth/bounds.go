@@ -55,14 +55,6 @@ func UpperBounds(m *topology.Machine, restarts int, rng *rand.Rand) Bounds {
 	}
 }
 
-// Min returns the tighter of the two bounds.
-func (b Bounds) Min() float64 {
-	if b.Flux < b.Bisection {
-		return b.Flux
-	}
-	return b.Bisection
-}
-
 // ImprovedGraphBeta estimates β like GraphTheoreticBeta but routes the
 // traffic embedding through the congestion-aware rerouting pass, which can
 // move load off shortest paths entirely. This matters on hierarchical

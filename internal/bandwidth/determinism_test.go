@@ -8,39 +8,6 @@ import (
 	"repro/internal/topology"
 )
 
-// ISSUE satellite: SweepBeta and SweepBetaParallel must agree bit-for-bit
-// on the same SeedPlan, point for point, across families, sizes, and
-// seeds — the SeedPlan determinism contract.
-func TestSweepSequentialEqualsParallel(t *testing.T) {
-	opts := MeasureOptions{LoadFactors: []int{2, 4}, Trials: 2}
-	cases := []struct {
-		family topology.Family
-		dim    int
-		sizes  []int
-	}{
-		{topology.MeshFamily, 2, []int{16, 36, 64}},
-		{topology.ButterflyFamily, 0, []int{24, 64, 160}},
-		{topology.WeakHypercubeFamily, 0, []int{16, 32, 64}},
-	}
-	for _, c := range cases {
-		for _, seed := range []int64{1, 2} {
-			seq := SweepBeta(c.family, c.dim, c.sizes, opts, measure.NewSeedPlan(seed))
-			for _, workers := range []int{1, 2, len(c.sizes)} {
-				par := SweepBetaParallel(c.family, c.dim, c.sizes, opts, measure.NewSeedPlan(seed), workers)
-				if len(par) != len(seq) {
-					t.Fatalf("%v seed %d: %d points vs %d", c.family, seed, len(par), len(seq))
-				}
-				for i := range seq {
-					if seq[i] != par[i] {
-						t.Errorf("%v seed %d workers %d point %d: sequential %+v != parallel %+v",
-							c.family, seed, workers, i, seq[i], par[i])
-					}
-				}
-			}
-		}
-	}
-}
-
 // ISSUE satellite: MeasureBeta must be invariant under the ordering of
 // LoadFactors — every (load factor, trial) pair runs on its own SeedPlan
 // stream keyed by its values, not by iteration order.

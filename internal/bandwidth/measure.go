@@ -29,12 +29,6 @@ type MeasureOptions struct {
 	// contract makes the measured values bit-identical at every shard
 	// count, which is why cache layers exclude Shards from their keys.
 	Shards int
-	// Implicit makes sweeps build machines with generator-backed adjacency
-	// (topology.BuildImplicit) when the family supports it — hypercube,
-	// mesh, torus — so million-vertex sizes fit in memory. Like Shards this
-	// is a representation knob, not a measurement parameter: implicit and
-	// explicit runs are bit-identical, so cache layers exclude it too.
-	Implicit bool
 }
 
 // Canonical returns the options with every default filled in, so two
@@ -174,40 +168,6 @@ func regressionSlope(xs, ys []float64) (float64, bool) {
 type SweepPoint struct {
 	N    int
 	Beta float64
-}
-
-// SweepBeta measures β across machine sizes of one family, for exponent
-// fitting against the Table 4 formulas. dim is passed to topology.Build.
-// Each size runs on its own RNG stream derived from the plan by (family,
-// size index), the exact streams SweepBetaParallel uses, so the two sweeps
-// are bit-identical on the same plan.
-func SweepBeta(f topology.Family, dim int, sizes []int, opts MeasureOptions, plan measure.SeedPlan) []SweepPoint {
-	out := make([]SweepPoint, 0, len(sizes))
-	for i, size := range sizes {
-		out = append(out, sweepPoint(f, dim, size, i, opts, plan))
-	}
-	return out
-}
-
-// sweepPoint measures one size of a sweep on its plan-derived stream. Both
-// SweepBeta and SweepBetaParallel funnel through it, which is what makes
-// them bit-identical.
-func sweepPoint(f topology.Family, dim, size, index int, opts MeasureOptions, plan measure.SeedPlan) SweepPoint {
-	rng := plan.RNG(uint64(f), uint64(index))
-	var m *topology.Machine
-	if opts.Implicit && topology.ImplicitSupported(f) {
-		// Build consumes no rng draws for these families, so the implicit
-		// sweep sees the exact streams the explicit one does.
-		var err error
-		m, err = topology.BuildImplicit(f, dim, size)
-		if err != nil {
-			panic(fmt.Sprintf("bandwidth: %v", err))
-		}
-	} else {
-		m = topology.Build(f, dim, size, rng)
-	}
-	meas := MeasureBeta(routing.NewEngine(m, opts.Strategy), traffic.NewSymmetric(m.N()), opts, rng)
-	return SweepPoint{N: m.N(), Beta: meas.Beta}
 }
 
 // MeasureLambda reports the machine's λ ingredients: the exact or

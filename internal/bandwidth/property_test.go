@@ -1,6 +1,7 @@
 package bandwidth
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -52,7 +53,7 @@ func TestOpenLoopThroughputRespectsBisectionBound(t *testing.T) {
 		bounds := UpperBounds(m, 4, rng)
 		eng := routing.NewEngine(m, routing.Greedy)
 		dist := traffic.NewSymmetric(m.N())
-		sat := eng.SaturationRate(dist, 2*bounds.Min(), 300, 8, rng, 1)
+		sat := eng.SaturationRate(dist, 2*math.Min(bounds.Flux, bounds.Bisection), 300, 8, rng, 1)
 		if sat > 1.1*bounds.Bisection {
 			t.Errorf("%s: saturation throughput %.2f exceeds bisection bound %.2f",
 				m.Name, sat, bounds.Bisection)

@@ -245,15 +245,6 @@ func parseWorker(arg string) (int, error) {
 	return n, nil
 }
 
-// MustParseChaosSpec is ParseChaosSpec that panics on error, for literals.
-func MustParseChaosSpec(spec string) Plan {
-	plan, err := ParseChaosSpec(spec)
-	if err != nil {
-		panic(err)
-	}
-	return plan
-}
-
 // WorkerState is a worker's condition on the virtual timeline.
 type WorkerState int
 
@@ -316,19 +307,6 @@ func (p Plan) MaxWorker() int {
 		}
 	}
 	return max
-}
-
-// Horizon returns the latest timeline trigger in the plan (0 when the
-// plan has no timeline events). A soak shorter than the horizon never
-// reaches the late events; cmd/netemuchaos warns on it.
-func (p Plan) Horizon() time.Duration {
-	var h time.Duration
-	for _, c := range p {
-		if !c.Kind.probabilistic() && c.At > h {
-			h = c.At
-		}
-	}
-	return h
 }
 
 // unit hashes (seed, request index, clause index) to a uniform value in

@@ -92,7 +92,7 @@ func FuzzParseChaosSpec(f *testing.F) {
 		// The decision function must be total on any parsed plan.
 		for i := uint64(0); i < 4; i++ {
 			plan.Decide(42, i)
-			plan.WorkerStateAt(1, plan.Horizon())
+			plan.WorkerStateAt(1, horizon(plan))
 		}
 	})
 }

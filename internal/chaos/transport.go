@@ -5,14 +5,10 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/http/httputil"
-	"net/url"
 	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"repro/internal/api"
 )
 
 // Error is the transport-level failure the injector returns for drop
@@ -86,9 +82,6 @@ func NewTransport(seed int64, plan Plan, workers []string, opts TransportOptions
 		perReq:  opts.TimePerRequest,
 	}
 }
-
-// Requests returns how many requests the transport has carried.
-func (t *Transport) Requests() uint64 { return t.idx.Load() }
 
 // Trace returns the injected-fault log: one line per fault, in
 // injection order ("r0007 drop", "r0012 latency 50ms",
@@ -165,24 +158,4 @@ func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 	resp.ContentLength = int64(len(cut))
 	resp.Header.Set("Content-Length", strconv.Itoa(len(cut)))
 	return resp, nil
-}
-
-// NewProxy returns a reverse proxy onto target ("host:port") that
-// routes its upstream traffic through rt — the shell-soak shape: park a
-// chaos proxy in front of a stock worker process and point the
-// coordinator at the proxy, no process changes anywhere. rt is
-// typically a *Transport whose pool is just the one target.
-func NewProxy(target string, rt http.RoundTripper) http.Handler {
-	p := httputil.NewSingleHostReverseProxy(&url.URL{Scheme: "http", Host: target})
-	p.Transport = rt
-	p.ErrorHandler = func(w http.ResponseWriter, r *http.Request, err error) {
-		// A chaos-injected transport failure surfaces as the 502 the
-		// dispatcher's retry taxonomy already treats as "spill to the
-		// ring successor" (502 spills by status — it is the one error a
-		// worker envelope can't carry, since the worker never answered).
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusBadGateway)
-		w.Write(api.Envelope(api.CodeInternal, err.Error()))
-	}
-	return p
 }

@@ -59,15 +59,6 @@ func (c *Circuit) NodeCount() int {
 	return total
 }
 
-// ArcCount returns the total number of arcs.
-func (c *Circuit) ArcCount() int {
-	total := 0
-	for _, a := range c.arcs {
-		total += len(a)
-	}
-	return total
-}
-
 // Duplicity returns the copy count of class (u, i).
 func (c *Circuit) Duplicity(u, level int) int {
 	count := 0

@@ -2,6 +2,7 @@ package circuit
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -18,6 +19,18 @@ func ringGraph(n int) *multigraph.Multigraph {
 	return g
 }
 
+// arcCount returns the total number of arcs of c.
+func arcCount(c *Circuit) int {
+	total := 0
+	for i := 0; i < c.Steps; i++ {
+		total += len(c.ArcsFrom(i))
+	}
+	return total
+}
+
+// simpleDegree returns the number of distinct neighbours of u.
+func simpleDegree(g *multigraph.Multigraph, u int) int { return len(g.Neighbors(u)) }
+
 func TestNonRedundantStructure(t *testing.T) {
 	g := ringGraph(6)
 	c := NonRedundant(g, 4)
@@ -29,8 +42,8 @@ func TestNonRedundantStructure(t *testing.T) {
 	}
 	// Per level transition: each vertex has identity + 2 neighbours = 3
 	// arcs; 6 vertices * 4 transitions = 72.
-	if c.ArcCount() != 72 {
-		t.Fatalf("arcs = %d, want 72", c.ArcCount())
+	if arcCount(c) != 72 {
+		t.Fatalf("arcs = %d, want 72", arcCount(c))
 	}
 	if err := c.Validate(); err != nil {
 		t.Fatalf("Validate: %v", err)
@@ -109,8 +122,8 @@ func TestCommunicationGraph(t *testing.T) {
 	if comm.N() != 12 {
 		t.Fatalf("comm nodes = %d, want 12", comm.N())
 	}
-	if int(comm.E()) != c.ArcCount() {
-		t.Fatalf("comm edges = %d, want %d", comm.E(), c.ArcCount())
+	if int(comm.E()) != arcCount(c) {
+		t.Fatalf("comm edges = %d, want %d", comm.E(), arcCount(c))
 	}
 	if len(idx) != 12 {
 		t.Fatalf("index size = %d", len(idx))
@@ -230,42 +243,12 @@ func TestBalancedRandomAssignment(t *testing.T) {
 	if len(a) != 100 {
 		t.Fatalf("len = %d", len(a))
 	}
-	if load := a.MaxLoad(7); load != 15 { // ceil(100/7)
+	counts := make([]int, 7)
+	for _, p := range a {
+		counts[p]++
+	}
+	if load := slices.Max(counts); load != 15 { // ceil(100/7)
 		t.Fatalf("max load = %d, want 15", load)
-	}
-}
-
-func TestVertexBlockAssignment(t *testing.T) {
-	g := ringGraph(8)
-	c := NonRedundant(g, 3)
-	a := VertexBlockAssignment(c, 4)
-	_, idx := c.CommunicationGraph()
-	for node, i := range idx {
-		want := node.Vertex / 2 // 8 vertices over 4 hosts
-		if a[i] != want {
-			t.Fatalf("node %+v assigned to %d, want %d", node, a[i], want)
-		}
-	}
-}
-
-func TestCollapseRingOntoHalf(t *testing.T) {
-	g := ringGraph(8)
-	c := NonRedundant(g, 3)
-	a := VertexBlockAssignment(c, 4)
-	m := Collapse(c, a, 4)
-	if m.N() != 4 {
-		t.Fatalf("collapsed N = %d", m.N())
-	}
-	// Only ring edges crossing block boundaries survive: 4 boundary pairs
-	// per transition, 2 arc directions each, 3 transitions.
-	if m.E() != 24 {
-		t.Fatalf("collapsed E = %d, want 24", m.E())
-	}
-	// Identity arcs vanish entirely under vertex-block assignment.
-	for _, e := range m.Edges() {
-		if e.U == e.V {
-			t.Fatal("self loop survived")
-		}
 	}
 }
 
@@ -318,9 +301,9 @@ func TestPropertyNonRedundantValid(t *testing.T) {
 		}
 		wantArcs := 0
 		for u := 0; u < m.Graph.N(); u++ {
-			wantArcs += m.Graph.SimpleDegree(u) + 1
+			wantArcs += simpleDegree(m.Graph, u) + 1
 		}
-		return c.ArcCount() == wantArcs*steps
+		return arcCount(c) == wantArcs*steps
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)

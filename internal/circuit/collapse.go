@@ -18,22 +18,6 @@ import (
 // host processors.
 type Assignment []int
 
-// MaxLoad returns the largest number of circuit nodes assigned to one
-// processor.
-func (a Assignment) MaxLoad(hostSize int) int {
-	counts := make([]int, hostSize)
-	for _, p := range a {
-		counts[p]++
-	}
-	worst := 0
-	for _, c := range counts {
-		if c > worst {
-			worst = c
-		}
-	}
-	return worst
-}
-
 // BalancedRandomAssignment spreads `total` circuit nodes over hostSize
 // processors in random balanced fashion (loads differ by at most one).
 func BalancedRandomAssignment(total, hostSize int, rng *rand.Rand) Assignment {
@@ -46,43 +30,6 @@ func BalancedRandomAssignment(total, hostSize int, rng *rand.Rand) Assignment {
 		a[node] = i % hostSize
 	}
 	return a
-}
-
-// VertexBlockAssignment assigns all copies of guest vertex u (at every
-// level) to processor u*hostSize/n — the natural contraction emulation
-// where each host processor simulates a contiguous block of guest vertices.
-func VertexBlockAssignment(c *Circuit, hostSize int) Assignment {
-	if hostSize < 1 {
-		panic(fmt.Sprintf("circuit: host size %d < 1", hostSize))
-	}
-	_, idx := c.CommunicationGraph()
-	a := make(Assignment, len(idx))
-	n := c.Guest.N()
-	for node, i := range idx {
-		a[i] = node.Vertex * hostSize / n
-	}
-	return a
-}
-
-// Collapse builds the communication multigraph M on hostSize processors
-// induced by emulating the circuit under the assignment: every arc whose
-// endpoints land on different processors becomes an edge of M (self-loops
-// vanish — intra-processor data movement is free).
-func Collapse(c *Circuit, a Assignment, hostSize int) *multigraph.Multigraph {
-	_, idx := c.CommunicationGraph()
-	if len(a) != len(idx) {
-		panic(fmt.Sprintf("circuit: assignment covers %d of %d nodes", len(a), len(idx)))
-	}
-	m := multigraph.New(hostSize)
-	for _, arcs := range c.arcs {
-		for _, arc := range arcs {
-			pu, pv := a[idx[arc.From]], a[idx[arc.To]]
-			if pu != pv {
-				m.AddEdge(pu, pv, 1)
-			}
-		}
-	}
-	return m
 }
 
 // CollapseTraffic maps a traffic graph on circuit nodes (e.g. the γ

@@ -107,14 +107,3 @@ func BandwidthMeshOnMesh(k, j int) Baseline {
 		},
 	}
 }
-
-// AgreesAtEqualSize reports whether this paper's bandwidth bound matches
-// the Koch congestion bound within a constant factor when |G| = |H| = n —
-// the regime where the paper claims its method "matches their results for
-// non-expander guests". tol is the allowed multiplicative slack.
-func AgreesAtEqualSize(k, j int, n, tol float64) bool {
-	koch := KochMeshOnMesh(k, j).Slowdown(n, n)
-	band := BandwidthMeshOnMesh(k, j).Slowdown(n, n)
-	ratio := band / koch
-	return ratio >= 1/tol && ratio <= tol
-}

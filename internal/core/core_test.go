@@ -93,6 +93,15 @@ func TestTable1XTreeRow(t *testing.T) {
 	t.Fatal("row missing")
 }
 
+// Theorem 2: an X-Tree guest on a linear array (per-node bandwidths
+// lg n / n vs 1/m) gives |H| <= O(|G|/lg |G|).
+func TestTheorem2Shape(t *testing.T) {
+	r := row(Spec{Family: topology.XTreeFamily}, Spec{Family: topology.LinearArrayFamily})
+	if !strings.Contains(r.MaxHost, "|G| lg^{-1} |G|") {
+		t.Fatalf("theorem 2 array row = %q", r.MaxHost)
+	}
+}
+
 func TestTable1MeshHostRow(t *testing.T) {
 	rows := Table1(2, 3)
 	for _, r := range rows {
@@ -319,88 +328,6 @@ func TestVerifyEmulationRespectsBoundAcrossPairs(t *testing.T) {
 			t.Errorf("%s on %s: measured %.2f below bound %.2f",
 				p.guest.Name, p.host.Name, check.Measured, check.Predicted)
 		}
-	}
-}
-
-func TestEmpiricalCrossoverSynthetic(t *testing.T) {
-	// Load-dominated until m=64 (slowdown ~ n/m), flat afterwards.
-	pts := []MeasuredPoint{
-		{M: 4, Slowdown: 256},
-		{M: 16, Slowdown: 70},
-		{M: 64, Slowdown: 25},
-		{M: 256, Slowdown: 22},
-		{M: 1024, Slowdown: 21},
-	}
-	knee, err := EmpiricalCrossover(pts, 0.25)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if knee != 64 {
-		t.Fatalf("knee = %v, want 64", knee)
-	}
-}
-
-func TestEmpiricalCrossoverNeverFlattens(t *testing.T) {
-	pts := []MeasuredPoint{
-		{M: 4, Slowdown: 256},
-		{M: 16, Slowdown: 64},
-		{M: 64, Slowdown: 16},
-	}
-	knee, err := EmpiricalCrossover(pts, 0.25)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if knee != 64 {
-		t.Fatalf("knee = %v, want the largest M", knee)
-	}
-}
-
-func TestEmpiricalCrossoverUnsortedInput(t *testing.T) {
-	pts := []MeasuredPoint{
-		{M: 256, Slowdown: 22},
-		{M: 4, Slowdown: 256},
-		{M: 64, Slowdown: 25},
-		{M: 16, Slowdown: 70},
-	}
-	knee, err := EmpiricalCrossover(pts, 0.25)
-	if err != nil || knee != 64 {
-		t.Fatalf("knee = %v, %v", knee, err)
-	}
-}
-
-func TestEmpiricalCrossoverErrors(t *testing.T) {
-	if _, err := EmpiricalCrossover([]MeasuredPoint{{M: 1, Slowdown: 1}}, 0.25); err == nil {
-		t.Fatal("too-few accepted")
-	}
-	pts := []MeasuredPoint{{M: 4, Slowdown: 1}, {M: 4, Slowdown: 2}, {M: 8, Slowdown: 1}}
-	if _, err := EmpiricalCrossover(pts, 0.25); err == nil {
-		t.Fatal("duplicate sizes accepted")
-	}
-	good := []MeasuredPoint{{M: 4, Slowdown: 8}, {M: 8, Slowdown: 4}, {M: 16, Slowdown: 2}}
-	if _, err := EmpiricalCrossover(good, 1.5); err == nil {
-		t.Fatal("bad relTol accepted")
-	}
-}
-
-// End-to-end: measured de Bruijn-on-mesh emulations produce a knee in the
-// vicinity of the analytic crossover.
-func TestEmpiricalCrossoverMatchesAnalytic(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	guest := topology.DeBruijn(8) // 256
-	var pts []MeasuredPoint
-	for _, side := range []int{2, 4, 8, 12, 16} {
-		host := topology.Mesh(2, side)
-		res := emulationDirect(guest, host, rng)
-		pts = append(pts, MeasuredPoint{M: float64(host.N()), Slowdown: res})
-	}
-	knee, err := EmpiricalCrossover(pts, 0.2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Analytic crossover for n=256 is lg²256 = 64; accept the knee in
-	// [16, 256) — the two-regime structure, not the exact constant.
-	if knee < 16 || knee >= 256 {
-		t.Fatalf("knee = %v, want within [16, 256)", knee)
 	}
 }
 

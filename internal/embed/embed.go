@@ -138,54 +138,3 @@ func (e *Embedding) Congestion() int64 {
 	}
 	return worst
 }
-
-// Dilation returns the maximum path length (edges), 0 for an embedding
-// with only trivial paths.
-func (e *Embedding) Dilation() int {
-	worst := 0
-	for _, p := range e.Paths {
-		if l := len(p.Vertices) - 1; l > worst {
-			worst = l
-		}
-	}
-	return worst
-}
-
-// AverageDilation returns the multiplicity-weighted mean path length —
-// the paper's average G-dilation measure.
-func (e *Embedding) AverageDilation() float64 {
-	var total, weight int64
-	for _, p := range e.Paths {
-		total += int64(len(p.Vertices)-1) * p.GuestEdge.Mult
-		weight += p.GuestEdge.Mult
-	}
-	if weight == 0 {
-		return 0
-	}
-	return float64(total) / float64(weight)
-}
-
-// VertexLoads returns, for every host vertex, the total load transiting or
-// terminating at it (each path contributes its multiplicity to every vertex
-// it visits). Machines with per-vertex forwarding caps (bus hubs, one-port
-// hypercubes) are bound by this measure rather than edge congestion.
-func (e *Embedding) VertexLoads() []int64 {
-	loads := make([]int64, e.Host.N())
-	for _, p := range e.Paths {
-		for _, v := range p.Vertices {
-			loads[v] += p.GuestEdge.Mult
-		}
-	}
-	return loads
-}
-
-// MaxVertexLoad returns the maximum entry of VertexLoads.
-func (e *Embedding) MaxVertexLoad() int64 {
-	var worst int64
-	for _, l := range e.VertexLoads() {
-		if l > worst {
-			worst = l
-		}
-	}
-	return worst
-}

@@ -39,6 +39,15 @@ func grid(r, c int) *multigraph.Multigraph {
 	return g
 }
 
+// dilation returns the longest path of e in edges.
+func dilation(e *Embedding) int {
+	worst := 0
+	for _, p := range e.Paths {
+		worst = max(worst, len(p.Vertices)-1)
+	}
+	return worst
+}
+
 func TestIdentityMap(t *testing.T) {
 	m := IdentityMap(4)
 	for i, v := range m {
@@ -55,7 +64,7 @@ func TestShortestPathsCycleIntoPath(t *testing.T) {
 	host := path(6)
 	guest := cycle(6)
 	e := ShortestPaths(host, guest, IdentityMap(6))
-	if got := e.Dilation(); got != 5 {
+	if got := dilation(e); got != 5 {
 		t.Fatalf("dilation = %d, want 5", got)
 	}
 	if got := e.Congestion(); got != 2 {
@@ -71,8 +80,8 @@ func TestShortestPathsTrivial(t *testing.T) {
 	if e.Congestion() != 0 {
 		t.Fatalf("congestion = %d, want 0", e.Congestion())
 	}
-	if e.Dilation() != 0 {
-		t.Fatalf("dilation = %d, want 0", e.Dilation())
+	if dilation(e) != 0 {
+		t.Fatalf("dilation = %d, want 0", dilation(e))
 	}
 }
 
@@ -86,34 +95,6 @@ func TestCongestionRespectsHostMultiplicity(t *testing.T) {
 	e := ShortestPaths(host, guest, IdentityMap(3))
 	if got := e.Congestion(); got != 2 { // 4 units over 2 parallel wires
 		t.Fatalf("congestion = %d, want 2", got)
-	}
-}
-
-func TestAverageDilation(t *testing.T) {
-	host := path(4)
-	guest := multigraph.New(4)
-	guest.AddEdge(0, 3, 1) // length 3
-	guest.AddEdge(0, 1, 3) // length 1, weight 3
-	e := ShortestPaths(host, guest, IdentityMap(4))
-	want := (3.0*1 + 1.0*3) / 4.0
-	if got := e.AverageDilation(); got != want {
-		t.Fatalf("avg dilation = %v, want %v", got, want)
-	}
-}
-
-func TestVertexLoads(t *testing.T) {
-	host := path(4)
-	guest := multigraph.New(4)
-	guest.AddEdge(0, 3, 2)
-	e := ShortestPaths(host, guest, IdentityMap(4))
-	loads := e.VertexLoads()
-	for v, want := range []int64{2, 2, 2, 2} {
-		if loads[v] != want {
-			t.Fatalf("load[%d] = %d, want %d", v, loads[v], want)
-		}
-	}
-	if e.MaxVertexLoad() != 2 {
-		t.Fatalf("max vertex load = %d", e.MaxVertexLoad())
 	}
 }
 

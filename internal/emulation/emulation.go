@@ -121,18 +121,6 @@ func sidePow(side, dim int) int {
 	return out
 }
 
-// RandomMap assigns guest processors to host processors in random balanced
-// fashion — the locality-free baseline.
-func RandomMap(guest, host *topology.Machine, rng *rand.Rand) []int {
-	n, m := guest.N(), host.N()
-	assign := make([]int, n)
-	perm := rng.Perm(n)
-	for rank, v := range perm {
-		assign[v] = rank * m / n
-	}
-	return assign
-}
-
 // bfsOrder returns the guest's processor ids in BFS order from processor 0
 // (switch vertices are excluded).
 func bfsOrder(guest *topology.Machine) []int {

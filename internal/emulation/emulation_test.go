@@ -8,6 +8,17 @@ import (
 	"repro/internal/topology"
 )
 
+// randomMap assigns guest processors to host processors in random
+// balanced fashion — the locality-free baseline.
+func randomMap(guest, host *topology.Machine, rng *rand.Rand) []int {
+	n, m := guest.N(), host.N()
+	assign := make([]int, n)
+	for rank, v := range rng.Perm(n) {
+		assign[v] = rank * m / n
+	}
+	return assign
+}
+
 func TestContractionMapBalanced(t *testing.T) {
 	guest := topology.Mesh(2, 8) // 64
 	host := topology.Mesh(2, 4)  // 16
@@ -24,7 +35,7 @@ func TestRandomMapBalanced(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	guest := topology.Ring(30)
 	host := topology.Ring(7)
-	assign := RandomMap(guest, host, rng)
+	assign := randomMap(guest, host, rng)
 	loads := blockLoads(assign, host.N())
 	if got := maxLoad(loads); got > 5 {
 		t.Fatalf("max load %d, want <= ceil(30/7) = 5", got)
@@ -160,7 +171,7 @@ func TestLocalityBeatsRandomMap(t *testing.T) {
 	guest := topology.Mesh(2, 8)
 	host := topology.Mesh(2, 4)
 	local := Direct(guest, host, 2, ContractionMap(guest, host), rng)
-	random := Direct(guest, host, 2, RandomMap(guest, host, rng), rng)
+	random := Direct(guest, host, 2, randomMap(guest, host, rng), rng)
 	if local.RouteTicks >= random.RouteTicks {
 		t.Fatalf("local routing %d ticks, random %d: locality should win",
 			local.RouteTicks, random.RouteTicks)

@@ -18,13 +18,6 @@ import (
 // uncached runs bit-identical: the first requester and a cold run both
 // draw stream(key).
 
-// Lambda is a memoized λ measurement: the machine's diameter and sampled
-// average distance (λ(M) is proportional to both on every Table 4 machine).
-type Lambda struct {
-	Diameter int
-	AvgDist  float64
-}
-
 // betaKey is the canonical RunSpec key of a memoized β measurement. Seed
 // stays out of the spec — the runner's base seed enters via diskKey — and
 // Shards stays out by the Canonical contract, so every consumer (memo,
@@ -37,14 +30,6 @@ func betaKey(f topology.Family, dim, size int, opts bandwidth.MeasureOptions) st
 		LoadFactors: opts.LoadFactors,
 		Trials:      opts.Trials,
 		Strategy:    opts.Strategy.String(),
-	}.Canonical()
-}
-
-// lambdaKey is the canonical RunSpec key of a memoized λ measurement.
-func lambdaKey(f topology.Family, dim, size int) string {
-	return runspec.Spec{
-		Kind:    runspec.KindLambda,
-		Machine: &runspec.MachineSpec{Family: f.String(), Dim: dim, Size: size},
 	}.Canonical()
 }
 
@@ -92,46 +77,6 @@ func (r *Runner) BetaFuture(f topology.Family, dim, size int, opts bandwidth.Mea
 	}
 	fut.submit(r)
 	return fut
-}
-
-// Beta is BetaFuture + Wait.
-func (r *Runner) Beta(f topology.Family, dim, size int, opts bandwidth.MeasureOptions) bandwidth.Measurement {
-	return r.BetaFuture(f, dim, size, opts).Wait()
-}
-
-// LambdaFuture returns the memoized λ ingredients of the Build-identified
-// machine. With a disk cache attached, the job consults it before
-// measuring.
-func (r *Runner) LambdaFuture(f topology.Family, dim, size int) *Future[Lambda] {
-	key := lambdaKey(f, dim, size)
-	if v, ok := r.lambda.Load(key); ok {
-		return v.(*Future[Lambda])
-	}
-	fut := newFuture(r, key, func(rng *rand.Rand) Lambda {
-		if r.disk != nil {
-			var l Lambda
-			if r.disk.load(r.diskKey(key), &l) {
-				return l
-			}
-		}
-		m, _ := r.artifactsFor(f, dim, size, routing.Greedy, rng)
-		diam, avg := bandwidth.MeasureLambda(m, rng)
-		out := Lambda{Diameter: diam, AvgDist: avg}
-		if r.disk != nil {
-			r.disk.store(r.diskKey(key), out)
-		}
-		return out
-	})
-	if actual, loaded := r.lambda.LoadOrStore(key, fut); loaded {
-		return actual.(*Future[Lambda])
-	}
-	fut.submit(r)
-	return fut
-}
-
-// Lambda is LambdaFuture + Wait.
-func (r *Runner) Lambda(f topology.Family, dim, size int) Lambda {
-	return r.LambdaFuture(f, dim, size).Wait()
 }
 
 // artifactsFor resolves the job's machine (and, when shareable, engine)

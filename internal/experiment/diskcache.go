@@ -11,7 +11,7 @@ import (
 
 // The persistent layer under the in-memory memoization: measurement results
 // as content-keyed JSON files, so repeated report/crossover runs skip the
-// simulator entirely. The disk key is the in-memory key (betaKey/lambdaKey)
+// simulator entirely. The disk key is the in-memory key (betaKey)
 // extended with the runner's base seed and a measurement version:
 //
 //   - the seed, because a job's value is a function of (base seed, key) —
@@ -125,7 +125,7 @@ func (c *DiskCache) store(key string, val any) {
 }
 
 // UseDiskCache adds a persistent layer under the runner's in-memory
-// memoization: β and λ jobs consult the cache before running the simulator
+// memoization: β jobs consult the cache before running the simulator
 // and persist what they measure. Entries are keyed by (measurement
 // identity, base seed, measurement version), so a cache directory can be
 // shared across runs, seeds, and versions without ever serving a wrong

@@ -21,7 +21,7 @@ func betaOn(t *testing.T, seed int64, dir string) bandwidth.Measurement {
 			t.Fatal(err)
 		}
 	}
-	return r.Beta(topology.MeshFamily, 2, 36, bandwidth.MeasureOptions{})
+	return r.BetaFuture(topology.MeshFamily, 2, 36, bandwidth.MeasureOptions{}).Wait()
 }
 
 func TestDiskCacheHitIsBitIdentical(t *testing.T) {
@@ -33,7 +33,7 @@ func TestDiskCacheHitIsBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm := r.Beta(topology.MeshFamily, 2, 36, bandwidth.MeasureOptions{})
+	warm := r.BetaFuture(topology.MeshFamily, 2, 36, bandwidth.MeasureOptions{}).Wait()
 	if hits, misses := c.Counts(); hits != 1 || misses != 0 {
 		t.Fatalf("warm run: %d hits, %d misses, want 1/0", hits, misses)
 	}
@@ -64,7 +64,7 @@ func TestDiskCacheKeyedBySeed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.Beta(topology.MeshFamily, 2, 36, bandwidth.MeasureOptions{})
+	r.BetaFuture(topology.MeshFamily, 2, 36, bandwidth.MeasureOptions{}).Wait()
 	if hits, _ := c.Counts(); hits != 0 {
 		t.Fatalf("different seed hit the cache %d times", hits)
 	}
@@ -99,7 +99,7 @@ func TestDiskCacheCorruptEntriesAreMisses(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := r.Beta(topology.MeshFamily, 2, 36, bandwidth.MeasureOptions{})
+			got := r.BetaFuture(topology.MeshFamily, 2, 36, bandwidth.MeasureOptions{}).Wait()
 			if hits, misses := dc.Counts(); hits != 0 || misses == 0 {
 				t.Fatalf("corrupt entry served: %d hits, %d misses", hits, misses)
 			}
@@ -114,31 +114,9 @@ func TestDiskCacheCorruptEntriesAreMisses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.Beta(topology.MeshFamily, 2, 36, bandwidth.MeasureOptions{})
+	r.BetaFuture(topology.MeshFamily, 2, 36, bandwidth.MeasureOptions{}).Wait()
 	if hits, _ := dc.Counts(); hits != 1 {
 		t.Fatal("rewritten entry did not hit")
-	}
-}
-
-func TestDiskCacheLambda(t *testing.T) {
-	dir := t.TempDir()
-	r1 := New(4, 1)
-	if _, err := r1.AttachDiskCache(dir); err != nil {
-		t.Fatal(err)
-	}
-	cold := r1.Lambda(topology.TreeFamily, 0, 15)
-
-	r2 := New(4, 1)
-	c, err := r2.AttachDiskCache(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	warm := r2.Lambda(topology.TreeFamily, 0, 15)
-	if hits, misses := c.Counts(); hits != 1 || misses != 0 {
-		t.Fatalf("λ warm run: %d hits, %d misses", hits, misses)
-	}
-	if warm != cold {
-		t.Fatalf("λ hit %+v differs from cold %+v", warm, cold)
 	}
 }
 
@@ -164,7 +142,7 @@ func TestDiskCacheStaleKeyFormatDegradesToMiss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := r.Beta(topology.MeshFamily, 2, 36, bandwidth.MeasureOptions{})
+	got := r.BetaFuture(topology.MeshFamily, 2, 36, bandwidth.MeasureOptions{}).Wait()
 	if hits, _ := dc.Counts(); hits != 0 {
 		t.Fatalf("stale-format entry served as a hit (%d hits)", hits)
 	}
@@ -177,7 +155,7 @@ func TestDiskCacheStaleKeyFormatDegradesToMiss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm := r2.Beta(topology.MeshFamily, 2, 36, bandwidth.MeasureOptions{})
+	warm := r2.BetaFuture(topology.MeshFamily, 2, 36, bandwidth.MeasureOptions{}).Wait()
 	if hits, _ := dc2.Counts(); hits != 1 {
 		t.Fatal("fresh canonical entry did not hit")
 	}

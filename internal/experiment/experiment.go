@@ -1,15 +1,14 @@
 // Package experiment is a deterministic concurrent job orchestrator for the
-// measurement suites. Every job — a β sweep point, a λ measurement, an
+// measurement suites. Every job — a β sweep point, an
 // emulation bound check, a fault-tolerance trial — is identified by a stable
 // key string and draws its randomness from a measure.SeedPlan stream
 // addressed by that key, never from a shared RNG. Results therefore depend
 // only on the base seed and the key, not on worker count, submission order,
 // or goroutine scheduling: a suite run at -workers 1 and -workers 8 produces
-// byte-identical output. This is the same contract bandwidth.SweepBetaParallel
-// honors, generalized from one sweep to arbitrary job graphs.
+// byte-identical output.
 //
-// The runner also memoizes the expensive shared measurements (operational β
-// and λ of a Build-identified machine) keyed by (family, dim, size,
+// The runner also memoizes the expensive shared measurement (operational β
+// of a Build-identified machine) keyed by (family, dim, size,
 // canonical MeasureOptions), so report sections and the crossover tool stop
 // recomputing the same host-machine bandwidths.
 package experiment
@@ -29,13 +28,10 @@ import (
 type Runner struct {
 	plan      measure.SeedPlan
 	seed      int64
-	workers   int
 	sem       chan struct{}
 	beta      sync.Map // string -> *Future[bandwidth.Measurement]
-	lambda    sync.Map // string -> *Future[Lambda]
 	disk      *DiskCache
 	artifacts *runspec.ArtifactCache
-	jobs      atomic.Int64
 }
 
 // New returns a runner rooted at the given base seed. workers caps the
@@ -47,29 +43,16 @@ func New(seed int64, workers int) *Runner {
 	return &Runner{
 		plan:      measure.NewSeedPlan(seed),
 		seed:      seed,
-		workers:   workers,
 		sem:       make(chan struct{}, workers),
 		artifacts: runspec.NewArtifactCache(0, 0),
 	}
 }
-
-// Workers returns the concurrency cap.
-func (r *Runner) Workers() int { return r.workers }
-
-// Jobs returns how many jobs have been submitted so far.
-func (r *Runner) Jobs() int64 { return r.jobs.Load() }
 
 // RNG returns the job stream for a key. It depends only on the runner's
 // base seed and the key — two runners with the same seed hand out identical
 // streams for identical keys regardless of call order.
 func (r *Runner) RNG(key string) *rand.Rand {
 	return r.plan.RNG(measure.KeyString(key))
-}
-
-// Seed returns a derived int64 seed for a key, for APIs that take seeds
-// rather than *rand.Rand.
-func (r *Runner) Seed(key string) int64 {
-	return r.plan.Fork(measure.KeyString(key)).Seed()
 }
 
 // Future is the handle to a submitted job. Exactly one goroutine ever runs
@@ -101,7 +84,6 @@ func Go[T any](r *Runner, key string, fn func(rng *rand.Rand) T) *Future[T] {
 // The determinism contract is the same as Go's.
 func GoUnpooled[T any](r *Runner, key string, fn func(rng *rand.Rand) T) *Future[T] {
 	f := newFuture(r, key, fn)
-	r.jobs.Add(1)
 	go f.tryRun()
 	return f
 }
@@ -115,7 +97,6 @@ func newFuture[T any](r *Runner, key string, fn func(rng *rand.Rand) T) *Future[
 }
 
 func (f *Future[T]) submit(r *Runner) {
-	r.jobs.Add(1)
 	go func() {
 		r.sem <- struct{}{}
 		defer func() { <-r.sem }()
@@ -136,13 +117,4 @@ func (f *Future[T]) Wait() T {
 	f.tryRun()
 	<-f.done
 	return f.val
-}
-
-// Collect waits on a slice of futures and returns their values in order.
-func Collect[T any](fs []*Future[T]) []T {
-	out := make([]T, len(fs))
-	for i, f := range fs {
-		out[i] = f.Wait()
-	}
-	return out
 }

@@ -31,7 +31,11 @@ func TestJobResultsInvariantUnderWorkerCount(t *testing.T) {
 		for _, i := range idx {
 			futs[i] = Go(r, keys[i], func(rng *rand.Rand) int64 { return rng.Int63() })
 		}
-		return Collect(futs)
+		out := make([]int64, len(futs))
+		for i, f := range futs {
+			out[i] = f.Wait()
+		}
+		return out
 	}
 	want := run(1, false)
 	for _, workers := range []int{1, 2, 8} {
@@ -54,7 +58,7 @@ func TestRNGIndependentOfCallOrder(t *testing.T) {
 	if got, want := a.RNG("x").Int63(), b.RNG("x").Int63(); got != want {
 		t.Fatalf("stream x differs across runners: %d vs %d", got, want)
 	}
-	if a.Seed("x") == a.Seed("y") {
+	if a.RNG("x").Int63() == a.RNG("y").Int63() {
 		t.Fatal("distinct keys collided")
 	}
 }
@@ -90,7 +94,7 @@ func TestBetaCacheComputesOnce(t *testing.T) {
 		t.Fatal("canonical-equal options missed the cache")
 	}
 	m1 := f1.Wait()
-	m2 := r.Beta(topology.MeshFamily, 2, 64, bandwidth.MeasureOptions{})
+	m2 := r.BetaFuture(topology.MeshFamily, 2, 64, bandwidth.MeasureOptions{}).Wait()
 	if m1.Beta != m2.Beta {
 		t.Fatalf("cache returned different values: %v vs %v", m1.Beta, m2.Beta)
 	}
@@ -104,26 +108,11 @@ func TestBetaCacheComputesOnce(t *testing.T) {
 func TestBetaCacheMatchesColdRun(t *testing.T) {
 	opts := bandwidth.MeasureOptions{}.Canonical()
 	r1 := New(9, 4)
-	warm := r1.Beta(topology.DeBruijnFamily, 0, 64, opts)
+	warm := r1.BetaFuture(topology.DeBruijnFamily, 0, 64, opts).Wait()
 
 	r2 := New(9, 1)
-	cold := r2.Beta(topology.DeBruijnFamily, 0, 64, opts)
+	cold := r2.BetaFuture(topology.DeBruijnFamily, 0, 64, opts).Wait()
 	if warm.Beta != cold.Beta {
 		t.Fatalf("beta differs across worker counts: %v vs %v", warm.Beta, cold.Beta)
-	}
-}
-
-func TestLambdaCache(t *testing.T) {
-	r := New(5, 2)
-	a := r.Lambda(topology.MeshFamily, 2, 64)
-	b := r.Lambda(topology.MeshFamily, 2, 64)
-	if a != b {
-		t.Fatalf("lambda cache returned %+v then %+v", a, b)
-	}
-	if a.Diameter != 14 { // 8x8 mesh: 2*(8-1)
-		t.Fatalf("mesh 8x8 diameter = %d, want 14", a.Diameter)
-	}
-	if a.AvgDist <= 0 {
-		t.Fatalf("avg dist %v", a.AvgDist)
 	}
 }

@@ -25,9 +25,6 @@ func Poly(num, den int64) Func { return Func{Coeff: 1, Pow: R(num, den)} }
 // PolyLog returns Θ(lg^k n).
 func PolyLog(k int64) Func { return Func{Coeff: 1, LogPow: Int(k)} }
 
-// Make returns Θ(n^pow * lg^logPow n).
-func Make(pow, logPow Rat) Func { return Func{Coeff: 1, Pow: pow, LogPow: logPow} }
-
 // WithCoeff returns f scaled by the positive constant c.
 func (f Func) WithCoeff(c float64) Func {
 	if c <= 0 || math.IsNaN(c) || math.IsInf(c, 0) {
@@ -35,11 +32,6 @@ func (f Func) WithCoeff(c float64) Func {
 	}
 	f.Coeff *= c
 	return f
-}
-
-// Mul returns f * g.
-func (f Func) Mul(g Func) Func {
-	return Func{Coeff: f.Coeff * g.Coeff, Pow: f.Pow.Add(g.Pow), LogPow: f.LogPow.Add(g.LogPow)}
 }
 
 // Div returns f / g.
@@ -57,23 +49,6 @@ func (f Func) PowBy(e Rat) Func {
 	}
 }
 
-// Inv returns 1/f.
-func (f Func) Inv() Func {
-	return Func{Coeff: 1 / f.Coeff, Pow: f.Pow.Neg(), LogPow: f.LogPow.Neg()}
-}
-
-// Cmp compares f and g asymptotically as n -> infinity: -1 if f = o(g),
-// +1 if g = o(f), and 0 if f = Θ(g) (regardless of coefficients).
-func (f Func) Cmp(g Func) int {
-	if c := f.Pow.Cmp(g.Pow); c != 0 {
-		return c
-	}
-	return f.LogPow.Cmp(g.LogPow)
-}
-
-// IsConstant reports whether f = Θ(1).
-func (f Func) IsConstant() bool { return f.Pow.IsZero() && f.LogPow.IsZero() }
-
 // Eval evaluates f at a concrete n >= 2 (lg is base-2).
 func (f Func) Eval(n float64) float64 {
 	if n < 2 {
@@ -81,25 +56,6 @@ func (f Func) Eval(n float64) float64 {
 	}
 	lg := math.Log2(n)
 	return f.Coeff * math.Pow(n, f.Pow.Float()) * math.Pow(lg, f.LogPow.Float())
-}
-
-// Substitute returns f(g(n)): replace the variable of f with the growth
-// function g, keeping only the leading n^a lg^b term. Exact when g is a
-// pure power n^a; for g with a log factor (g = n^a lg^b n, a > 0) the result
-// is exact up to constants because lg g = Θ(lg n); for purely polylog g
-// (a = 0) the lg^LogPow f factor becomes Θ(lglg^... n) and is dropped —
-// callers that care use Solve, which tracks that caveat explicitly.
-func (f Func) Substitute(g Func) Func {
-	out := Func{
-		Coeff:  f.Coeff * math.Pow(g.Coeff, f.Pow.Float()),
-		Pow:    g.Pow.Mul(f.Pow),
-		LogPow: g.LogPow.Mul(f.Pow),
-	}
-	if g.Pow.Sign() > 0 {
-		// lg g(n) = Θ(lg n)
-		out.LogPow = out.LogPow.Add(f.LogPow)
-	}
-	return out
 }
 
 func (f Func) render(v string) string {
@@ -126,9 +82,6 @@ func (f Func) render(v string) string {
 
 // String renders the Θ-form, e.g. "n^{2/3} lg^2 n", "lg n", "1".
 func (f Func) String() string { return f.render("n") }
-
-// Theta renders "Θ(<f>)".
-func (f Func) Theta() string { return "Θ(" + f.String() + ")" }
 
 // InVariable renders the Θ-form with a custom variable name, e.g.
 // Poly(1,2).InVariable("|G|") = "|G|^{1/2}".

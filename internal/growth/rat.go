@@ -70,12 +70,6 @@ func gcd(a, b int64) int64 {
 // norm re-normalizes a possibly denormalized rational.
 func (r Rat) norm() Rat { r = r.v(); return R(r.Num, r.Den) }
 
-// Add returns r + o.
-func (r Rat) Add(o Rat) Rat {
-	r, o = r.v(), o.v()
-	return R(r.Num*o.Den+o.Num*r.Den, r.Den*o.Den)
-}
-
 // Sub returns r - o.
 func (r Rat) Sub(o Rat) Rat {
 	r, o = r.v(), o.v()
@@ -96,9 +90,6 @@ func (r Rat) Div(o Rat) Rat {
 	}
 	return R(r.Num*o.Den, r.Den*o.Num)
 }
-
-// Neg returns -r.
-func (r Rat) Neg() Rat { r = r.v(); return Rat{Num: -r.Num, Den: r.Den} }
 
 // Cmp returns -1, 0, or +1 as r is less than, equal to, or greater than o.
 func (r Rat) Cmp(o Rat) int {
@@ -129,9 +120,6 @@ func (r Rat) Sign() int {
 
 // IsZero reports whether r == 0.
 func (r Rat) IsZero() bool { return r.Num == 0 }
-
-// IsInt reports whether r is an integer.
-func (r Rat) IsInt() bool { return r.v().Den == 1 }
 
 // Float returns the float64 value of r.
 func (r Rat) Float() float64 { r = r.v(); return float64(r.Num) / float64(r.Den) }

@@ -9,6 +9,17 @@ import (
 	"repro/internal/topology"
 )
 
+// randomMap assigns guest processors to host processors in random
+// balanced fashion — the locality-free baseline.
+func randomMap(guest, host *topology.Machine, rng *rand.Rand) []int {
+	n, m := guest.N(), host.N()
+	assign := make([]int, n)
+	for rank, v := range rng.Perm(n) {
+		assign[v] = rank * m / n
+	}
+	return assign
+}
+
 func loads(assign []int, hostN int) []int {
 	out := make([]int, hostN)
 	for _, p := range assign {
@@ -51,7 +62,7 @@ func TestRecursiveBisectionPreservesLocality(t *testing.T) {
 	guest := topology.Mesh(2, 8)
 	host := topology.Mesh(2, 4)
 	assign := RecursiveBisection(guest, host, Options{Restarts: 4}, rng)
-	random := emulation.RandomMap(guest, host, rng)
+	random := randomMap(guest, host, rng)
 	cross := func(a []int) int {
 		c := 0
 		for _, e := range guest.Graph.Edges() {
@@ -80,7 +91,7 @@ func TestRecursiveBisectionBeatsRandomOnIrregularPair(t *testing.T) {
 	host := topology.Tree(3)
 	assign := RecursiveBisection(guest, host, Options{Restarts: 4}, rng)
 	res := emulation.Direct(guest, host, 2, assign, rng)
-	random := emulation.Direct(guest, host, 2, emulation.RandomMap(guest, host, rng), rng)
+	random := emulation.Direct(guest, host, 2, randomMap(guest, host, rng), rng)
 	if res.RouteTicks > random.RouteTicks {
 		t.Fatalf("mapped %d route ticks > random %d", res.RouteTicks, random.RouteTicks)
 	}

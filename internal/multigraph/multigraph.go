@@ -147,24 +147,6 @@ func (g *Multigraph) Degree(u int) int64 {
 	return d
 }
 
-// SimpleDegree returns the number of distinct neighbours of u.
-func (g *Multigraph) SimpleDegree(u int) int {
-	g.check(u)
-	return len(g.adj[u])
-}
-
-// MaxDegree returns the maximum degree over all vertices (with
-// multiplicities), or 0 for an empty graph.
-func (g *Multigraph) MaxDegree() int64 {
-	var max int64
-	for u := 0; u < g.n; u++ {
-		if d := g.Degree(u); d > max {
-			max = d
-		}
-	}
-	return max
-}
-
 // Clone returns a deep copy of g.
 func (g *Multigraph) Clone() *Multigraph {
 	h := New(g.n)
@@ -178,23 +160,6 @@ func (g *Multigraph) Clone() *Multigraph {
 			h.adj[u][v] = m
 		}
 	}
-	return h
-}
-
-// Scale returns the multigraph xG: every multiplicity multiplied by x > 0.
-// This is the paper's scalar multiplication used in the limit definitions of
-// G-congestion and G-dilation.
-func (g *Multigraph) Scale(x int64) *Multigraph {
-	if x <= 0 {
-		panic(fmt.Sprintf("multigraph: non-positive scale %d", x))
-	}
-	h := g.Clone()
-	for u := 0; u < h.n; u++ {
-		for v := range h.adj[u] {
-			h.adj[u][v] *= x
-		}
-	}
-	h.edges *= x
 	return h
 }
 

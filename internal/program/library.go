@@ -36,18 +36,6 @@ func (f *FloodMax) Step(_, _ int, own Word, neighbors []Word) Word {
 	return max
 }
 
-// Expected returns the value every processor must hold once the program
-// has run for at least diameter steps on n processors.
-func (f *FloodMax) Expected(n int) Word {
-	max := f.Init(0)
-	for v := 1; v < n; v++ {
-		if w := f.Init(v); w > max {
-			max = w
-		}
-	}
-	return max
-}
-
 // SumDiffusion: integer diffusion that conserves total mass. Each step a
 // processor keeps a share of its value and receives equal integer shares
 // from each neighbour (remainders stay home). The invariant — the global
@@ -78,15 +66,6 @@ func (SumDiffusion) Step(_, _ int, own Word, neighbors []Word) Word {
 		next += w / (deg + 1)
 	}
 	return next
-}
-
-// TotalMass returns the conserved global sum for n processors.
-func (s SumDiffusion) TotalMass(n int) Word {
-	var total Word
-	for v := 0; v < n; v++ {
-		total += s.Init(v)
-	}
-	return total
 }
 
 // ParityWave: each processor XORs the low bits of its neighbourhood — a

@@ -2,6 +2,7 @@ package program
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -22,7 +23,7 @@ func TestFloodMaxConvergesAfterDiameter(t *testing.T) {
 			t.Fatal(err)
 		}
 		states := Run(p, m, diam)
-		want := p.Expected(m.N())
+		want := slices.Max(Run(p, m, 0))
 		for v, s := range states {
 			if s != want {
 				t.Fatalf("%s: processor %d holds %d, want %d after %d steps",
@@ -38,7 +39,7 @@ func TestFloodMaxNotConvergedEarly(t *testing.T) {
 	m := topology.LinearArray(20)
 	p := &FloodMax{}
 	states := Run(p, m, 5)
-	want := p.Expected(20)
+	want := slices.Max(Run(p, m, 0))
 	converged := true
 	for _, s := range states {
 		if s != want {
@@ -76,7 +77,11 @@ func TestSumDiffusionConservesMass(t *testing.T) {
 		for _, s := range states {
 			got += s
 		}
-		if want := p.TotalMass(m.N()); got != want {
+		var want Word
+		for _, s := range Run(p, m, 0) {
+			want += s
+		}
+		if got != want {
 			t.Fatalf("%s: mass %d, want %d", m.Name, got, want)
 		}
 	}

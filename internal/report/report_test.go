@@ -38,6 +38,7 @@ func TestGenerateContainsEverySection(t *testing.T) {
 		"## Emulation matrix: measured slowdown vs theorem bound",
 		"## Bottleneck-freeness audit",
 		"## Theorem 6: operational β vs graph-theoretic",
+		"## Lemmas 9 and 11: the γ witness inside an efficient circuit",
 		"## §1.2 comparison: bandwidth method vs Koch",
 		"## Conclusion extension: algorithms as communication patterns",
 		"## Fault tolerance: butterfly vs multibutterfly",
@@ -49,6 +50,9 @@ func TestGenerateContainsEverySection(t *testing.T) {
 	}
 	if strings.Contains(out, "NaN") {
 		t.Error("report contains NaN")
+	}
+	if strings.Contains(out, "| no |") || strings.Contains(out, "error:") {
+		t.Error("a Lemma 9/11 check failed in the report")
 	}
 }
 

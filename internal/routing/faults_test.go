@@ -15,7 +15,7 @@ import (
 func queuedPackets(s *Sim) int {
 	total := 0
 	for u := range s.vq {
-		total += s.queueLen(u)
+		total += int(s.vq[u].n)
 	}
 	return total
 }
@@ -233,7 +233,17 @@ func TestPickHopAvoidsDeadWires(t *testing.T) {
 	if d[0] != 4 {
 		t.Fatalf("live distance 0->2 = %d, want 4 around the cut", d[0])
 	}
-	edges, nodes := e.DownCounts()
+	edges, nodes := 0, 0
+	for _, down := range e.live.edgeDown {
+		if down {
+			edges++
+		}
+	}
+	for _, down := range e.live.nodeDown {
+		if down {
+			nodes++
+		}
+	}
 	if edges != 2 || nodes != 0 {
 		t.Fatalf("down counts %d/%d, want 2 directed edges, 0 nodes", edges, nodes)
 	}

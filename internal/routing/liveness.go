@@ -35,9 +35,7 @@ type liveState struct {
 	// same scheme as Engine.distPtrs: shards may warm it concurrently, a
 	// racing recompute is identical, and ApplyFaultEvent (driver context,
 	// between phases) swaps in a fresh array to invalidate.
-	distPtrs     []atomic.Pointer[[]int]
-	downDirEdges int
-	downNodes    int
+	distPtrs []atomic.Pointer[[]int]
 }
 
 // EnableFaults switches the engine into liveness-aware routing. An engine
@@ -55,21 +53,9 @@ func (e *Engine) EnableFaults() {
 	}
 }
 
-// FaultsEnabled reports whether liveness-aware routing is on.
-func (e *Engine) FaultsEnabled() bool { return e.live != nil }
-
 // NodeDown reports whether vertex v is currently failed. Always false when
 // faults are not enabled.
 func (e *Engine) NodeDown(v int) bool { return e.live != nil && e.live.nodeDown[v] }
-
-// DownCounts returns the number of directed edges and vertices currently
-// masked dead.
-func (e *Engine) DownCounts() (edges, nodes int) {
-	if e.live == nil {
-		return 0, 0
-	}
-	return e.live.downDirEdges, e.live.downNodes
-}
 
 // dirEdgeID returns the dense id of directed edge u->v, or -1 if absent.
 func (e *Engine) dirEdgeID(u, v int) int32 {
@@ -96,14 +82,7 @@ func (e *Engine) setEdgeDown(u, v int, down bool) {
 		if id < 0 {
 			continue
 		}
-		if e.live.edgeDown[id] != down {
-			e.live.edgeDown[id] = down
-			if down {
-				e.live.downDirEdges++
-			} else {
-				e.live.downDirEdges--
-			}
-		}
+		e.live.edgeDown[id] = down
 	}
 }
 
@@ -120,7 +99,6 @@ func (e *Engine) ApplyFaultEvent(ev topology.FaultEvent) {
 		for i := range lv.nodeDown {
 			lv.nodeDown[i] = false
 		}
-		lv.downDirEdges, lv.downNodes = 0, 0
 	}
 	for _, ef := range ev.Edges {
 		e.setEdgeDown(ef.U, ef.V, true)
@@ -129,10 +107,7 @@ func (e *Engine) ApplyFaultEvent(ev topology.FaultEvent) {
 		if v < 0 || v >= len(lv.nodeDown) {
 			panic(fmt.Sprintf("routing: fault event fails vertex %d of %d", v, len(lv.nodeDown)))
 		}
-		if !lv.nodeDown[v] {
-			lv.nodeDown[v] = true
-			lv.downNodes++
-		}
+		lv.nodeDown[v] = true
 	}
 	lv.distPtrs = make([]atomic.Pointer[[]int], e.numVerts)
 }

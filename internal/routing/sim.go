@@ -198,9 +198,6 @@ func (s *Sim) wireShardTopology() {
 	}
 }
 
-// ShardCount returns the number of shards the sim runs on.
-func (s *Sim) ShardCount() int { return len(s.shards) }
-
 // Reset returns the sim to the state a fresh NewShardedSim on the same
 // engine and shard count would have, rooted at rng, while keeping every
 // allocation: chunk arenas, queue tables, mailbox backing arrays, histogram
@@ -324,10 +321,6 @@ func (s *Sim) LatencyPercentile(p float64) int {
 	return s.latencyHist().Quantile(p)
 }
 
-// LatencyHistogram exposes the streaming delivery-latency histogram (a
-// merged view across shards; treat it as read-only).
-func (s *Sim) LatencyHistogram() *Histogram { return s.latencyHist() }
-
 // latencyHist returns the delivery-latency histogram merged across shards,
 // rebuilt only when deliveries happened since the last merge.
 func (s *Sim) latencyHist() *Histogram {
@@ -343,10 +336,6 @@ func (s *Sim) latencyHist() *Histogram {
 	}
 	return &s.latMerged
 }
-
-// queueLen returns vertex u's current queue length (the chunk chain is in
-// u's owning shard; callers in driver context only).
-func (s *Sim) queueLen(u int) int { return int(s.vq[u].n) }
 
 func (s *Sim) push(p simPacket) {
 	u := int(p.at)

@@ -253,11 +253,11 @@ func TestSweepValidation(t *testing.T) {
 		{"no machine", SweepSpec{Base: Spec{Kind: KindLambda, Seed: 1}, Points: []SweepPoint{{}}}},
 	}
 	for _, tc := range cases {
-		if err := tc.sw.Validate(); err == nil {
+		if _, err := tc.sw.Specs(); err == nil {
 			t.Errorf("%s: expected a validation error", tc.name)
 		}
 	}
-	if err := (SweepSpec{Base: base, Points: []SweepPoint{{}}}).Validate(); err != nil {
+	if _, err := (SweepSpec{Base: base, Points: []SweepPoint{{}}}).Specs(); err != nil {
 		t.Errorf("valid sweep rejected: %v", err)
 	}
 }

@@ -122,13 +122,6 @@ func (sw SweepSpec) Specs() ([]Spec, error) {
 	return out, nil
 }
 
-// Validate checks the sweep without materializing the merged specs for the
-// caller.
-func (sw SweepSpec) Validate() error {
-	_, err := sw.Specs()
-	return err
-}
-
 // ExecuteSweep runs every point of the sweep, in order, over the shared
 // artifact cache. Each point's Result is exactly what ExecuteCached (and
 // therefore Execute) returns for the merged spec. The first failing point

@@ -2,6 +2,7 @@ package schedule
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -64,18 +65,13 @@ func TestSweeperOneShotRunsOnceAndStreams(t *testing.T) {
 		ran.Add(1)
 		return fmt.Sprintf("rk1-%d", spec.Machine.Size), nil
 	}, hub)
+	early, cancelEarly := hub.Subscribe()
+	defer cancelEarly()
 	sw.Start()
 	defer sw.Stop()
 
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if runs, points, errs := sw.Counts(); runs == 1 && points == 2 && errs == 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("one-shot did not complete: ran=%d", ran.Load())
-		}
-		time.Sleep(5 * time.Millisecond)
+	if done := waitSweepDone(t, early, 1)[0]; done.Points != 2 || done.Errors != 0 {
+		t.Fatalf("one-shot run: %+v, want 2 points and no errors", done)
 	}
 	// One-shot means once: give it a beat and confirm no rerun.
 	time.Sleep(50 * time.Millisecond)
@@ -112,25 +108,44 @@ func TestSweeperRecurringAndErrorCounting(t *testing.T) {
 			Points: []runspec.SweepPoint{{}},
 		},
 	}}
+	hub := NewHub(0)
+	frames, cancel := hub.Subscribe()
+	defer cancel()
 	sw := NewSweeper(jobs, func(context.Context, runspec.Spec) (string, error) {
 		return "", fmt.Errorf("boom")
-	}, nil)
+	}, hub)
 	sw.Start()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if runs, _, errs := sw.Counts(); runs >= 2 && errs >= 2 {
-			break
+	defer sw.Stop()
+	for _, done := range waitSweepDone(t, frames, 2) {
+		if done.Points != 1 || done.Errors != 1 {
+			t.Fatalf("failing run: %+v, want its one point counted as an error", done)
 		}
-		if time.Now().After(deadline) {
-			runs, points, errs := sw.Counts()
-			t.Fatalf("recurring job stalled: runs=%d points=%d errs=%d", runs, points, errs)
+	}
+}
+
+// waitSweepDone reads frames until n "sweep-done" events have arrived and
+// returns their payloads.
+func waitSweepDone(t *testing.T, frames <-chan string, n int) []Event {
+	t.Helper()
+	var done []Event
+	timeout := time.After(5 * time.Second)
+	for len(done) < n {
+		select {
+		case f := <-frames:
+			data, ok := strings.CutPrefix(f, "event: sweep-done\ndata: ")
+			if !ok {
+				continue
+			}
+			var ev Event
+			if err := json.Unmarshal([]byte(data), &ev); err != nil {
+				t.Fatal(err)
+			}
+			done = append(done, ev)
+		case <-timeout:
+			t.Fatalf("saw %d sweep-done events, want %d", len(done), n)
 		}
-		time.Sleep(5 * time.Millisecond)
 	}
-	sw.Stop()
-	if _, points, _ := sw.Counts(); points != 0 {
-		t.Fatalf("failing runner produced %d ok points", points)
-	}
+	return done
 }
 
 func TestHubSlowSubscriberDropsNotBlocks(t *testing.T) {

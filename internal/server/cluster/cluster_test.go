@@ -17,6 +17,21 @@ import (
 // order, every worker reachable in the successor chain exactly once,
 // and a reasonably fair key-space split.
 
+// alive reports whether worker currently answers probes (or has not yet
+// been marked dead), ignoring the breaker.
+func alive(h *Health, worker string) bool {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.alive[worker]
+}
+
+// breakerState returns worker's current breaker position.
+func breakerState(h *Health, worker string) BreakerState {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.breaker[worker]
+}
+
 func TestRingDeterministicAcrossConstructionOrder(t *testing.T) {
 	a := NewRing([]string{"w1:1", "w2:2", "w3:3"}, 64)
 	b := NewRing([]string{"w3:3", "w1:1", "w2:2"}, 64)
@@ -92,14 +107,14 @@ func TestHealthProbeMarksDeadAndRevives(t *testing.T) {
 	h.Start()
 	defer h.Stop()
 
-	if !h.Alive(w) {
+	if !alive(h, w) {
 		t.Fatal("worker not alive at start")
 	}
 	// MarkDead feedback takes it out immediately; the probe loop revives
 	// it because /healthz still answers.
 	h.MarkDead(w)
 	deadline := time.Now().Add(5 * time.Second)
-	for !h.Alive(w) {
+	for !alive(h, w) {
 		if time.Now().After(deadline) {
 			t.Fatal("probe loop never revived a healthy worker")
 		}
@@ -108,7 +123,7 @@ func TestHealthProbeMarksDeadAndRevives(t *testing.T) {
 	// Kill it for real: the probe loop must mark it dead.
 	ts.Close()
 	deadline = time.Now().Add(5 * time.Second)
-	for h.Alive(w) {
+	for alive(h, w) {
 		if time.Now().After(deadline) {
 			t.Fatal("probe loop never marked a dead worker")
 		}
@@ -181,7 +196,7 @@ func TestForwardFailsOverToRingSuccessor(t *testing.T) {
 	if res.Failovers != 1 {
 		t.Fatalf("failovers = %d, want 1", res.Failovers)
 	}
-	if d.Health().Alive(w1) {
+	if alive(d.Health(), w1) {
 		t.Fatal("transport failure did not mark the worker dead")
 	}
 	// The next forward for the same key skips the dead worker without
@@ -209,7 +224,7 @@ func TestForwardRetryableStatusesMoveOn(t *testing.T) {
 		t.Fatalf("429 spill: ok=%v res=%+v", ok, res)
 	}
 	// A shed is not a death: the busy worker stays in rotation.
-	if !d.Health().Alive(w1) {
+	if !alive(d.Health(), w1) {
 		t.Fatal("429 marked a live worker dead")
 	}
 }
@@ -262,7 +277,7 @@ func TestForwardEmptyOrDeadPoolReportsNotOK(t *testing.T) {
 
 func TestBreakerOpensHalfOpensAndCloses(t *testing.T) {
 	h := NewHealth([]string{"w:1"}, 0, 0, 3)
-	if !h.Allow("w:1") || h.State("w:1") != Closed {
+	if !h.Allow("w:1") || breakerState(h, "w:1") != Closed {
 		t.Fatal("breaker not closed at start")
 	}
 	h.RecordFailure("w:1")
@@ -271,28 +286,27 @@ func TestBreakerOpensHalfOpensAndCloses(t *testing.T) {
 		t.Fatal("breaker opened below threshold")
 	}
 	h.RecordFailure("w:1")
-	if h.Allow("w:1") || h.State("w:1") != Open {
-		t.Fatalf("three consecutive failures did not open the breaker: %v", h.State("w:1"))
+	if h.Allow("w:1") || breakerState(h, "w:1") != Open {
+		t.Fatalf("three consecutive failures did not open the breaker: %v", breakerState(h, "w:1"))
 	}
 	if h.AliveCount() != 0 {
 		t.Fatalf("alive count %d with an open breaker, want 0", h.AliveCount())
 	}
-	// A successful probe (here: MarkAlive, what the loop calls) earns one
-	// trial request.
-	h.MarkAlive("w:1")
-	if !h.Allow("w:1") || h.State("w:1") != HalfOpen {
-		t.Fatalf("probe success did not half-open: %v", h.State("w:1"))
+	// A successful probe earns one trial request.
+	h.markProbed("w:1", true)
+	if !h.Allow("w:1") || breakerState(h, "w:1") != HalfOpen {
+		t.Fatalf("probe success did not half-open: %v", breakerState(h, "w:1"))
 	}
 	// Failing the trial re-opens immediately, no three-strike grace.
 	h.RecordFailure("w:1")
-	if h.Allow("w:1") || h.State("w:1") != Open {
-		t.Fatalf("failed trial did not re-open: %v", h.State("w:1"))
+	if h.Allow("w:1") || breakerState(h, "w:1") != Open {
+		t.Fatalf("failed trial did not re-open: %v", breakerState(h, "w:1"))
 	}
 	// Passing the trial closes and resets the streak.
-	h.MarkAlive("w:1")
+	h.markProbed("w:1", true)
 	h.RecordSuccess("w:1")
-	if h.State("w:1") != Closed {
-		t.Fatalf("successful trial did not close: %v", h.State("w:1"))
+	if breakerState(h, "w:1") != Closed {
+		t.Fatalf("successful trial did not close: %v", breakerState(h, "w:1"))
 	}
 	h.RecordFailure("w:1")
 	h.RecordFailure("w:1")
@@ -328,11 +342,11 @@ func TestDispatcherOpensBreakerOnRepeatedRetryableStatuses(t *testing.T) {
 			t.Fatalf("forward %d failed outright", i)
 		}
 	}
-	if d.Health().State(w1) != Open {
-		t.Fatalf("breaker state %v after %d straight 503s, want open", d.Health().State(w1), DefaultFailureThreshold+2)
+	if breakerState(d.Health(), w1) != Open {
+		t.Fatalf("breaker state %v after %d straight 503s, want open", breakerState(d.Health(), w1), DefaultFailureThreshold+2)
 	}
 	// 503s never mark a worker dead — only the breaker benches it.
-	if !d.Health().Alive(w1) {
+	if !alive(d.Health(), w1) {
 		t.Fatal("503s marked a live worker dead")
 	}
 	// Once open, the worker is skipped without dialing.
@@ -367,7 +381,7 @@ func TestForwardRejectsInvalidBodyAndFailsOver(t *testing.T) {
 		t.Fatalf("failovers = %d, want 1", res.Failovers)
 	}
 	// Invalid bodies are transport failures: dead until a probe revives.
-	if d.Health().Alive(w1) {
+	if alive(d.Health(), w1) {
 		t.Fatal("invalid 200 body did not mark the worker dead")
 	}
 }
@@ -449,7 +463,7 @@ func TestPostDetectsOverLimitResponse(t *testing.T) {
 	if !ok || res.Worker != w2 {
 		t.Fatalf("over-limit body was not treated as a failure: ok=%v res=%+v", ok, res)
 	}
-	if d.Health().Alive(w1) {
+	if alive(d.Health(), w1) {
 		t.Fatal("over-limit body did not mark the worker dead")
 	}
 }

@@ -65,12 +65,12 @@ type Health struct {
 }
 
 // NewHealth builds a prober over the worker pool. interval <= 0
-// disables the background loop (MarkDead/MarkAlive feedback still
-// works — the unit tests and the dispatcher's transport feedback drive
-// state by hand). probeTimeout bounds each /healthz round trip.
+// disables the background loop (MarkDead feedback still works — the
+// unit tests and the dispatcher's transport feedback drive state by
+// hand). probeTimeout bounds each /healthz round trip.
 // failureThreshold is how many consecutive RecordFailure calls open a
 // worker's breaker; <= 0 disables the breaker entirely (Allow then
-// mirrors Alive).
+// mirrors the probe state).
 func NewHealth(workers []string, interval, probeTimeout time.Duration, failureThreshold int) *Health {
 	if probeTimeout <= 0 {
 		probeTimeout = time.Second
@@ -131,18 +131,22 @@ func (h *Health) Stop() {
 
 func (h *Health) probeAll() {
 	for _, w := range h.workers {
-		alive := h.probe(w)
-		h.mu.Lock()
-		h.alive[w] = alive
-		// A live probe is how an open breaker earns its trial request:
-		// open -> half-open, and the next Forward attempt decides. A
-		// dead probe slams a half-open breaker shut again.
-		if alive && h.breaker[w] == Open {
-			h.breaker[w] = HalfOpen
-		} else if !alive && h.breaker[w] == HalfOpen {
-			h.breaker[w] = Open
-		}
-		h.mu.Unlock()
+		h.markProbed(w, h.probe(w))
+	}
+}
+
+// markProbed records one probe of worker. A live probe is how an open
+// breaker earns its trial request: open -> half-open, and the next
+// Forward attempt decides. A dead probe slams a half-open breaker shut
+// again.
+func (h *Health) markProbed(worker string, alive bool) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	h.alive[worker] = alive
+	if alive && h.breaker[worker] == Open {
+		h.breaker[worker] = HalfOpen
+	} else if !alive && h.breaker[worker] == HalfOpen {
+		h.breaker[worker] = Open
 	}
 }
 
@@ -153,15 +157,6 @@ func (h *Health) probe(worker string) bool {
 	}
 	resp.Body.Close()
 	return resp.StatusCode == http.StatusOK
-}
-
-// Alive reports whether worker currently answers probes (or has not yet
-// been marked dead). It ignores the breaker; use Allow to decide
-// whether to send real work.
-func (h *Health) Alive(worker string) bool {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.alive[worker]
 }
 
 // Allow reports whether worker should receive a forward: it must be
@@ -185,13 +180,6 @@ func (h *Health) AliveCount() int {
 		}
 	}
 	return n
-}
-
-// State returns worker's current breaker position (tests, /metrics).
-func (h *Health) State(worker string) BreakerState {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.breaker[worker]
 }
 
 // RecordFailure counts one failed forward (transport error, invalid
@@ -223,16 +211,5 @@ func (h *Health) RecordSuccess(worker string) {
 func (h *Health) MarkDead(worker string) {
 	h.mu.Lock()
 	h.alive[worker] = false
-	h.mu.Unlock()
-}
-
-// MarkAlive puts a worker back in rotation (probe loop and tests). Like
-// a successful probe, it upgrades an open breaker to half-open.
-func (h *Health) MarkAlive(worker string) {
-	h.mu.Lock()
-	h.alive[worker] = true
-	if h.breaker[worker] == Open {
-		h.breaker[worker] = HalfOpen
-	}
 	h.mu.Unlock()
 }

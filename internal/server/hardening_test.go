@@ -130,7 +130,7 @@ func TestInvalidWorkerBodyDoesNotPoisonCaches(t *testing.T) {
 	if m.Cluster.LocalFallbacks != 1 || m.Executions != 1 {
 		t.Fatalf("fallbacks=%d executions=%d, want 1/1", m.Cluster.LocalFallbacks, m.Executions)
 	}
-	if d.Health().Alive(addr) {
+	if d.Health().Allow(addr) {
 		t.Fatal("worker serving invalid bodies was left in rotation")
 	}
 

@@ -2,6 +2,7 @@ package server
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"sort"
 	"strconv"
@@ -64,15 +65,20 @@ func (s *Server) recordResult(spec runspec.Spec, canonical string, body []byte) 
 	s.metrics.storeAppends.Add(1)
 }
 
-// stored returns the store's body for a canonical spec, if it holds one
-// recorded under this build's measurement version. The canonical check
-// guards against a key digest collision.
+// current reports whether a stored record was measured under this
+// build's measurement version. A record from another version may hold
+// bytes the spec no longer produces, so no endpoint answers from it; only
+// the /v1/results listing shows it, with its version.
+func current(meta store.Meta) bool { return meta.Version == experiment.MeasurementVersion }
+
+// stored returns the store's body for a canonical spec, if it holds a
+// current one. The canonical check guards against a key digest collision.
 func (s *Server) stored(canonical string) ([]byte, bool) {
 	if s.cfg.Store == nil {
 		return nil, false
 	}
 	meta, body, ok := s.cfg.Store.Get(store.KeyOf(canonical))
-	if !ok || meta.Version != experiment.MeasurementVersion || meta.Canonical != canonical {
+	if !ok || !current(meta) || meta.Canonical != canonical {
 		return nil, false
 	}
 	return body, true
@@ -136,9 +142,15 @@ func (s *Server) handleResultByKey(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	key := r.PathValue("key")
-	_, body, ok := s.cfg.Store.Get(key)
+	meta, body, ok := s.cfg.Store.Get(key)
 	if !ok {
 		writeError(w, http.StatusNotFound, api.CodeNotFound, "no stored result for key "+key)
+		return
+	}
+	if !current(meta) {
+		writeError(w, http.StatusNotFound, api.CodeNotFound, fmt.Sprintf(
+			"stored result for key %s was measured under version %s, not the current %s",
+			key, meta.Version, experiment.MeasurementVersion))
 		return
 	}
 	s.metrics.resultsServed.Add(1)
@@ -199,8 +211,8 @@ func (s *Server) handleCrossover(w http.ResponseWriter, r *http.Request) {
 			if m.Family != guest || m.HostFamily != host {
 				continue
 			}
-			_, body, ok := s.cfg.Store.Get(m.Key)
-			if !ok {
+			meta, body, ok := s.cfg.Store.Get(m.Key)
+			if !ok || !current(meta) {
 				continue
 			}
 			var res runspec.Result

@@ -231,6 +231,71 @@ func TestCrossoverAssemblesStoredEmulations(t *testing.T) {
 	}
 }
 
+// TestReadEndpointsSkipStaleVersions plants a record under another
+// measurement version, with bytes the current build does not produce.
+// GET /v1/results/{key} must not serve it and GET /v1/crossover must
+// skip it; the listing still shows it with its version, and a fresh
+// request supersedes it.
+func TestReadEndpointsSkipStaleVersions(t *testing.T) {
+	const spec = `{"kind":"emulate","guest":{"family":"LinearArray","size":8},"host":{"family":"Mesh","dim":2,"size":8},"steps":2}`
+	_, ref := newTestServer(t, Config{})
+	code, fresh := post(t, ref.URL+"/v1/emulate", spec, nil)
+	if code != 200 {
+		t.Fatalf("reference emulate: %d %s", code, fresh)
+	}
+	var res runspec.Result
+	if err := json.Unmarshal(fresh, &res); err != nil || res.Emulation == nil {
+		t.Fatalf("reference body: %v", err)
+	}
+	res.Emulation.Slowdown += 100
+	old, err := json.Marshal(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var s runspec.Spec
+	if err := json.Unmarshal([]byte(spec), &s); err != nil {
+		t.Fatal(err)
+	}
+	canonical := s.Canonical()
+	key := store.KeyOf(canonical)
+	dir := t.TempDir()
+	st, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	meta := storeMeta(s, canonical)
+	meta.Version = "m-old"
+	if _, err := st.Append(meta, old); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	_, _, url := newStoreServer(t, dir, Config{})
+	code, body := get(t, url+"/v1/results/"+key)
+	if code != http.StatusNotFound || !strings.Contains(string(body), "m-old") {
+		t.Fatalf("stale record by key: %d %s, want 404 naming version m-old", code, body)
+	}
+	var surface crossoverSurface
+	code, body = get(t, url+"/v1/crossover?guest=LinearArray&host=Mesh")
+	if err := json.Unmarshal(body, &surface); code != 200 || err != nil || surface.Count != 0 {
+		t.Fatalf("crossover served the stale record: %d %s", code, body)
+	}
+	code, body = get(t, url+"/v1/results")
+	if code != 200 || !strings.Contains(string(body), `"m-old"`) {
+		t.Fatalf("listing hides the stale record: %d %s", code, body)
+	}
+
+	if code, b := post(t, url+"/v1/emulate", spec, nil); code != 200 || !bytes.Equal(b, fresh) {
+		t.Fatalf("emulate over a stale store: %d, bytes differ from a fresh node's", code)
+	}
+	code, body = get(t, url+"/v1/results/"+key)
+	if code != 200 || !bytes.Equal(body, fresh) {
+		t.Fatalf("superseded record by key: %d, bytes differ from the fresh response", code)
+	}
+}
+
 func TestMetaDiscovery(t *testing.T) {
 	_, _, url := newStoreServer(t, t.TempDir(), Config{Role: "coordinator", SweepHub: schedule.NewHub(0)})
 	code, body := get(t, url+"/v1/meta")
@@ -293,23 +358,27 @@ func TestScheduledSweepLandsInStore(t *testing.T) {
 	if err := json.Unmarshal([]byte(sweepJSON), &jobs); err != nil {
 		t.Fatal(err)
 	}
+	frames, cancel := hub.Subscribe()
+	defer cancel()
 	sw := schedule.NewSweeper(jobs, s.RunScheduled, hub)
 	sw.Start()
 	defer sw.Stop()
 
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		runs, points, errs := sw.Counts()
-		if errs > 0 {
-			t.Fatalf("scheduled sweep had %d errors", errs)
+	var finished schedule.Event
+	for finished.Job == "" {
+		select {
+		case f := <-frames:
+			if data, ok := strings.CutPrefix(f, "event: sweep-done\ndata: "); ok {
+				if err := json.Unmarshal([]byte(data), &finished); err != nil {
+					t.Fatal(err)
+				}
+			}
+		case <-time.After(30 * time.Second):
+			t.Fatal("sweep did not finish")
 		}
-		if runs == 1 && points == 3 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("sweep did not finish: runs=%d points=%d", runs, points)
-		}
-		time.Sleep(10 * time.Millisecond)
+	}
+	if finished.Points != 3 || finished.Errors != 0 {
+		t.Fatalf("scheduled sweep: %+v, want 3 points and no errors", finished)
 	}
 	if st.Len() != 3 {
 		t.Fatalf("store holds %d records after the sweep, want 3", st.Len())

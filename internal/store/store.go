@@ -294,9 +294,6 @@ func (s *Store) Close() error {
 	return err
 }
 
-// Dir returns the store directory.
-func (s *Store) Dir() string { return s.dir }
-
 // Len returns how many distinct keys the index currently holds.
 func (s *Store) Len() int {
 	s.mu.RLock()

@@ -71,26 +71,6 @@ func (im *Implicit) Grid() (dim, side int, wrap, ok bool) {
 	return im.dim, im.side, im.kind == implTorus, true
 }
 
-// Degree returns the degree of vertex u.
-func (im *Implicit) Degree(u int) int {
-	switch im.kind {
-	case implHypercube, implTorus:
-		return im.maxDeg
-	default:
-		deg := 0
-		for d := 0; d < im.dim; d++ {
-			c := (u / im.stride[d]) % im.side
-			if c > 0 {
-				deg++
-			}
-			if c < im.side-1 {
-				deg++
-			}
-		}
-		return deg
-	}
-}
-
 // VisitNeighbors calls visit for every neighbour v of u in ascending
 // vertex-id order; slot is v's rank in that order (the low part of the
 // directed edge id u*MaxDeg()+slot).
@@ -351,48 +331,6 @@ func BuildImplicit(f Family, dim, approxN int) (*Machine, error) {
 	default:
 		return nil, fmt.Errorf("topology: family %v has no implicit generator (want WeakHypercube, Mesh, or Torus)", f)
 	}
-}
-
-// ImplicitTwin returns the implicit machine equivalent to m, if its family
-// has a generator and m is a pristine instance of it. Implicit machines
-// return themselves. The twin has the same Name, size, and capacities, so
-// simulation results on it are byte-identical.
-func ImplicitTwin(m *Machine) (*Machine, bool) {
-	if m.Implicit != nil {
-		return m, true
-	}
-	switch m.Family {
-	case WeakHypercubeFamily:
-		// The strong hypercube shares the family but has no caps; only the
-		// weak (uniformly capped) machine has an implicit twin.
-		order := m.Side
-		if order < 1 || order > 26 || m.Procs != 1<<order || m.VertexCap == nil {
-			return nil, false
-		}
-		tw := ImplicitWeakHypercube(order)
-		if tw.Name != m.Name || tw.EdgeCount() != m.Graph.E() {
-			return nil, false
-		}
-		return tw, true
-	case MeshFamily, TorusFamily:
-		if m.Dim < 1 || m.Dim > MaxImplicitDim || m.Side < 2 || m.Procs != pow(m.Side, m.Dim) || m.VertexCap != nil {
-			return nil, false
-		}
-		if m.Family == TorusFamily && m.Side < 3 {
-			return nil, false
-		}
-		var tw *Machine
-		if m.Family == MeshFamily {
-			tw = ImplicitMesh(m.Dim, m.Side)
-		} else {
-			tw = ImplicitTorus(m.Dim, m.Side)
-		}
-		if tw.Name != m.Name || tw.EdgeCount() != m.Graph.E() {
-			return nil, false
-		}
-		return tw, true
-	}
-	return nil, false
 }
 
 // Materialize returns the explicit twin of an implicit machine (building

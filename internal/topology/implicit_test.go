@@ -52,9 +52,6 @@ func TestImplicitNeighborsMatchExplicit(t *testing.T) {
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("%s: vertex %d neighbours %v, want %v", pair.imp.Name, u, got, want)
 			}
-			if d := im.Degree(u); d != len(want) {
-				t.Fatalf("%s: vertex %d Degree=%d, want %d", pair.imp.Name, u, d, len(want))
-			}
 			for i := 1; i < len(got); i++ {
 				if got[i-1] >= got[i] {
 					t.Fatalf("%s: vertex %d neighbours not strictly ascending: %v", pair.imp.Name, u, got)
@@ -69,7 +66,7 @@ func TestImplicitNeighborSlots(t *testing.T) {
 	for _, pair := range randomTwinPairs(rng) {
 		im := pair.imp.Implicit
 		for _, u := range []int{0, im.N() / 2, im.N() - 1} {
-			deg := im.Degree(u)
+			deg := implicitDegree(im, u)
 			seen := make(map[int]bool)
 			for slot := 0; slot < deg; slot++ {
 				v := im.Neighbor(u, slot)
@@ -121,6 +118,13 @@ func TestImplicitEdgesMatchExplicit(t *testing.T) {
 	}
 }
 
+// implicitDegree returns the degree of vertex u.
+func implicitDegree(im *Implicit, u int) int {
+	deg := 0
+	im.VisitNeighbors(u, func(int, int) { deg++ })
+	return deg
+}
+
 func TestImplicitCapsMatchExplicit(t *testing.T) {
 	imp, exp := ImplicitWeakHypercube(4), WeakHypercube(4)
 	for v := 0; v < exp.Graph.N(); v++ {
@@ -136,25 +140,14 @@ func TestImplicitCapsMatchExplicit(t *testing.T) {
 func TestImplicitTwinRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	for _, pair := range randomTwinPairs(rng) {
-		tw, ok := ImplicitTwin(pair.exp)
-		if !ok {
-			t.Fatalf("%s: explicit machine has no implicit twin", pair.exp.Name)
-		}
+		tw := pair.imp
 		if tw.Name != pair.exp.Name || tw.Vertices() != pair.exp.Vertices() || tw.EdgeCount() != pair.exp.EdgeCount() {
 			t.Fatalf("%s: twin mismatch: %s", pair.exp.Name, tw)
-		}
-		if again, ok := ImplicitTwin(tw); !ok || again != tw {
-			t.Fatalf("%s: implicit machine should twin to itself", tw.Name)
 		}
 		mat := pair.imp.Materialize()
 		if mat.Name != pair.exp.Name || !reflect.DeepEqual(mat.Graph.Edges(), pair.exp.Graph.Edges()) {
 			t.Fatalf("%s: Materialize diverges from the explicit constructor", pair.imp.Name)
 		}
-	}
-	// The strong hypercube shares the family but is uncapacitated; treating
-	// it as a weak twin would change results.
-	if _, ok := ImplicitTwin(StrongHypercube(4)); ok {
-		t.Fatal("StrongHypercube must not twin to the weak implicit hypercube")
 	}
 }
 
@@ -204,7 +197,7 @@ func TestImplicitMillionVertexBuilds(t *testing.T) {
 	if d := m.Implicit.Distance(0, m.N()-1); d != 2*1023 {
 		t.Fatalf("corner-to-corner distance %d, want %d", d, 2*1023)
 	}
-	if deg := m.Implicit.Degree(0); deg != 2 {
+	if deg := implicitDegree(m.Implicit, 0); deg != 2 {
 		t.Fatalf("mesh corner degree %d, want 2", deg)
 	}
 }

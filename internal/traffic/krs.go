@@ -2,7 +2,6 @@ package traffic
 
 import (
 	"fmt"
-	"math/rand"
 
 	"repro/internal/multigraph"
 )
@@ -10,27 +9,8 @@ import (
 // The paper's K_{r,s} classes: a graph is in K_{r,s} iff it has r vertices,
 // Θ(r²s) simple edges, and no vertex pair carries more than s edges. The
 // witness traffic graphs γ and ξ in Lemmas 9 and 11 are drawn from these
-// classes; the functions here build canonical members and check membership
-// with an explicit density constant.
-
-// CompleteKrs returns the canonical K_{r,s} member: the complete graph on
-// r vertices with every pair at multiplicity s. It has exactly
-// s*r*(r-1)/2 edges.
-func CompleteKrs(r int, s int64) *multigraph.Multigraph {
-	if r < 2 {
-		panic(fmt.Sprintf("traffic: K_{r,s} needs r >= 2, got %d", r))
-	}
-	if s < 1 {
-		panic(fmt.Sprintf("traffic: K_{r,s} needs s >= 1, got %d", s))
-	}
-	g := multigraph.New(r)
-	for u := 0; u < r; u++ {
-		for v := u + 1; v < r; v++ {
-			g.AddEdge(u, v, s)
-		}
-	}
-	return g
-}
+// classes; KrsMembership checks membership with an explicit density
+// constant.
 
 // KrsMembership reports whether g qualifies as a member of K_{r,s} with
 // density constant at least minDensity: g must have r = g.N() vertices,
@@ -45,8 +25,8 @@ func KrsMembership(g *multigraph.Multigraph, s int64, minDensity float64) error 
 	if r < 2 {
 		return fmt.Errorf("traffic: K_{r,s} needs r >= 2, got %d", r)
 	}
-	// Density is measured against the r(r-1)s edges of the canonical
-	// member, so CompleteKrs has density exactly 1/2.
+	// Density is measured against r(r-1)s, so the complete graph on r
+	// vertices with every pair at multiplicity s has density exactly 1/2.
 	need := minDensity * float64(r) * float64(r-1) * float64(s)
 	if float64(g.E()) < need {
 		return fmt.Errorf("traffic: only %d edges, need >= %.0f for density %.3f in K_{%d,%d}",
@@ -58,56 +38,4 @@ func KrsMembership(g *multigraph.Multigraph, s int64, minDensity float64) error 
 		}
 	}
 	return nil
-}
-
-// FromGraph wraps an arbitrary traffic multigraph as a Distribution:
-// messages sample pairs with probability proportional to edge multiplicity,
-// choosing direction uniformly.
-type FromGraph struct {
-	name  string
-	g     *multigraph.Multigraph
-	edges []multigraph.Edge
-	cum   []int64
-	total int64
-}
-
-// NewFromGraph returns a Distribution over g's vertex set driven by g's
-// edge weights. g must have at least one edge.
-func NewFromGraph(name string, g *multigraph.Multigraph) *FromGraph {
-	edges := g.Edges()
-	if len(edges) == 0 {
-		panic("traffic: FromGraph needs at least one edge")
-	}
-	cum := make([]int64, len(edges))
-	var total int64
-	for i, e := range edges {
-		total += e.Mult
-		cum[i] = total
-	}
-	return &FromGraph{name: name, g: g, edges: edges, cum: cum, total: total}
-}
-
-func (f *FromGraph) Name() string { return f.name }
-func (f *FromGraph) N() int       { return f.g.N() }
-
-// Graph returns the backing multigraph (not a copy).
-func (f *FromGraph) Graph() *multigraph.Multigraph { return f.g }
-
-func (f *FromGraph) Sample(rng *rand.Rand) Message {
-	target := rng.Int63n(f.total)
-	// Binary search the cumulative weights.
-	lo, hi := 0, len(f.cum)-1
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if f.cum[mid] <= target {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	e := f.edges[lo]
-	if rng.Intn(2) == 0 {
-		return Message{Src: e.U, Dst: e.V}
-	}
-	return Message{Src: e.V, Dst: e.U}
 }

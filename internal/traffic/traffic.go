@@ -90,25 +90,6 @@ type QuasiSymmetric struct {
 	pairs []Message
 }
 
-// NewQuasiSymmetric returns the distribution with the given allowed pairs.
-// Pairs must be distinct-endpoint; duplicates raise the pair's frequency.
-func NewQuasiSymmetric(n int, pairs []Message) *QuasiSymmetric {
-	if n < 2 {
-		panic(fmt.Sprintf("traffic: quasi-symmetric needs n >= 2, got %d", n))
-	}
-	if len(pairs) == 0 {
-		panic("traffic: quasi-symmetric needs at least one pair")
-	}
-	for _, p := range pairs {
-		if p.Src == p.Dst || p.Src < 0 || p.Src >= n || p.Dst < 0 || p.Dst >= n {
-			panic(fmt.Sprintf("traffic: invalid pair %+v for n=%d", p, n))
-		}
-	}
-	cp := make([]Message, len(pairs))
-	copy(cp, pairs)
-	return &QuasiSymmetric{n: n, pairs: cp}
-}
-
 // RandomQuasiSymmetric draws a quasi-symmetric distribution on a random
 // subset of m of the n endpoints, allowing each ordered pair within the
 // subset independently with probability density (so ~density*m² pairs).
@@ -214,58 +195,6 @@ func (p *Permutation) Graph() *multigraph.Multigraph {
 	g := multigraph.New(p.n)
 	for i, v := range p.perm {
 		g.AddEdge(i, v, 1)
-	}
-	return g
-}
-
-// HotSpot mixes uniform traffic with a fraction directed at one endpoint.
-type HotSpot struct {
-	n    int
-	hot  int
-	frac float64
-}
-
-// NewHotSpot returns the distribution where each message goes to endpoint
-// hot with probability frac and to a uniform random endpoint otherwise.
-func NewHotSpot(n, hot int, frac float64) *HotSpot {
-	if n < 2 || hot < 0 || hot >= n {
-		panic(fmt.Sprintf("traffic: bad hot spot %d for n=%d", hot, n))
-	}
-	if frac < 0 || frac > 1 {
-		panic(fmt.Sprintf("traffic: bad fraction %v", frac))
-	}
-	return &HotSpot{n: n, hot: hot, frac: frac}
-}
-
-func (h *HotSpot) Name() string { return fmt.Sprintf("hotspot[%d@%.2f]", h.hot, h.frac) }
-func (h *HotSpot) N() int       { return h.n }
-
-func (h *HotSpot) Sample(rng *rand.Rand) Message {
-	for {
-		src := rng.Intn(h.n)
-		dst := h.hot
-		if rng.Float64() >= h.frac {
-			dst = rng.Intn(h.n)
-		}
-		if src != dst {
-			return Message{Src: src, Dst: dst}
-		}
-	}
-}
-
-// Graph approximates the hot-spot frequencies with integral weights:
-// weight 1 for uniform pairs plus round(frac*n) extra on pairs into hot.
-func (h *HotSpot) Graph() *multigraph.Multigraph {
-	g := multigraph.New(h.n)
-	boost := int64(h.frac*float64(h.n) + 0.5)
-	for u := 0; u < h.n; u++ {
-		for v := u + 1; v < h.n; v++ {
-			w := int64(1)
-			if v == h.hot || u == h.hot {
-				w += boost
-			}
-			g.AddEdge(u, v, w)
-		}
 	}
 	return g
 }
