@@ -12,7 +12,7 @@ import (
 	"repro/internal/embed"
 	"repro/internal/emulation"
 	"repro/internal/routing"
-	"repro/internal/schedule"
+	"repro/internal/timetable"
 	"repro/internal/traffic"
 )
 
@@ -148,16 +148,16 @@ func BenchmarkAblationRedundancy(b *testing.B) {
 // all should land within a small constant of max(c, d).
 func BenchmarkAblationScheduler(b *testing.B) {
 	m := NewMesh(2, 8)
-	buildPackets := func(rng *rand.Rand) ([]schedule.Packet, []traffic.Message) {
+	buildPackets := func(rng *rand.Rand) ([]timetable.Packet, []traffic.Message) {
 		dist := traffic.NewSymmetric(m.N())
 		batch := traffic.Batch(dist, 4*m.N(), rng)
 		tg := make([]traffic.Message, len(batch))
 		copy(tg, batch)
 		// Convert the batch into explicit paths for the offline schedulers.
-		var packets []schedule.Packet
+		var packets []timetable.Packet
 		for _, msg := range batch {
 			p := m.Graph.RandomShortestPath(msg.Src, msg.Dst, rng)
-			packets = append(packets, schedule.Packet{Path: p})
+			packets = append(packets, timetable.Packet{Path: p})
 		}
 		return packets, tg
 	}
@@ -176,7 +176,7 @@ func BenchmarkAblationScheduler(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			rng := rand.New(rand.NewSource(int64(i)))
 			packets, _ := buildPackets(rng)
-			span = schedule.Greedy(m.Graph, packets, rng).Makespan
+			span = timetable.Greedy(m.Graph, packets, rng).Makespan
 		}
 		b.ReportMetric(float64(span), "ticks")
 	})
@@ -185,7 +185,7 @@ func BenchmarkAblationScheduler(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			rng := rand.New(rand.NewSource(int64(i)))
 			packets, _ := buildPackets(rng)
-			span = schedule.RandomDelay(m.Graph, packets, 1.0, rng).Makespan
+			span = timetable.RandomDelay(m.Graph, packets, 1.0, rng).Makespan
 		}
 		b.ReportMetric(float64(span), "ticks")
 	})
@@ -293,25 +293,6 @@ func BenchmarkFaultTolerance(b *testing.B) {
 			}
 			b.ReportMetric(survival, "survival")
 			b.ReportMetric(beta, "beta")
-		})
-	}
-}
-
-// BenchmarkAblationDiscipline compares FIFO against farthest-first queue
-// service for the same traffic on a mesh.
-func BenchmarkAblationDiscipline(b *testing.B) {
-	m := NewMesh(2, 8)
-	for _, disc := range []routing.Discipline{routing.FIFO, routing.FarthestFirst} {
-		b.Run(disc.String(), func(b *testing.B) {
-			var ticks int
-			for i := 0; i < b.N; i++ {
-				rng := rand.New(rand.NewSource(int64(i)))
-				eng := routing.NewEngine(m, routing.Greedy)
-				eng.Discipline = disc
-				batch := traffic.Batch(traffic.NewSymmetric(m.N()), 6*m.N(), rng)
-				ticks = eng.Route(batch, rng, 1).Ticks
-			}
-			b.ReportMetric(float64(ticks), "ticks")
 		})
 	}
 }

@@ -220,7 +220,7 @@ func runSoak(seed int64, plan chaos.Plan, load []loadplan.Request, workers int, 
 		log.Fatal(err)
 	}
 
-	tr := chaos.NewTransport(seed, plan, addrs, chaos.TransportOptions{})
+	tr := chaos.NewTransport(seed, plan, addrs)
 	d := cluster.NewDispatcher(addrs, cluster.Options{
 		ProbeInterval:  probeInterval,
 		ForwardTimeout: forwardTimeout,

@@ -159,7 +159,7 @@ func main() {
 			log.Fatal(err)
 		}
 		sweepJobs = jobs
-		cfg.SweepHub = schedule.NewHub(0)
+		cfg.SweepHub = schedule.NewHub()
 		if *storeDir == "" {
 			log.Print("-sweeps without -store: scheduled points warm caches but are not queryable afterwards")
 		}

@@ -33,7 +33,7 @@ type CrossoverCurvePoint = core.CurvePoint
 // problem), for guest/host pairs without common coordinate structure. Use
 // with EmulateWithAssignment.
 func MappedContraction(guest, host *Machine, seed int64) []int {
-	return mapping.RecursiveBisection(guest, host, mapping.Options{}, rand.New(rand.NewSource(seed)))
+	return mapping.RecursiveBisection(guest, host, rand.New(rand.NewSource(seed)))
 }
 
 // EmulateWithAssignment runs the direct emulation under an explicit

@@ -3,7 +3,6 @@ package netemu
 import (
 	"repro/internal/bandwidth"
 	"repro/internal/emulation"
-	"repro/internal/routing"
 	"repro/internal/topology"
 )
 
@@ -40,10 +39,6 @@ type FaultSchedule = topology.FaultSchedule
 
 // FaultEvent is one tick's worth of a FaultSchedule.
 type FaultEvent = topology.FaultEvent
-
-// FaultOptions tunes stranded-packet resilience: retry budget, backoff
-// base, and TTL. The zero value uses the documented defaults.
-type FaultOptions = routing.FaultOptions
 
 // ParseFaultSpec parses a fault scenario like
 //

@@ -169,7 +169,7 @@ func faultPoint(m *topology.Machine, frac float64, ticks, shards int, plan measu
 	// belongs to its sim.
 	s := routing.NewEngine(m, routing.Greedy).NewShardedSim(rng, shards)
 	defer s.Close()
-	s.SetFaults(sched, routing.FaultOptions{})
+	s.SetFaults(sched)
 
 	warmup := failTick / 3
 	postStart := failTick + (ticks-failTick)/3

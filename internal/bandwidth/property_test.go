@@ -32,8 +32,8 @@ func smallTable4Machines(rng *rand.Rand) []*topology.Machine {
 		topology.ShuffleExchange(4),
 		topology.DeBruijn(4),
 		topology.WeakHypercube(4),
-		topology.Multibutterfly(3, 2, rng),
-		topology.Expander(16, 4, rng),
+		topology.Multibutterfly(3, rng),
+		topology.Expander(16, rng),
 	}
 }
 

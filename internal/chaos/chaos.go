@@ -41,6 +41,8 @@ import (
 	"strconv"
 	"strings"
 	"time"
+
+	"repro/internal/measure"
 )
 
 // ClauseKind classifies one clause of a chaos plan.
@@ -315,21 +317,10 @@ func (p Plan) MaxWorker() int {
 // on request i iff unit(seed, i, clause) < Prob, independent of wall
 // time, scheduling, or which goroutine carries the request.
 func unit(seed int64, req uint64, clause int) float64 {
-	h := mix64(uint64(seed) + 0x9e3779b97f4a7c15)
-	h = mix64(h ^ mix64(req+0xbf58476d1ce4e5b9))
-	h = mix64(h ^ mix64(uint64(clause)+0x94d049bb133111eb))
+	h := measure.Mix64(uint64(seed) + 0x9e3779b97f4a7c15)
+	h = measure.Mix64(h ^ measure.Mix64(req+0xbf58476d1ce4e5b9))
+	h = measure.Mix64(h ^ measure.Mix64(uint64(clause)+0x94d049bb133111eb))
 	return float64(h>>11) / (1 << 53)
-}
-
-// mix64 is the splitmix64 finalizer (same avalanche as routing.vrand
-// and measure.SeedPlan).
-func mix64(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
 }
 
 // Fault is one injected per-request decision, reported in traces.

@@ -180,11 +180,11 @@ func get(t *testing.T, client *http.Client, url string) (*http.Response, []byte,
 func TestTransportDropAndPassThrough(t *testing.T) {
 	ts, addr := chaosBackend(t)
 	// drop@p1 fires on every request; a plan without drop passes through.
-	dropAll := NewTransport(1, mustParseChaosSpec(t, "drop@p1"), []string{addr}, TransportOptions{})
+	dropAll := NewTransport(1, mustParseChaosSpec(t, "drop@p1"), []string{addr})
 	if _, _, err := get(t, &http.Client{Transport: dropAll}, ts.URL); err == nil || !strings.Contains(err.Error(), "injected drop") {
 		t.Fatalf("drop@p1 did not fail the request: %v", err)
 	}
-	clean := NewTransport(1, mustParseChaosSpec(t, "latency:1ms@p1"), []string{addr}, TransportOptions{})
+	clean := NewTransport(1, mustParseChaosSpec(t, "latency:1ms@p1"), []string{addr})
 	resp, body, err := get(t, &http.Client{Transport: clean}, ts.URL)
 	if err != nil || resp.StatusCode != 200 || !strings.Contains(string(body), "beta") {
 		t.Fatalf("latency-only plan broke the request: %v %v %s", err, resp, body)
@@ -196,7 +196,7 @@ func TestTransportDropAndPassThrough(t *testing.T) {
 
 func TestTransportTruncateIsSilent(t *testing.T) {
 	ts, addr := chaosBackend(t)
-	tr := NewTransport(1, mustParseChaosSpec(t, "truncate@p1"), []string{addr}, TransportOptions{})
+	tr := NewTransport(1, mustParseChaosSpec(t, "truncate@p1"), []string{addr})
 	resp, body, err := get(t, &http.Client{Transport: tr}, ts.URL)
 	if err != nil {
 		t.Fatalf("truncation must be silent at the transport layer: %v", err)
@@ -214,7 +214,7 @@ func TestTransportCrashAndHealTimeline(t *testing.T) {
 	ts, addr := chaosBackend(t)
 	// Virtual time: 1s per request. Crash w1 at t2s, heal at t4s: requests
 	// 0,1 pass, 2,3 fail, 4+ pass again.
-	tr := NewTransport(1, mustParseChaosSpec(t, "crash:w1@t2s,heal@t4s"), []string{addr}, TransportOptions{})
+	tr := NewTransport(1, mustParseChaosSpec(t, "crash:w1@t2s,heal@t4s"), []string{addr})
 	client := &http.Client{Transport: tr}
 	for i := 0; i < 6; i++ {
 		_, _, err := get(t, client, ts.URL)
@@ -233,7 +233,7 @@ func TestTransportCrashAndHealTimeline(t *testing.T) {
 
 func TestTransportFreezeHangsUntilDeadline(t *testing.T) {
 	ts, addr := chaosBackend(t)
-	tr := NewTransport(1, mustParseChaosSpec(t, "freeze:w1@t0s"), []string{addr}, TransportOptions{})
+	tr := NewTransport(1, mustParseChaosSpec(t, "freeze:w1@t0s"), []string{addr})
 	client := &http.Client{Transport: tr}
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
@@ -251,7 +251,7 @@ func TestTransportFreezeHangsUntilDeadline(t *testing.T) {
 func TestTransportIgnoresTimelineForUnknownHosts(t *testing.T) {
 	ts, _ := chaosBackend(t)
 	// The pool names a different host, so crash:w1 never applies here.
-	tr := NewTransport(1, mustParseChaosSpec(t, "crash:w1@t0s"), []string{"10.0.0.1:1"}, TransportOptions{})
+	tr := NewTransport(1, mustParseChaosSpec(t, "crash:w1@t0s"), []string{"10.0.0.1:1"})
 	if _, _, err := get(t, &http.Client{Transport: tr}, ts.URL); err != nil {
 		t.Fatalf("timeline event leaked onto an out-of-pool host: %v", err)
 	}

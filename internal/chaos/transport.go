@@ -22,18 +22,13 @@ func (e *Error) Error() string {
 	return fmt.Sprintf("chaos: injected %s (request %d)", e.Fault, e.Req)
 }
 
-// TransportOptions tunes a Transport. The zero value is usable.
-type TransportOptions struct {
-	// Base is the wrapped RoundTripper (default http.DefaultTransport).
-	Base http.RoundTripper
-	// TimePerRequest is the virtual-time quantum: request i runs at
-	// virtual time i × TimePerRequest, which is what timeline clauses
-	// (@t30s) trigger against. Default 1s, so "t30s" means "from the
-	// 30th request on" — deterministic, unlike wall time.
-	TimePerRequest time.Duration
-}
+// timePerRequest is the virtual-time quantum: request i runs at virtual
+// time i × timePerRequest, which is what timeline clauses (@t30s) trigger
+// against. So "t30s" means "from the 30th request on" — deterministic,
+// unlike wall time.
+const timePerRequest = time.Second
 
-// Transport is the chaos http.RoundTripper: it wraps a real transport
+// Transport is the chaos http.RoundTripper: it wraps http.DefaultTransport
 // and injects the plan's faults, with every decision a pure function of
 // (seed, request index). Request indices are assigned atomically in
 // issue order, so a sequential replay (cmd/netemuchaos's default) maps
@@ -49,8 +44,6 @@ type Transport struct {
 	seed    int64
 	plan    Plan
 	workers map[string]int // host:port -> 1-based pool index
-	base    http.RoundTripper
-	perReq  time.Duration
 
 	idx atomic.Uint64
 
@@ -63,13 +56,7 @@ type Transport struct {
 // outside the pool (or with the zero plan) pass through untouched aside
 // from per-request faults, which apply to every request the transport
 // carries.
-func NewTransport(seed int64, plan Plan, workers []string, opts TransportOptions) *Transport {
-	if opts.Base == nil {
-		opts.Base = http.DefaultTransport
-	}
-	if opts.TimePerRequest <= 0 {
-		opts.TimePerRequest = time.Second
-	}
+func NewTransport(seed int64, plan Plan, workers []string) *Transport {
 	index := make(map[string]int, len(workers))
 	for i, w := range workers {
 		index[w] = i + 1
@@ -78,8 +65,6 @@ func NewTransport(seed int64, plan Plan, workers []string, opts TransportOptions
 		seed:    seed,
 		plan:    plan,
 		workers: index,
-		base:    opts.Base,
-		perReq:  opts.TimePerRequest,
 	}
 }
 
@@ -108,7 +93,7 @@ func (t *Transport) record(i uint64, format string, args ...any) {
 // validation can tell.
 func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 	i := t.idx.Add(1) - 1
-	vt := time.Duration(i) * t.perReq
+	vt := time.Duration(i) * timePerRequest
 
 	if wid := t.workers[req.URL.Host]; wid > 0 {
 		switch t.plan.WorkerStateAt(wid, vt) {
@@ -142,7 +127,7 @@ func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 		}
 	}
 
-	resp, err := t.base.RoundTrip(req)
+	resp, err := http.DefaultTransport.RoundTrip(req)
 	if err != nil || !truncate {
 		return resp, err
 	}

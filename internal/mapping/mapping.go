@@ -19,32 +19,21 @@ import (
 	"repro/internal/topology"
 )
 
-// Options tunes the recursion.
-type Options struct {
-	// Restarts per bisection call (local-search restarts). Default 3.
-	Restarts int
-}
-
-func (o Options) withDefaults() Options {
-	if o.Restarts < 1 {
-		o.Restarts = 3
-	}
-	return o
-}
+// restarts is the number of local-search restarts per bisection call.
+const restarts = 3
 
 // RecursiveBisection maps guest processors onto host processors by
 // coordinated recursive bisection and returns the assignment (guest
 // processor -> host processor). Both machines must be pure processor
 // machines on their graphs' vertex sets; the guest must be at least as
 // large as the host.
-func RecursiveBisection(guest, host *topology.Machine, opts Options, rng *rand.Rand) []int {
+func RecursiveBisection(guest, host *topology.Machine, rng *rand.Rand) []int {
 	if guest.N() != guest.Graph.N() {
 		panic(fmt.Sprintf("mapping: guest %s has switch vertices", guest.Name))
 	}
 	if host.N() < 1 {
 		panic("mapping: empty host")
 	}
-	opts = opts.withDefaults()
 	assign := make([]int, guest.N())
 	guestAll := make([]int, guest.N())
 	for i := range guestAll {
@@ -54,12 +43,12 @@ func RecursiveBisection(guest, host *topology.Machine, opts Options, rng *rand.R
 	for i := range hostAll {
 		hostAll[i] = i
 	}
-	recurse(guest.Graph, host.Graph, guestAll, hostAll, assign, opts, rng)
+	recurse(guest.Graph, host.Graph, guestAll, hostAll, assign, rng)
 	return assign
 }
 
 // recurse maps the guest vertices in gPart onto the host vertices in hPart.
-func recurse(g, h *multigraph.Multigraph, gPart, hPart []int, assign []int, opts Options, rng *rand.Rand) {
+func recurse(g, h *multigraph.Multigraph, gPart, hPart []int, assign []int, rng *rand.Rand) {
 	if len(hPart) == 1 {
 		for _, v := range gPart {
 			assign[v] = hPart[0]
@@ -72,16 +61,16 @@ func recurse(g, h *multigraph.Multigraph, gPart, hPart []int, assign []int, opts
 	// Split the host into two halves with a small cut, then split the
 	// guest proportionally, and pair the sides so that (heuristically)
 	// the bigger guest half gets the bigger host half.
-	hA, hB := splitPart(h, hPart, len(hPart)/2, opts, rng)
+	hA, hB := splitPart(h, hPart, len(hPart)/2, rng)
 	wantA := len(gPart) * len(hA) / len(hPart)
-	gA, gB := splitPart(g, gPart, wantA, opts, rng)
-	recurse(g, h, gA, hA, assign, opts, rng)
-	recurse(g, h, gB, hB, assign, opts, rng)
+	gA, gB := splitPart(g, gPart, wantA, rng)
+	recurse(g, h, gA, hA, assign, rng)
+	recurse(g, h, gB, hB, assign, rng)
 }
 
 // splitPart partitions `part` into sizes (k, len-k) minimizing the induced
 // cut with a random-restart local search over the induced subgraph.
-func splitPart(g *multigraph.Multigraph, part []int, k int, opts Options, rng *rand.Rand) ([]int, []int) {
+func splitPart(g *multigraph.Multigraph, part []int, k int, rng *rand.Rand) ([]int, []int) {
 	n := len(part)
 	if k <= 0 {
 		return nil, append([]int(nil), part...)
@@ -105,7 +94,7 @@ func splitPart(g *multigraph.Multigraph, part []int, k int, opts Options, rng *r
 	bestSide := make([]bool, n)
 	bestCut := int64(-1)
 	side := make([]bool, n)
-	for r := 0; r < opts.Restarts; r++ {
+	for r := 0; r < restarts; r++ {
 		// Random size-k seed refined by greedy swaps.
 		perm := rng.Perm(n)
 		for i := range side {

@@ -32,7 +32,7 @@ func TestRecursiveBisectionBalanced(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	guest := topology.Mesh(2, 8) // 64
 	host := topology.Ring(8)
-	assign := RecursiveBisection(guest, host, Options{}, rng)
+	assign := RecursiveBisection(guest, host, rng)
 	if len(assign) != 64 {
 		t.Fatalf("assignment covers %d", len(assign))
 	}
@@ -47,7 +47,7 @@ func TestRecursiveBisectionSingleHost(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	guest := topology.Ring(12)
 	host := topology.LinearArray(1)
-	assign := RecursiveBisection(guest, host, Options{}, rng)
+	assign := RecursiveBisection(guest, host, rng)
 	for _, p := range assign {
 		if p != 0 {
 			t.Fatal("everything must map to the only host")
@@ -61,7 +61,7 @@ func TestRecursiveBisectionPreservesLocality(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	guest := topology.Mesh(2, 8)
 	host := topology.Mesh(2, 4)
-	assign := RecursiveBisection(guest, host, Options{Restarts: 4}, rng)
+	assign := RecursiveBisection(guest, host, rng)
 	random := randomMap(guest, host, rng)
 	cross := func(a []int) int {
 		c := 0
@@ -89,7 +89,7 @@ func TestRecursiveBisectionBeatsRandomOnIrregularPair(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	guest := topology.DeBruijn(6)
 	host := topology.Tree(3)
-	assign := RecursiveBisection(guest, host, Options{Restarts: 4}, rng)
+	assign := RecursiveBisection(guest, host, rng)
 	res := emulation.Direct(guest, host, 2, assign, rng)
 	random := emulation.Direct(guest, host, 2, randomMap(guest, host, rng), rng)
 	if res.RouteTicks > random.RouteTicks {
@@ -104,7 +104,7 @@ func TestRejectsSwitchGuests(t *testing.T) {
 			t.Fatal("no panic")
 		}
 	}()
-	RecursiveBisection(topology.GlobalBus(8), topology.Ring(4), Options{}, rng)
+	RecursiveBisection(topology.GlobalBus(8), topology.Ring(4), rng)
 }
 
 // Property: the assignment is always complete, in range, and near balanced.
@@ -113,7 +113,7 @@ func TestPropertyAssignmentsValid(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		guest := topology.Ring(16 + rng.Intn(32))
 		host := topology.Ring(3 + rng.Intn(5))
-		assign := RecursiveBisection(guest, host, Options{Restarts: 2}, rng)
+		assign := RecursiveBisection(guest, host, rng)
 		if len(assign) != guest.N() {
 			return false
 		}

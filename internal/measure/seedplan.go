@@ -27,14 +27,14 @@ type SeedPlan struct {
 
 // NewSeedPlan returns the plan rooted at seed.
 func NewSeedPlan(seed int64) SeedPlan {
-	return SeedPlan{state: mix64(uint64(seed))}
+	return SeedPlan{state: Mix64(uint64(seed))}
 }
 
 // Fork derives a sub-plan for the given keys.
 func (p SeedPlan) Fork(keys ...uint64) SeedPlan {
 	st := p.state
 	for _, k := range keys {
-		st = mix64(st + 0x9e3779b97f4a7c15 + mix64(k))
+		st = Mix64(st + 0x9e3779b97f4a7c15 + Mix64(k))
 	}
 	return SeedPlan{state: st}
 }
@@ -65,8 +65,10 @@ func KeyString(s string) uint64 {
 	return h
 }
 
-// mix64 is the splitmix64 finalizer: a bijective avalanche on 64 bits.
-func mix64(x uint64) uint64 {
+// Mix64 is the splitmix64 finalizer: a bijective avalanche on 64 bits.
+// The simulator's per-vertex streams and the chaos injector's decisions
+// use it too; it is small enough that the compiler inlines every call.
+func Mix64(x uint64) uint64 {
 	x ^= x >> 30
 	x *= 0xbf58476d1ce4e5b9
 	x ^= x >> 27

@@ -4,24 +4,18 @@ import "fmt"
 
 // A small library of programs with checkable global behaviour.
 
-// FloodMax: every processor starts with a distinct value and repeatedly
-// takes the maximum of itself and its neighbours. After diameter steps
-// every processor holds the global maximum — the classic leader-election
-// flood, and a sharp test that information really crosses the network.
-type FloodMax struct {
-	// Values holds the initial value per processor; nil means Init uses a
-	// fixed injective seed (v*2654435761 mod 2^31).
-	Values []Word
-}
+// FloodMax: every processor starts with a distinct value (a fixed
+// injective seed, v*2654435761+12345 mod 2^31) and repeatedly takes the
+// maximum of itself and its neighbours. After diameter steps every
+// processor holds the global maximum — the classic leader-election flood,
+// and a sharp test that information really crosses the network.
+type FloodMax struct{}
 
 // Name implements Program.
 func (f *FloodMax) Name() string { return "floodmax" }
 
 // Init implements Program.
 func (f *FloodMax) Init(v int) Word {
-	if f.Values != nil {
-		return f.Values[v]
-	}
 	return Word((int64(v)*2654435761 + 12345) % (1 << 31))
 }
 
@@ -108,12 +102,10 @@ func ByName(name string) (Program, error) {
 // in even rounds, pairs (0,1), (2,3), ... compare-exchange; in odd rounds
 // pairs (1,2), (3,4), .... After n rounds the values are sorted ascending
 // by position — a full algorithm with a checkable output, not just an
-// invariant. Defined only on LinearArray guests.
+// invariant. Defined only on LinearArray guests. The initial values are a
+// fixed scramble of distinct values, descending by position.
 type OddEvenSort struct {
-	// Values are the initial values; nil uses a fixed scrambled sequence.
-	Values []Word
-	// N must be the guest size when Values is nil.
-	N int
+	N int // the guest size
 }
 
 // Name implements Program.
@@ -121,10 +113,6 @@ func (o *OddEvenSort) Name() string { return "oddevensort" }
 
 // Init implements Program.
 func (o *OddEvenSort) Init(v int) Word {
-	if o.Values != nil {
-		return o.Values[v]
-	}
-	// A fixed scramble: distinct values in reversed-ish order.
 	return Word((o.N - v) * 7 % (o.N*7 + 1))
 }
 

@@ -51,13 +51,22 @@ func TestFloodMaxNotConvergedEarly(t *testing.T) {
 	}
 }
 
+// FloodMax's built-in seed puts the maximum of Ring(6) at processor 4, so
+// the flood reaches processor 1 only after the full diameter, 3 steps.
 func TestFloodMaxCustomValues(t *testing.T) {
 	m := topology.Ring(6)
-	p := &FloodMax{Values: []Word{3, 9, 1, 4, 1, 5}}
+	p := &FloodMax{}
+	const max = 2027820797
+	if init := Run(p, m, 0); init[4] != max || slices.Max(init) != max {
+		t.Fatalf("initial values %v, want the maximum %d at processor 4", init, max)
+	}
+	if s := Run(p, m, 2); s[1] == max {
+		t.Fatalf("processor 1 holds the maximum after 2 steps: %v", s)
+	}
 	states := Run(p, m, 3)
 	for v, s := range states {
-		if s != 9 {
-			t.Fatalf("processor %d holds %d, want 9", v, s)
+		if s != max {
+			t.Fatalf("processor %d holds %d, want %d", v, s, max)
 		}
 	}
 }
@@ -221,15 +230,17 @@ func TestOddEvenSortNative(t *testing.T) {
 	}
 }
 
+// OddEvenSort's built-in sequence on 5 processors is 35, 28, 21, 14, 7:
+// fully reversed, the worst case, which still sorts in n rounds.
 func TestOddEvenSortCustomValues(t *testing.T) {
 	m := topology.LinearArray(5)
-	p := &OddEvenSort{Values: []Word{5, 1, 4, 2, 3}}
+	p := &OddEvenSort{N: 5}
+	if init := Run(p, m, 0); !slices.Equal(init, []Word{35, 28, 21, 14, 7}) {
+		t.Fatalf("initial values %v", init)
+	}
 	states := Run(p, m, 5)
-	want := []Word{1, 2, 3, 4, 5}
-	for i := range want {
-		if states[i] != want[i] {
-			t.Fatalf("states = %v, want %v", states, want)
-		}
+	if want := []Word{7, 14, 21, 28, 35}; !slices.Equal(states, want) {
+		t.Fatalf("states = %v, want %v", states, want)
 	}
 }
 

@@ -28,7 +28,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/embed"
 	"repro/internal/experiment"
-	"repro/internal/schedule"
+	"repro/internal/timetable"
 	"repro/internal/traffic"
 )
 
@@ -306,7 +306,7 @@ func emulationMatrix(r *experiment.Runner, o Options) string {
 			return check
 		})
 	}
-	fmt.Fprintf(&b, "| pair | |G| | |H| | bound | measured | ratio |\n|---|---|---|---|---|---|\n")
+	fmt.Fprintf(&b, "| pair | \\|G\\| | \\|H\\| | bound | measured | ratio |\n|---|---|---|---|---|---|\n")
 	for i, p := range pairs {
 		check := futs[i].Wait()
 		fmt.Fprintf(&b, "| %s | %d | %d | %.1f | %.1f | %.2f |\n",
@@ -401,9 +401,9 @@ func theorem6(r *experiment.Runner, o Options) string {
 // and random-delay makespans over the max(c, d) lower bound.
 func timetableRatios(m *netemu.Machine, rng *rand.Rand) [2]float64 {
 	e := embed.ShortestPaths(m.Graph, traffic.NewSymmetric(m.N()).Graph(), embed.IdentityMap(m.N()))
-	packets := schedule.FromEmbedding(e)
-	greedy := schedule.Greedy(m.Graph, packets, rng)
-	delay := schedule.RandomDelay(m.Graph, packets, 1, rng)
+	packets := timetable.FromEmbedding(e)
+	greedy := timetable.Greedy(m.Graph, packets, rng)
+	delay := timetable.RandomDelay(m.Graph, packets, 1, rng)
 	return [2]float64{
 		float64(greedy.Makespan) / float64(greedy.LowerBound()),
 		float64(delay.Makespan) / float64(delay.LowerBound()),

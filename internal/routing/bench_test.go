@@ -45,29 +45,6 @@ func BenchmarkSimStep(b *testing.B) {
 	}
 }
 
-func BenchmarkSimStepFarthestFirst(b *testing.B) {
-	m := topology.Mesh(2, 12)
-	e := NewEngine(m, Greedy)
-	e.Discipline = FarthestFirst
-	rng := rand.New(rand.NewSource(1))
-	s := e.NewSim(rng)
-	dist := traffic.NewSymmetric(m.N())
-	s.Inject(traffic.Batch(dist, 4*m.N(), rng))
-	for i := 0; i < 8; i++ {
-		s.Step()
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if s.InFlight() < 64 {
-			b.StopTimer()
-			s.Inject(traffic.Batch(dist, 4*144, rng))
-			b.StartTimer()
-		}
-		s.Step()
-	}
-}
-
 // BenchmarkSimStepSharded is the scaling curve behind BENCH_routing.json:
 // Step on a dim-16 weak hypercube (65536 vertices, closed-form next hop,
 // no BFS tables) under a standing load, at 1/2/4/8 shards. The

@@ -72,29 +72,6 @@ func (s Strategy) String() string {
 	}
 }
 
-// Discipline selects the per-vertex queue service order.
-type Discipline int
-
-const (
-	// FIFO serves each vertex queue in arrival order.
-	FIFO Discipline = iota
-	// FarthestFirst serves packets with the most remaining distance first —
-	// the classic priority rule that keeps long-haul packets from starving
-	// behind local churn.
-	FarthestFirst
-)
-
-func (d Discipline) String() string {
-	switch d {
-	case FIFO:
-		return "fifo"
-	case FarthestFirst:
-		return "farthest-first"
-	default:
-		return fmt.Sprintf("Discipline(%d)", int(d))
-	}
-}
-
 // geomKind tags the closed-form next-hop fast paths.
 type geomKind int
 
@@ -108,15 +85,14 @@ const (
 // Engine simulates packet routing on one machine. It caches per-destination
 // distance fields, so reuse one Engine across batches on the same machine.
 type Engine struct {
-	M          *topology.Machine
-	Strategy   Strategy
-	Discipline Discipline
+	M        *topology.Machine
+	Strategy Strategy
 
 	// distPtrs caches per-destination BFS distance fields. Lazily filled
 	// with atomic publication so concurrent shards can warm it without
 	// locks: a racing recompute produces the identical field (BFS is
 	// deterministic) and the last store wins. Nil for implicit machines,
-	// whose fault-free distances are always closed-form, and never filled
+	// whose fault-free next hop is always closed-form, and never filled
 	// while an explicit machine has a shape.
 	distPtrs []atomic.Pointer[[]int]
 
@@ -138,11 +114,11 @@ type Engine struct {
 	// shape, when non-nil, is the generator of the machine's fault-free
 	// graph, whichever representation holds the adjacency: an implicit
 	// machine's own generator, or the one explicitShape finds a pristine
-	// materialized hypercube, mesh or torus to be. It supplies exact
-	// distances (shape.Distance, replacing O(N) BFS fields whose
-	// all-destination warmup is O(N^2) memory) and the closed-form next
-	// hop, whose parameters setShape unpacks into gk..gStride. Faulted
-	// routing falls back to masked BFS fields. Nil selects the CSR +
+	// materialized hypercube, mesh or torus to be. It supplies the
+	// closed-form next hop, replacing O(N) BFS fields whose
+	// all-destination warmup is O(N^2) memory; setShape unpacks its
+	// parameters into gk..gStride. Faulted routing falls back to masked
+	// BFS fields. Nil selects the CSR +
 	// BFS-field path, the reference the representation tests compare the
 	// closed forms against.
 	shape   *topology.Implicit
@@ -348,16 +324,6 @@ func (e *Engine) dist(dst int) []int {
 	d := e.M.Graph.BFS(dst)
 	e.distPtrs[dst].Store(&d)
 	return d
-}
-
-// distance returns the current routing distance from u to dst: the
-// shape's closed form on fault-free geometric machines, the (possibly
-// fault-masked) BFS field otherwise. Under faults, -1 means unreachable.
-func (e *Engine) distance(u, dst int) int {
-	if e.shape != nil && e.live == nil {
-		return e.shape.Distance(u, dst)
-	}
-	return e.dist(dst)[u]
 }
 
 // Stats reports the outcome of routing one batch.

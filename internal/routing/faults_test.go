@@ -42,8 +42,8 @@ func table4Machines(rng *rand.Rand) []*topology.Machine {
 		topology.ShuffleExchange(4),
 		topology.DeBruijn(4),
 		topology.WeakHypercube(4),
-		topology.Multibutterfly(3, 2, rng),
-		topology.Expander(16, 4, rng),
+		topology.Multibutterfly(3, rng),
+		topology.Expander(16, rng),
 	}
 }
 
@@ -63,7 +63,7 @@ func TestFaultConservationOnTable4Machines(t *testing.T) {
 			}
 			e := NewEngine(m, Greedy)
 			s := e.NewSim(mrng)
-			s.SetFaults(sched, FaultOptions{RetryBudget: 4, BackoffBase: 2, TTL: 64})
+			s.SetFaults(sched)
 			dist := traffic.NewSymmetric(m.N())
 			for tick := 0; tick < 100; tick++ {
 				s.InjectSampled(dist, 2)
@@ -81,35 +81,36 @@ func TestFaultConservationOnTable4Machines(t *testing.T) {
 	}
 }
 
-// A packet stranded by a partition backs off, retries, and is dropped once
-// its retry budget is spent — it never lingers forever and never vanishes
-// from the conservation ledger.
-func TestStrandedPacketRetriesThenDrops(t *testing.T) {
-	m := topology.LinearArray(8)
-	e := NewEngine(m, Greedy)
-	rng := rand.New(rand.NewSource(43))
-	s := e.NewSim(rng)
-	// Cut the middle wire at tick 1, before the packet can cross it.
-	sched := &topology.FaultSchedule{Events: []topology.FaultEvent{
-		{Tick: 1, Edges: []topology.EdgeFault{{U: 3, V: 4, Mult: 1}}},
-	}}
-	s.SetFaults(sched, FaultOptions{RetryBudget: 3, BackoffBase: 2, TTL: 512})
-	s.Inject([]traffic.Message{{Src: 0, Dst: 7}})
-	for i := 0; i < 200 && s.InFlight() > 0; i++ {
+// strandedRun routes one packet from src to dst on a linear array of n
+// vertices whose wire (cut, cut+1) fails at tick at, and returns the sim
+// once the packet has left it.
+func strandedRun(t *testing.T, n, src, dst, cut, at int) *Sim {
+	t.Helper()
+	e := NewEngine(topology.LinearArray(n), Greedy)
+	s := e.NewSim(rand.New(rand.NewSource(43)))
+	s.SetFaults(&topology.FaultSchedule{Events: []topology.FaultEvent{
+		{Tick: at, Edges: []topology.EdgeFault{{U: cut, V: cut + 1, Mult: 1}}},
+	}})
+	s.Inject([]traffic.Message{{Src: src, Dst: dst}})
+	for i := 0; i < 2*faultTTL && s.InFlight() > 0; i++ {
 		s.Step()
 	}
-	if s.InFlight() != 0 {
-		t.Fatalf("stranded packet still in flight after 200 ticks")
+	if s.InFlight() != 0 || s.Delivered() != 0 || s.Dropped() != 1 {
+		t.Fatalf("in flight %d delivered %d dropped %d, want 0/0/1", s.InFlight(), s.Delivered(), s.Dropped())
 	}
-	if s.Delivered() != 0 {
-		t.Fatalf("delivered %d across a cut wire", s.Delivered())
-	}
-	if s.Dropped() != 1 {
-		t.Fatalf("dropped %d, want 1", s.Dropped())
-	}
-	if s.Retried() != 4 {
-		// Budget 3 allows 3 backoffs; the 4th retry exceeds it and drops.
-		t.Fatalf("retried %d, want 4", s.Retried())
+	return s
+}
+
+// A packet stranded at its source by a partition backs off, retries, and
+// is dropped once its retry budget is spent — it never lingers forever and
+// never vanishes from the conservation ledger. The retryBudget backoffs
+// double from backoffBase, so the budget runs out at tick 2^9-1 = 511,
+// just inside faultTTL.
+func TestStrandedPacketRetriesThenDrops(t *testing.T) {
+	s := strandedRun(t, 8, 0, 7, 0, 1)
+	if s.Retried() != 9 || s.Now() != 511 {
+		t.Fatalf("retried %d, dropped at tick %d; want 9 retries (the last exceeds the budget of 8), tick 511",
+			s.Retried(), s.Now())
 	}
 }
 
@@ -124,7 +125,7 @@ func TestStrandedPacketSurvivesHeal(t *testing.T) {
 		{Tick: 1, Edges: []topology.EdgeFault{{U: 3, V: 4, Mult: 1}}},
 		{Tick: 20, Heal: true},
 	}}
-	s.SetFaults(sched, FaultOptions{RetryBudget: 32, BackoffBase: 2, TTL: 512})
+	s.SetFaults(sched)
 	s.Inject([]traffic.Message{{Src: 0, Dst: 7}})
 	for i := 0; i < 200 && s.InFlight() > 0; i++ {
 		s.Step()
@@ -147,7 +148,7 @@ func TestDeadProcessorDropsQueueAndInjection(t *testing.T) {
 	sched := &topology.FaultSchedule{Events: []topology.FaultEvent{
 		{Tick: 2, Nodes: []int{4}},
 	}}
-	s.SetFaults(sched, FaultOptions{})
+	s.SetFaults(sched)
 	// The packet bound for vertex 4 is still two hops away when 4 dies, so
 	// the event must reap it; the packet leaving 4 escapes beforehand.
 	s.Inject([]traffic.Message{{Src: 4, Dst: 7}, {Src: 0, Dst: 4}})
@@ -174,26 +175,13 @@ func TestDeadProcessorDropsQueueAndInjection(t *testing.T) {
 	}
 }
 
-// TTL is a hard bound: even with an infinite retry budget, a packet older
-// than TTL ticks is dropped.
+// TTL is a hard bound: a packet stranded after travelling 30 hops wakes
+// from its 8th backoff at tick 30+2^9-2 = 540, older than faultTTL, and is
+// dropped before its budget runs out.
 func TestPacketTTL(t *testing.T) {
-	m := topology.LinearArray(8)
-	e := NewEngine(m, Greedy)
-	rng := rand.New(rand.NewSource(46))
-	s := e.NewSim(rng)
-	sched := &topology.FaultSchedule{Events: []topology.FaultEvent{
-		{Tick: 1, Edges: []topology.EdgeFault{{U: 3, V: 4, Mult: 1}}},
-	}}
-	s.SetFaults(sched, FaultOptions{RetryBudget: 64, BackoffBase: 1, TTL: 16})
-	s.Inject([]traffic.Message{{Src: 0, Dst: 7}})
-	for i := 0; i < 100 && s.InFlight() > 0; i++ {
-		s.Step()
-	}
-	if s.Dropped() != 1 || s.InFlight() != 0 {
-		t.Fatalf("dropped %d in-flight %d, want 1/0 (TTL)", s.Dropped(), s.InFlight())
-	}
-	if s.Now() > 60 {
-		t.Fatalf("TTL drop took %d ticks, budget-capped backoff should finish well before 60", s.Now())
+	s := strandedRun(t, 64, 0, 63, 40, 30)
+	if s.Retried() != 8 || s.Now() != 540 {
+		t.Fatalf("retried %d, dropped at tick %d; want 8 retries, tick 540 (TTL)", s.Retried(), s.Now())
 	}
 }
 
@@ -206,7 +194,7 @@ func TestValiantRetargetsDeadIntermediate(t *testing.T) {
 	s := e.NewSim(rng)
 	// Kill a third of the mesh early; plenty of Valiant intermediates die.
 	sched := topology.MustParseFaultSpec("nodes:5@t3").Materialize(m, rand.New(rand.NewSource(48)))
-	s.SetFaults(sched, FaultOptions{RetryBudget: 16, BackoffBase: 2, TTL: 256})
+	s.SetFaults(sched)
 	dist := traffic.NewSymmetric(m.N())
 	for tick := 0; tick < 120; tick++ {
 		s.InjectSampled(dist, 2)
@@ -307,5 +295,5 @@ func TestSetFaultsNilPanics(t *testing.T) {
 			t.Fatal("no panic")
 		}
 	}()
-	s.SetFaults(nil, FaultOptions{})
+	s.SetFaults(nil)
 }

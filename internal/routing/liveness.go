@@ -164,54 +164,33 @@ func (e *Engine) liveDist(dst int) []int {
 	return d
 }
 
-// FaultOptions tunes how a Sim treats packets stranded by faults.
-type FaultOptions struct {
-	// RetryBudget is the number of reroute attempts a stranded packet may
-	// make before it is dropped. Default 8.
-	RetryBudget int
-	// BackoffBase is the tick count of the first backoff; each further
-	// retry doubles it (capped at 1024 ticks). Default 2.
-	BackoffBase int
-	// TTL is the maximum age in ticks a packet may reach before it is
-	// dropped regardless of retries. Default 512.
-	TTL int
-}
+// Stranded-packet resilience. A stranded packet may make retryBudget
+// reroute attempts; the first backs off backoffBase ticks and each further
+// one doubles the wait, capped at maxBackoff ticks. A packet older than
+// faultTTL ticks is dropped regardless of retries.
+const (
+	retryBudget = 8
+	backoffBase = 2
+	maxBackoff  = 1024
+	faultTTL    = 512
+)
 
-func (o FaultOptions) withDefaults() FaultOptions {
-	if o.RetryBudget < 1 {
-		o.RetryBudget = 8
-	}
-	if o.RetryBudget > 64 {
-		o.RetryBudget = 64
-	}
-	if o.BackoffBase < 1 {
-		o.BackoffBase = 2
-	}
-	if o.TTL < 1 {
-		o.TTL = 512
-	}
-	return o
-}
-
-// faultState is the Sim side of a fault run: the schedule cursor and the
-// resilience knobs.
+// faultState is the Sim side of a fault run: the schedule cursor.
 type faultState struct {
 	sched *topology.FaultSchedule
-	opts  FaultOptions
 	next  int // next unapplied event index
 }
 
 // SetFaults arms the sim with a materialized fault schedule: events fire at
 // the start of the tick they are keyed to (events keyed before the current
 // tick fire immediately on the next Step). Enables liveness-aware routing
-// on the engine, which then belongs to this sim. The zero FaultOptions
-// takes the documented defaults.
-func (s *Sim) SetFaults(sched *topology.FaultSchedule, opts FaultOptions) {
+// on the engine, which then belongs to this sim.
+func (s *Sim) SetFaults(sched *topology.FaultSchedule) {
 	if sched == nil {
 		panic("routing: SetFaults with nil schedule")
 	}
 	s.eng.EnableFaults()
-	s.faults = &faultState{sched: sched, opts: opts.withDefaults()}
+	s.faults = &faultState{sched: sched}
 }
 
 // Dropped returns the number of packets lost to faults: queued at a
@@ -304,16 +283,8 @@ func (s *Sim) reapDeadPackets() {
 	}
 }
 
-// backoffTicks returns the exponential backoff for the given retry number,
-// capped at 1024 ticks.
-func backoffTicks(base int, retries uint8) int {
-	shift := int(retries) - 1
-	if shift > 10 {
-		shift = 10
-	}
-	b := base << shift
-	if b > 1024 {
-		b = 1024
-	}
-	return b
+// backoffTicks returns the exponential backoff for the given retry number
+// (1 to retryBudget), capped at maxBackoff ticks.
+func backoffTicks(retries uint8) int {
+	return min(backoffBase<<(retries-1), maxBackoff)
 }

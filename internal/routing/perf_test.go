@@ -40,11 +40,10 @@ func TestLatencyPercentileNearestRank(t *testing.T) {
 // steadyStateAllocs reports the average allocations per Step for a sim
 // with a standing packet population, after a warmup that lets every
 // backing array reach steady-state capacity.
-func steadyStateAllocs(t *testing.T, discipline Discipline) float64 {
+func steadyStateAllocs(t *testing.T) float64 {
 	t.Helper()
 	m := topology.Mesh(2, 10)
 	e := NewEngine(m, Greedy)
-	e.Discipline = discipline
 	rng := rand.New(rand.NewSource(3))
 	s := e.NewSim(rng)
 	dist := traffic.NewSymmetric(m.N())
@@ -62,11 +61,8 @@ func steadyStateAllocs(t *testing.T, discipline Discipline) float64 {
 // stream into the histogram. A small fractional budget absorbs rare
 // histogram/queue growth events.
 func TestStepSteadyStateAllocs(t *testing.T) {
-	if avg := steadyStateAllocs(t, FIFO); avg > 0.1 {
-		t.Errorf("FIFO Step allocates %.2f objects/tick at steady state, budget 0.1", avg)
-	}
-	if avg := steadyStateAllocs(t, FarthestFirst); avg > 0.1 {
-		t.Errorf("FarthestFirst Step allocates %.2f objects/tick at steady state, budget 0.1", avg)
+	if avg := steadyStateAllocs(t); avg > 0.1 {
+		t.Errorf("Step allocates %.2f objects/tick at steady state, budget 0.1", avg)
 	}
 }
 

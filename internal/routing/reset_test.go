@@ -109,7 +109,7 @@ func TestResetRefusesFaultedSim(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	s := e.NewSim(rng)
 	sched := topology.MustParseFaultSpec("edges:0.2@t2").Materialize(m, rng)
-	s.SetFaults(sched, FaultOptions{})
+	s.SetFaults(sched)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("Reset on a faulted sim did not panic")
@@ -127,7 +127,7 @@ func TestReleaseSimClosesFaulted(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	s := e.NewSim(rng)
 	sched := topology.MustParseFaultSpec("edges:0.2@t2").Materialize(m, rng)
-	s.SetFaults(sched, FaultOptions{})
+	s.SetFaults(sched)
 	e.releaseSim(s)
 	if !s.closed {
 		t.Fatal("releaseSim pooled a faulted sim instead of closing it")

@@ -9,8 +9,8 @@ import (
 // Intra-sim sharding. The vertex set is partitioned across shards; each
 // tick every shard runs two phases back to back:
 //
-//	move:   serve the shard's own vertices' queues (edge capacity, service
-//	        discipline, fault retry logic), deliver packets that reach
+//	move:   serve the shard's own vertices' queues (FIFO order, edge
+//	        capacity, fault retry logic), deliver packets that reach
 //	        their final destination, and post the rest to the mailbox
 //	        outbox[destination shard]; then publish the shard's epoch.
 //	arrive: spin until every in-neighbour shard's epoch reaches this tick,
@@ -83,10 +83,8 @@ type simShard struct {
 	active    []int // owned vertices with queued packets; prefix [:sortedLen] sorted
 	sortedLen int   // length of the sorted prefix of active
 
-	touched  []int32     // edge-usage slots dirtied this tick
-	sortKeys []int       // FarthestFirst scratch
-	sortBuf  []simPacket // FarthestFirst gather scratch
-	mergeBuf []int       // active-list merge scratch
+	touched  []int32 // edge-usage slots dirtied this tick
+	mergeBuf []int   // active-list merge scratch
 
 	// Chunk arena for the owned vertices' queues.
 	pages    [][]qChunk
@@ -215,8 +213,8 @@ func (sh *simShard) mergeActive() {
 }
 
 // move serves every active owned vertex in ascending id order: clears the
-// previous tick's edge usage, applies the service discipline and per-wire
-// capacity, counts packets that reached their final destination as
+// previous tick's edge usage, serves each queue in FIFO order under
+// per-wire capacity, counts packets that reached their final destination as
 // delivered, and posts the other moved packets to the destination shard's
 // mailbox. Queue chains are compacted in place (the write cursor never
 // passes the read cursor).
@@ -236,7 +234,6 @@ func (sh *simShard) move(s *Sim) {
 	fs := s.faults
 	stats := s.stats
 	caps := eng.caps
-	farthest := eng.Discipline == FarthestFirst
 	now := s.now
 	for _, u := range sh.active {
 		q := &s.vq[u]
@@ -248,9 +245,6 @@ func (sh *simShard) move(s *Sim) {
 			sh.maxQueue = qn
 		}
 		vr := s.vertexRand(u)
-		if farthest && qn > 1 {
-			sh.sortFarthestFirst(s, u, q)
-		}
 		var capLeft int64 = -1
 		if caps != nil {
 			capLeft = caps[u]
@@ -272,7 +266,7 @@ func (sh *simShard) move(s *Sim) {
 				if fs != nil {
 					if int(p.sleepUntil) > now {
 						keep = true // backing off
-					} else if now-int(p.born) > fs.opts.TTL {
+					} else if now-int(p.born) > faultTTL {
 						sh.tickDropped++
 						continue
 					}
@@ -307,7 +301,7 @@ func (sh *simShard) move(s *Sim) {
 						sh.outbox[dst] = append(sh.outbox[dst], arrival{sender: int32(u), p: p})
 						continue
 					}
-					if fs != nil && eng.distance(u, int(p.dst)) < 0 {
+					if fs != nil && eng.liveDist(int(p.dst))[u] < 0 {
 						// Stranded: no live path to the current target.
 						if p.phase1 {
 							// The Valiant intermediate became unreachable;
@@ -317,11 +311,11 @@ func (sh *simShard) move(s *Sim) {
 						} else {
 							p.retries++
 							sh.tickRetried++
-							if int(p.retries) > fs.opts.RetryBudget {
+							if p.retries > retryBudget {
 								sh.tickDropped++
 								continue
 							}
-							p.sleepUntil = int32(now + backoffTicks(fs.opts.BackoffBase, p.retries))
+							p.sleepUntil = int32(now + backoffTicks(p.retries))
 						}
 					}
 					// Otherwise: all downhill wires saturated; wait in place.
@@ -428,47 +422,6 @@ func (sh *simShard) sampleQueues(s *Sim) {
 	for i := len(sh.active); i < sh.owned; i++ {
 		sh.queueOcc.Record(0)
 	}
-}
-
-// sortFarthestFirst stably sorts vertex u's queue by descending remaining
-// distance: the chain is gathered into a scratch slice, insertion-sorted
-// on a parallel key slice (queues are short and mostly sorted from the
-// previous tick), and scattered back into the same chunks.
-func (sh *simShard) sortFarthestFirst(s *Sim, u int, q *vqueue) {
-	n := int(q.n)
-	buf := sh.sortBuf[:0]
-	for ci, got := q.head, 0; got < n; ci = sh.chunk(ci).next {
-		c := sh.chunk(ci)
-		k := qChunkCap
-		if n-got < k {
-			k = n - got
-		}
-		buf = append(buf, c.p[:k]...)
-		got += k
-	}
-	keys := sh.sortKeys[:0]
-	for i := range buf {
-		keys = append(keys, s.eng.distance(u, int(buf[i].dst)))
-	}
-	for i := 1; i < n; i++ {
-		p, k := buf[i], keys[i]
-		j := i - 1
-		for j >= 0 && keys[j] < k {
-			buf[j+1], keys[j+1] = buf[j], keys[j]
-			j--
-		}
-		buf[j+1], keys[j+1] = p, k
-	}
-	for ci, put := q.head, 0; put < n; ci = sh.chunk(ci).next {
-		c := sh.chunk(ci)
-		k := qChunkCap
-		if n-put < k {
-			k = n - put
-		}
-		copy(c.p[:k], buf[put:put+k])
-		put += k
-	}
-	sh.sortBuf, sh.sortKeys = buf, keys
 }
 
 // Worker plumbing: shards beyond the first get a long-lived goroutine fed

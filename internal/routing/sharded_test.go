@@ -3,6 +3,7 @@ package routing
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/multigraph"
@@ -193,10 +194,11 @@ func TestShardedStepSteadyStateAllocs(t *testing.T) {
 
 // The closed-form shape must be installed on exactly the pristine
 // hypercubes, meshes and tori of dimension at most MaxImplicitDim, in
-// either representation, and agree with BFS exactly there: its distances
-// are FarthestFirst's keys, and a fault-free run on it must never build a
-// BFS field. Degraded clones, non-geometric machines and higher-
-// dimensional meshes must not get one.
+// either representation, and agree with BFS exactly there: the closed-form
+// next hop's candidates from u towards dst are exactly u's BFS-downhill
+// neighbours, each under its own edge id, and a fault-free run on it must
+// never build a BFS field. Degraded clones, non-geometric machines and
+// higher-dimensional meshes must not get one.
 func TestAnalyticDistanceMatchesBFS(t *testing.T) {
 	shaped := []struct {
 		m    *topology.Machine
@@ -221,18 +223,43 @@ func TestAnalyticDistanceMatchesBFS(t *testing.T) {
 			continue
 		}
 		g := m.Materialize().Graph
+		edgeUsed := make([]int32, e.numEdges)
 		for dst := 0; dst < g.N(); dst++ {
 			d := g.BFS(dst)
 			for u := range d {
-				if got := e.distance(u, dst); got != d[u] {
-					t.Fatalf("%s: distance(%d,%d) = %d, BFS says %d", m.Name, u, dst, got, d[u])
+				if u == dst {
+					continue
 				}
+				// Saturate each pick's wire and pick again until none is
+				// left: the picks are then the whole candidate set.
+				var picked []int
+				for vr := (vrand{state: uint64(u)}); ; {
+					h, id := e.pickHop(u, dst, edgeUsed, &vr)
+					if h < 0 {
+						break
+					}
+					if from, to := e.edgeEnds(id); from != u || to != h {
+						t.Fatalf("%s: hop %d->%d has edge id %d of %d->%d", m.Name, u, h, id, from, to)
+					}
+					edgeUsed[id] = 1
+					picked = append(picked, h)
+				}
+				var downhill []int
+				for _, v := range g.Neighbors(u) {
+					if d[v] == d[u]-1 {
+						downhill = append(downhill, v)
+					}
+				}
+				slices.Sort(picked)
+				if !slices.Equal(picked, downhill) {
+					t.Fatalf("%s: candidates %d->%d are %v, BFS-downhill neighbours %v", m.Name, u, dst, picked, downhill)
+				}
+				clear(edgeUsed)
 			}
 		}
 		if m.Implicit != nil {
 			continue
 		}
-		e.Discipline = FarthestFirst
 		e.OpenLoop(traffic.NewSymmetric(m.N()), rand.New(rand.NewSource(1)), OpenLoopOptions{Rate: 3, Ticks: 40})
 		for dst := range e.distPtrs {
 			if e.distPtrs[dst].Load() != nil {

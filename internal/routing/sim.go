@@ -282,8 +282,8 @@ func (s *Sim) Close() {
 // never by shard — is what makes results independent of the shard count.
 func (s *Sim) vertexRand(u int) vrand {
 	st := s.planState
-	st = mix64(st + 0x9e3779b97f4a7c15 + mix64(uint64(s.now)))
-	st = mix64(st + 0x9e3779b97f4a7c15 + mix64(uint64(u)))
+	st = measure.Mix64(st + 0x9e3779b97f4a7c15 + measure.Mix64(uint64(s.now)))
+	st = measure.Mix64(st + 0x9e3779b97f4a7c15 + measure.Mix64(uint64(u)))
 	return vrand{state: st}
 }
 
@@ -480,8 +480,8 @@ type OpenLoopOptions struct {
 	// quantiles); TopK bounds the edge list, <= 0 means 10.
 	Snapshot bool
 	TopK     int
-	// Faults, when non-nil, is armed on the sim before the first tick with
-	// the default FaultOptions: events fire as the run crosses their
+	// Faults, when non-nil, is armed on the sim before the first tick:
+	// events fire as the run crosses their
 	// ticks, and the result carries the dropped/retried counters. It
 	// enables liveness-aware routing on the engine, which then belongs to
 	// this run.
@@ -504,7 +504,7 @@ func (e *Engine) OpenLoop(dist traffic.Distribution, rng *rand.Rand, o OpenLoopO
 	var s *Sim
 	if o.Faults != nil {
 		s = e.NewShardedSim(rng, o.Shards)
-		s.SetFaults(o.Faults, FaultOptions{})
+		s.SetFaults(o.Faults)
 	} else {
 		s = e.acquireSim(rng, o.Shards)
 	}

@@ -192,46 +192,3 @@ func TestOpenLoopReportsP95(t *testing.T) {
 		t.Fatalf("p95 %d below mean %.1f", res.P95Latency, res.MeanLatency)
 	}
 }
-
-func TestFarthestFirstServesLongHaulFirst(t *testing.T) {
-	// Two packets at vertex 0 of a path: one bound next door, one bound
-	// for the far end. Under farthest-first the long-haul packet takes the
-	// first slot on the shared wire.
-	m := topology.LinearArray(6)
-	e := NewEngine(m, Greedy)
-	e.Discipline = FarthestFirst
-	rng := rand.New(rand.NewSource(30))
-	s := e.NewSim(rng)
-	s.Inject([]traffic.Message{{Src: 0, Dst: 1}, {Src: 0, Dst: 5}})
-	s.Step()
-	// After one tick the far packet moved (latency path), the near packet
-	// waited; total completion should equal the far distance (5), with the
-	// near packet arriving at tick 2.
-	for s.InFlight() > 0 {
-		s.Step()
-	}
-	if s.Now() != 5 {
-		t.Fatalf("completion at tick %d, want 5 (no added wait for the long haul)", s.Now())
-	}
-}
-
-func TestDisciplineStrings(t *testing.T) {
-	if FIFO.String() != "fifo" || FarthestFirst.String() != "farthest-first" {
-		t.Fatal("discipline strings wrong")
-	}
-	if Discipline(9).String() == "" {
-		t.Fatal("unknown discipline blank")
-	}
-}
-
-func TestFarthestFirstDeliversEverything(t *testing.T) {
-	m := topology.Mesh(2, 6)
-	e := NewEngine(m, Greedy)
-	e.Discipline = FarthestFirst
-	rng := rand.New(rand.NewSource(31))
-	batch := traffic.Batch(traffic.NewSymmetric(m.N()), 300, rng)
-	st := e.Route(batch, rng, 1)
-	if st.Messages != 300 || st.Rate <= 0 {
-		t.Fatalf("stats %+v", st)
-	}
-}

@@ -1,5 +1,7 @@
 package routing
 
+import "repro/internal/measure"
+
 // Per-decision randomness for the tick loop.
 //
 // The serial simulator used to draw every in-tick random choice (hop
@@ -27,7 +29,7 @@ type vrand struct{ state uint64 }
 // next returns the next 64 random bits.
 func (r *vrand) next() uint64 {
 	r.state += 0x9e3779b97f4a7c15
-	return mix64(r.state)
+	return measure.Mix64(r.state)
 }
 
 // intn returns a value in [0, n). n must be positive. The tiny modulo bias
@@ -35,15 +37,4 @@ func (r *vrand) next() uint64 {
 // a handful of wires), and the modulo keeps intn branch-free and cheap.
 func (r *vrand) intn(n int) int {
 	return int(r.next() % uint64(n))
-}
-
-// mix64 is the splitmix64 finalizer (the same avalanche measure.SeedPlan
-// uses), duplicated here so the hot path stays free of cross-package calls.
-func mix64(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
 }

@@ -191,7 +191,7 @@ func RunEmulation(guest, host *topology.Machine, s Spec) (Result, error) {
 	case s.Mode == ModePipelined:
 		er = emulation.DirectPipelined(guest, host, s.Steps, nil, rand.New(rand.NewSource(s.Seed)))
 	case s.Mode == ModeMapped:
-		assign := mapping.RecursiveBisection(guest, host, mapping.Options{}, rand.New(rand.NewSource(s.Seed)))
+		assign := mapping.RecursiveBisection(guest, host, rand.New(rand.NewSource(s.Seed)))
 		er = emulation.Direct(guest, host, s.Steps, assign, rand.New(rand.NewSource(s.Seed)))
 	default:
 		er = emulation.Direct(guest, host, s.Steps, nil, rand.New(rand.NewSource(s.Seed)))

@@ -14,22 +14,17 @@ type Hub struct {
 	mu     sync.Mutex
 	subs   map[chan string]struct{}
 	replay []string
-	max    int
 	closed bool
 }
 
-// DefaultReplayEvents bounds the replay log. Scheduler jobs are a few
-// hundred points at most; the log exists for late subscribers, not as
-// a durable record (that's the store's job).
-const DefaultReplayEvents = 1024
+// replayEvents bounds the replay log. Scheduler jobs are a few hundred
+// points at most; the log exists for late subscribers, not as a durable
+// record (that's the store's job).
+const replayEvents = 1024
 
-// NewHub builds a hub retaining up to replayMax past events
-// (DefaultReplayEvents when <= 0).
-func NewHub(replayMax int) *Hub {
-	if replayMax <= 0 {
-		replayMax = DefaultReplayEvents
-	}
-	return &Hub{subs: make(map[chan string]struct{}), max: replayMax}
+// NewHub builds a hub retaining up to replayEvents past events.
+func NewHub() *Hub {
+	return &Hub{subs: make(map[chan string]struct{})}
 }
 
 // Publish renders one SSE frame ("event: <event>\ndata: <data>\n\n")
@@ -43,8 +38,8 @@ func (h *Hub) Publish(event, data string) {
 		return
 	}
 	h.replay = append(h.replay, frame)
-	if len(h.replay) > h.max {
-		h.replay = h.replay[len(h.replay)-h.max:]
+	if len(h.replay) > replayEvents {
+		h.replay = h.replay[len(h.replay)-replayEvents:]
 	}
 	for ch := range h.subs {
 		select {
@@ -59,7 +54,7 @@ func (h *Hub) Publish(event, data string) {
 func (h *Hub) Subscribe() (frames <-chan string, cancel func()) {
 	// Buffer covers the full replay log plus live headroom, so the
 	// replay delivery below can never block under the lock.
-	ch := make(chan string, h.max+256)
+	ch := make(chan string, replayEvents+256)
 	h.mu.Lock()
 	for _, frame := range h.replay {
 		ch <- frame

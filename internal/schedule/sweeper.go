@@ -1,3 +1,9 @@
+// Package schedule is netemud's background sweep scheduler: configured
+// sweep specs run at intervals through the serving pipeline at low
+// admission priority, stream per-point progress to the Hub, and land in
+// the result store. This package owns the cadence and the event stream;
+// the server owns execution (the Runner it passes in runs one point
+// through its memo/coalesce/compute path and records the result).
 package schedule
 
 import (
@@ -11,13 +17,6 @@ import (
 
 	"repro/internal/runspec"
 )
-
-// The background sweep scheduler: configured sweep specs run at
-// intervals through the serving pipeline at low admission priority,
-// stream per-point progress to the Hub, and land in the result store.
-// This package owns the cadence and the event stream; the server owns
-// execution (the Runner it passes in runs one point through its memo/
-// coalesce/compute path and records the result).
 
 // SweepJob is one configured recurring sweep.
 type SweepJob struct {

@@ -60,7 +60,7 @@ func TestSweeperOneShotRunsOnceAndStreams(t *testing.T) {
 		t.Fatal(err)
 	}
 	var ran atomic.Int64
-	hub := NewHub(0)
+	hub := NewHub()
 	sw := NewSweeper(jobs, func(_ context.Context, spec runspec.Spec) (string, error) {
 		ran.Add(1)
 		return fmt.Sprintf("rk1-%d", spec.Machine.Size), nil
@@ -108,7 +108,7 @@ func TestSweeperRecurringAndErrorCounting(t *testing.T) {
 			Points: []runspec.SweepPoint{{}},
 		},
 	}}
-	hub := NewHub(0)
+	hub := NewHub()
 	frames, cancel := hub.Subscribe()
 	defer cancel()
 	sw := NewSweeper(jobs, func(context.Context, runspec.Spec) (string, error) {
@@ -149,7 +149,7 @@ func waitSweepDone(t *testing.T, frames <-chan string, n int) []Event {
 }
 
 func TestHubSlowSubscriberDropsNotBlocks(t *testing.T) {
-	hub := NewHub(4)
+	hub := NewHub()
 	frames, cancel := hub.Subscribe()
 	defer cancel()
 	// Publish far past the subscriber's buffer without draining; the
@@ -179,14 +179,14 @@ func TestHubSlowSubscriberDropsNotBlocks(t *testing.T) {
 		}
 		break
 	}
-	if count != 4 {
-		t.Fatalf("late subscriber replayed %d frames, want 4", count)
+	if count != 1024 {
+		t.Fatalf("late subscriber replayed %d frames, want 1024", count)
 	}
 	_ = frames
 }
 
 func TestHubCloseEndsSubscribers(t *testing.T) {
-	hub := NewHub(0)
+	hub := NewHub()
 	frames, cancel := hub.Subscribe()
 	defer cancel()
 	hub.Publish("point", "{}")

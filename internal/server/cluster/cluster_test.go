@@ -33,8 +33,8 @@ func breakerState(h *Health, worker string) BreakerState {
 }
 
 func TestRingDeterministicAcrossConstructionOrder(t *testing.T) {
-	a := NewRing([]string{"w1:1", "w2:2", "w3:3"}, 64)
-	b := NewRing([]string{"w3:3", "w1:1", "w2:2"}, 64)
+	a := NewRing([]string{"w1:1", "w2:2", "w3:3"})
+	b := NewRing([]string{"w3:3", "w1:1", "w2:2"})
 	for _, key := range []string{"runspec/v1/alpha", "runspec/v1/beta", "k", ""} {
 		sa, sb := a.Successors(key), b.Successors(key)
 		if strings.Join(sa, ",") != strings.Join(sb, ",") {
@@ -54,10 +54,10 @@ func TestRingDeterministicAcrossConstructionOrder(t *testing.T) {
 }
 
 func TestRingEmptyAndDuplicatePools(t *testing.T) {
-	if got := NewRing(nil, 64).Successors("k"); got != nil {
+	if got := NewRing(nil).Successors("k"); got != nil {
 		t.Fatalf("empty pool returned successors %v", got)
 	}
-	r := NewRing([]string{"w:1", "w:1", "", "w:1"}, 64)
+	r := NewRing([]string{"w:1", "w:1", "", "w:1"})
 	if got := r.Successors("k"); len(got) != 1 || got[0] != "w:1" {
 		t.Fatalf("duplicate pool collapsed to %v, want [w:1]", got)
 	}
@@ -65,7 +65,7 @@ func TestRingEmptyAndDuplicatePools(t *testing.T) {
 
 func TestRingBalance(t *testing.T) {
 	workers := []string{"a:1", "b:1", "c:1", "d:1"}
-	r := NewRing(workers, 64)
+	r := NewRing(workers)
 	counts := map[string]int{}
 	const keys = 4000
 	for i := 0; i < keys; i++ {
@@ -103,7 +103,7 @@ func TestHealthProbeMarksDeadAndRevives(t *testing.T) {
 	var hits atomic.Int64
 	ts := healthzServer(t, &hits, 200, "{}")
 	w := addrOf(ts)
-	h := NewHealth([]string{w}, 10*time.Millisecond, 500*time.Millisecond, 3)
+	h := NewHealth([]string{w}, 10*time.Millisecond)
 	h.Start()
 	defer h.Stop()
 
@@ -276,7 +276,7 @@ func TestForwardEmptyOrDeadPoolReportsNotOK(t *testing.T) {
 }
 
 func TestBreakerOpensHalfOpensAndCloses(t *testing.T) {
-	h := NewHealth([]string{"w:1"}, 0, 0, 3)
+	h := NewHealth([]string{"w:1"}, 0)
 	if !h.Allow("w:1") || breakerState(h, "w:1") != Closed {
 		t.Fatal("breaker not closed at start")
 	}
@@ -315,16 +315,6 @@ func TestBreakerOpensHalfOpensAndCloses(t *testing.T) {
 	}
 }
 
-func TestBreakerDisabledByNegativeThreshold(t *testing.T) {
-	h := NewHealth([]string{"w:1"}, 0, 0, -1)
-	for i := 0; i < 50; i++ {
-		h.RecordFailure("w:1")
-	}
-	if !h.Allow("w:1") {
-		t.Fatal("disabled breaker opened anyway")
-	}
-}
-
 func TestDispatcherOpensBreakerOnRepeatedRetryableStatuses(t *testing.T) {
 	var hits1, hits2 atomic.Int64
 	ts1 := healthzServer(t, &hits1, http.StatusServiceUnavailable, string(api.Envelope(api.CodeDraining, "server shutting down")))
@@ -337,13 +327,13 @@ func TestDispatcherOpensBreakerOnRepeatedRetryableStatuses(t *testing.T) {
 	for i := 0; d.Ring().Successors(key)[0] != w1; i++ {
 		key = "k" + strings.Repeat("x", i)
 	}
-	for i := 0; i < DefaultFailureThreshold+2; i++ {
+	for i := 0; i < failureThreshold+2; i++ {
 		if _, ok := d.Forward(context.Background(), key, "/v1/measure", []byte("{}")); !ok {
 			t.Fatalf("forward %d failed outright", i)
 		}
 	}
 	if breakerState(d.Health(), w1) != Open {
-		t.Fatalf("breaker state %v after %d straight 503s, want open", breakerState(d.Health(), w1), DefaultFailureThreshold+2)
+		t.Fatalf("breaker state %v after %d straight 503s, want open", breakerState(d.Health(), w1), failureThreshold+2)
 	}
 	// 503s never mark a worker dead — only the breaker benches it.
 	if !alive(d.Health(), w1) {

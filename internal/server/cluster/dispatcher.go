@@ -14,16 +14,12 @@ import (
 )
 
 // Options tunes a Dispatcher. The zero value gets sensible production
-// defaults; tests shrink the intervals.
+// defaults; tests shrink the intervals. One request tries every worker at
+// most once.
 type Options struct {
-	// VirtualNodes per worker on the hash ring (default
-	// DefaultVirtualNodes).
-	VirtualNodes int
 	// ProbeInterval between /healthz sweeps (default 2s; <= 0 in
 	// NewDispatcher means "default", use Health directly to disable).
 	ProbeInterval time.Duration
-	// ProbeTimeout bounds one /healthz round trip (default 1s).
-	ProbeTimeout time.Duration
 	// ForwardTimeout bounds one forwarded request attempt (default 90s —
 	// above the worker's own 60s request deadline, so the worker's 504
 	// arrives as a response rather than a transport failure).
@@ -32,16 +28,6 @@ type Options struct {
 	// BackoffMax (defaults 50ms and 1s).
 	BackoffBase time.Duration
 	BackoffMax  time.Duration
-	// MaxAttempts bounds how many workers one request may try
-	// (default 0 = every worker once).
-	MaxAttempts int
-	// FailureThreshold is how many consecutive failures (transport
-	// errors, invalid bodies, or retryable statuses) open a worker's
-	// circuit breaker: an open worker is skipped without dialing or
-	// backoff until a successful health probe half-opens it for one
-	// trial. 0 selects DefaultFailureThreshold; negative disables the
-	// breaker.
-	FailureThreshold int
 	// Transport, when non-nil, replaces the forward client's transport
 	// — the chaos-injection seam (internal/chaos.Transport) and a proxy
 	// hook for tests. Health probes do not pass through it.
@@ -55,14 +41,8 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.VirtualNodes <= 0 {
-		o.VirtualNodes = DefaultVirtualNodes
-	}
 	if o.ProbeInterval <= 0 {
 		o.ProbeInterval = 2 * time.Second
-	}
-	if o.ProbeTimeout <= 0 {
-		o.ProbeTimeout = time.Second
 	}
 	if o.ForwardTimeout <= 0 {
 		o.ForwardTimeout = 90 * time.Second
@@ -73,20 +53,11 @@ func (o Options) withDefaults() Options {
 	if o.BackoffMax <= 0 {
 		o.BackoffMax = time.Second
 	}
-	if o.FailureThreshold == 0 {
-		o.FailureThreshold = DefaultFailureThreshold
-	}
 	if o.Validate == nil {
 		o.Validate = ValidJSONBody
 	}
 	return o
 }
-
-// DefaultFailureThreshold is how many consecutive failures open a
-// worker's circuit breaker unless Options overrides it. Three keeps one
-// blip from benching a healthy worker while still cutting a flapping
-// one out before it absorbs a full backoff walk per request.
-const DefaultFailureThreshold = 3
 
 // ValidJSONBody is the default forward validator: a worker's 200 body
 // must be well-formed JSON. Every 200 a netemud worker can legitimately
@@ -130,10 +101,10 @@ type Dispatcher struct {
 // health probing and Close on shutdown.
 func NewDispatcher(workers []string, opts Options) *Dispatcher {
 	opts = opts.withDefaults()
-	ring := NewRing(workers, opts.VirtualNodes)
+	ring := NewRing(workers)
 	return &Dispatcher{
 		ring:   ring,
-		health: NewHealth(ring.Workers(), opts.ProbeInterval, opts.ProbeTimeout, opts.FailureThreshold),
+		health: NewHealth(ring.Workers(), opts.ProbeInterval),
 		client: &http.Client{Timeout: opts.ForwardTimeout, Transport: opts.Transport},
 		opts:   opts,
 	}
@@ -194,12 +165,8 @@ func retryable(status int, body []byte) bool {
 // ok is false when no worker answered — pool empty, every candidate
 // dead or failed — and the caller should degrade to local execution.
 func (d *Dispatcher) Forward(ctx context.Context, key, endpoint string, spec []byte) (res ForwardResult, ok bool) {
-	candidates := d.ring.Successors(key)
 	attempts := 0
-	for _, w := range candidates {
-		if d.opts.MaxAttempts > 0 && attempts >= d.opts.MaxAttempts {
-			break
-		}
+	for _, w := range d.ring.Successors(key) {
 		if !d.health.Allow(w) {
 			res.Failovers++
 			continue

@@ -8,7 +8,8 @@ import (
 
 // BreakerState is one worker's circuit-breaker position. Closed is the
 // normal flow; Open means the worker accumulated failureThreshold
-// consecutive failures and is skipped without dialing; HalfOpen means a
+// consecutive forward failures (transport errors, invalid bodies, or
+// retryable statuses) and is skipped without dialing or backoff; HalfOpen means a
 // successful health probe has earned the worker exactly one trial
 // request — a success closes the breaker, a failure re-opens it.
 type BreakerState int
@@ -48,10 +49,9 @@ func (s BreakerState) String() string {
 // rather than silently run everything locally until the first probe
 // lands.
 type Health struct {
-	workers   []string
-	interval  time.Duration
-	threshold int // consecutive failures to open; <= 0 disables the breaker
-	client    *http.Client
+	workers  []string
+	interval time.Duration
+	client   *http.Client
 
 	mu      sync.Mutex
 	alive   map[string]bool
@@ -64,27 +64,29 @@ type Health struct {
 	done     chan struct{}
 }
 
+// failureThreshold is how many consecutive failures open a worker's
+// circuit breaker. Three keeps one blip from benching a healthy worker
+// while still cutting a flapping one out before it absorbs a full
+// backoff walk per request.
+const failureThreshold = 3
+
+// probeTimeout bounds one /healthz round trip.
+const probeTimeout = time.Second
+
 // NewHealth builds a prober over the worker pool. interval <= 0
 // disables the background loop (MarkDead feedback still works — the
 // unit tests and the dispatcher's transport feedback drive state by
-// hand). probeTimeout bounds each /healthz round trip.
-// failureThreshold is how many consecutive RecordFailure calls open a
-// worker's breaker; <= 0 disables the breaker entirely (Allow then
-// mirrors the probe state).
-func NewHealth(workers []string, interval, probeTimeout time.Duration, failureThreshold int) *Health {
-	if probeTimeout <= 0 {
-		probeTimeout = time.Second
-	}
+// hand).
+func NewHealth(workers []string, interval time.Duration) *Health {
 	h := &Health{
-		workers:   workers,
-		interval:  interval,
-		threshold: failureThreshold,
-		client:    &http.Client{Timeout: probeTimeout},
-		alive:     make(map[string]bool, len(workers)),
-		fails:     make(map[string]int, len(workers)),
-		breaker:   make(map[string]BreakerState, len(workers)),
-		stop:      make(chan struct{}),
-		done:      make(chan struct{}),
+		workers:  workers,
+		interval: interval,
+		client:   &http.Client{Timeout: probeTimeout},
+		alive:    make(map[string]bool, len(workers)),
+		fails:    make(map[string]int, len(workers)),
+		breaker:  make(map[string]BreakerState, len(workers)),
+		stop:     make(chan struct{}),
+		done:     make(chan struct{}),
 	}
 	for _, w := range workers {
 		h.alive[w] = true
@@ -186,13 +188,10 @@ func (h *Health) AliveCount() int {
 // body, or retryable status) against worker's breaker. Hitting the
 // threshold — or failing the half-open trial — opens it.
 func (h *Health) RecordFailure(worker string) {
-	if h.threshold <= 0 {
-		return
-	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	h.fails[worker]++
-	if h.breaker[worker] == HalfOpen || h.fails[worker] >= h.threshold {
+	if h.breaker[worker] == HalfOpen || h.fails[worker] >= failureThreshold {
 		h.breaker[worker] = Open
 	}
 }

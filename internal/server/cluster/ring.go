@@ -21,11 +21,11 @@ import (
 	"sort"
 )
 
-// DefaultVirtualNodes is how many ring positions each worker occupies
-// unless Options overrides it. More virtual nodes smooth the key-space
-// split across workers at the cost of a longer sorted ring; 64 keeps the
-// per-worker share within a few percent of fair for small pools.
-const DefaultVirtualNodes = 64
+// virtualNodes is how many ring positions each worker occupies. More
+// virtual nodes smooth the key-space split across workers at the cost of
+// a longer sorted ring; 64 keeps the per-worker share within a few
+// percent of fair for small pools.
+const virtualNodes = 64
 
 // Ring is an immutable consistent-hash ring over a fixed worker pool.
 // Liveness is deliberately not its concern: the ring always answers with
@@ -38,14 +38,10 @@ type Ring struct {
 	workers []string
 }
 
-// NewRing places each worker at vnodes pseudo-random positions (FNV-1a
-// of "worker#i") on the 64-bit ring. Duplicate workers are collapsed;
-// order of the input does not matter. vnodes <= 0 selects
-// DefaultVirtualNodes.
-func NewRing(workers []string, vnodes int) *Ring {
-	if vnodes <= 0 {
-		vnodes = DefaultVirtualNodes
-	}
+// NewRing places each worker at virtualNodes pseudo-random positions
+// (FNV-1a of "worker#i") on the 64-bit ring. Duplicate workers are
+// collapsed; order of the input does not matter.
+func NewRing(workers []string) *Ring {
 	seen := make(map[string]bool, len(workers))
 	var distinct []string
 	for _, w := range workers {
@@ -57,7 +53,7 @@ func NewRing(workers []string, vnodes int) *Ring {
 	sort.Strings(distinct) // ring identity independent of listing order
 	r := &Ring{workers: distinct}
 	for wi, w := range distinct {
-		for i := 0; i < vnodes; i++ {
+		for i := 0; i < virtualNodes; i++ {
 			r.hashes = append(r.hashes, hashKey(fmt.Sprintf("%s#%d", w, i)))
 			r.owner = append(r.owner, wi)
 		}

@@ -249,7 +249,7 @@ func (s *Server) execute(spec runspec.Spec, prio priority) reply {
 	if spec.Shards == 0 {
 		spec.Shards = s.cfg.Shards
 	}
-	res, err := runspec.ExecuteCached(s.cfg.Artifacts, spec)
+	res, err := runspec.ExecuteCached(s.artifacts, spec)
 	if err != nil {
 		return failure(http.StatusBadRequest, api.CodeBadSpec, err.Error())
 	}

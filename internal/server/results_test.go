@@ -297,7 +297,7 @@ func TestReadEndpointsSkipStaleVersions(t *testing.T) {
 }
 
 func TestMetaDiscovery(t *testing.T) {
-	_, _, url := newStoreServer(t, t.TempDir(), Config{Role: "coordinator", SweepHub: schedule.NewHub(0)})
+	_, _, url := newStoreServer(t, t.TempDir(), Config{Role: "coordinator", SweepHub: schedule.NewHub()})
 	code, body := get(t, url+"/v1/meta")
 	if code != 200 {
 		t.Fatalf("meta: %d %s", code, body)
@@ -346,7 +346,7 @@ func TestMetaDiscovery(t *testing.T) {
 // SSE stream — connected only after the sweep already finished — still
 // observes the full run via the hub's replay log.
 func TestScheduledSweepLandsInStore(t *testing.T) {
-	hub := schedule.NewHub(0)
+	hub := schedule.NewHub()
 	s, st, url := newStoreServer(t, t.TempDir(), Config{SweepHub: hub})
 
 	sweepJSON := `[{"name":"warm-mesh","sweep":{

@@ -55,11 +55,6 @@ type Config struct {
 	// only run locally when no worker answers. The caller owns the
 	// dispatcher's lifecycle (Start before serving, Close on shutdown).
 	Dispatch *cluster.Dispatcher
-	// Artifacts, when non-nil, is the machine/engine cache local
-	// executions run over. New installs a default-bounded cache when nil,
-	// so warm sweep points (and repeated measurements of one machine)
-	// skip the machine and engine builds entirely.
-	Artifacts *runspec.ArtifactCache
 	// Store, when non-nil, durably records every 200 the spec endpoints
 	// serve (append-only, content-keyed; see internal/store), answers
 	// specs it already holds under this build's measurement version —
@@ -106,6 +101,11 @@ type Server struct {
 	metrics   *metrics
 	flights   flights
 	admission *admission
+	// artifacts is the default-bounded machine/engine cache local
+	// executions run over, so warm sweep points (and repeated
+	// measurements of one machine) skip the machine and engine builds
+	// entirely.
+	artifacts *runspec.ArtifactCache
 
 	draining  chan struct{} // closed by BeginDrain
 	drainOnce sync.Once
@@ -118,15 +118,13 @@ type Server struct {
 // http.Server (or httptest.Server) of your choosing.
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
-	if cfg.Artifacts == nil {
-		cfg.Artifacts = runspec.NewArtifactCache(0, 0)
-	}
 	ctx, stop := context.WithCancel(context.Background())
 	s := &Server{
 		cfg:       cfg,
 		metrics:   newMetrics(),
 		flights:   flights{m: make(map[string]*flight)},
 		admission: newAdmission(cfg.MaxConcurrent, cfg.QueueDepth),
+		artifacts: runspec.NewArtifactCache(0, 0),
 		draining:  make(chan struct{}),
 		execCtx:   ctx,
 		execStop:  stop,

@@ -57,7 +57,7 @@ func TestSweepMatchesIndividualMeasures(t *testing.T) {
 	// builds (two distinct sizes) — the amortization the endpoint exists
 	// for. The individual /v1/measure calls after the sweep were memo
 	// hits, so they added no builds.
-	if got := srv.cfg.Artifacts.MachineBuilds(); got != 2 {
+	if got := srv.artifacts.MachineBuilds(); got != 2 {
 		t.Errorf("machine builds = %d, want 2 (one per distinct size)", got)
 	}
 }

@@ -62,9 +62,9 @@ func Build(f Family, dim, approxN int, rng *rand.Rand) *Machine {
 	case WeakHypercubeFamily:
 		return WeakHypercube(bestOrder(approxN, func(d int) int { return 1 << d }, 1))
 	case MultibutterflyFamily:
-		return Multibutterfly(bestOrder(approxN, func(d int) int { return (d + 1) << d }, 1), 2, needRNG(f, rng))
+		return Multibutterfly(bestOrder(approxN, func(d int) int { return (d + 1) << d }, 1), needRNG(f, rng))
 	case ExpanderFamily:
-		return Expander(approxN, 4, needRNG(f, rng))
+		return Expander(approxN, needRNG(f, rng))
 	default:
 		panic(fmt.Sprintf("topology: Build does not know family %v", f))
 	}

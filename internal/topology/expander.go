@@ -7,16 +7,16 @@ import (
 	"repro/internal/multigraph"
 )
 
-// Expander returns a random degree-deg multigraph on n vertices built as
-// the union of deg/2 random cyclic permutations (deg must be even, >= 4).
-// Such graphs are expanders with high probability; the constructor retries
-// the seed-derived stream until the result is connected.
-func Expander(n, deg int, rng *rand.Rand) *Machine {
+// expanderDegree is the degree of every Expander vertex.
+const expanderDegree = 4
+
+// Expander returns a random degree-4 multigraph on n vertices built as
+// the union of two random cyclic permutations. Such graphs are expanders
+// with high probability; the constructor retries the seed-derived stream
+// until the result is connected.
+func Expander(n int, rng *rand.Rand) *Machine {
 	if n < 4 {
 		panic(fmt.Sprintf("topology: Expander size %d < 4", n))
-	}
-	if deg < 4 || deg%2 != 0 {
-		panic(fmt.Sprintf("topology: Expander degree %d must be even and >= 4", deg))
 	}
 	var g *multigraph.Multigraph
 	for attempt := 0; ; attempt++ {
@@ -24,7 +24,7 @@ func Expander(n, deg int, rng *rand.Rand) *Machine {
 			panic("topology: Expander could not build a connected graph in 100 attempts")
 		}
 		g = multigraph.New(n)
-		for h := 0; h < deg/2; h++ {
+		for h := 0; h < expanderDegree/2; h++ {
 			perm := rng.Perm(n)
 			for i := 0; i < n; i++ {
 				u, v := perm[i], perm[(i+1)%n]
@@ -38,11 +38,15 @@ func Expander(n, deg int, rng *rand.Rand) *Machine {
 		}
 	}
 	m := &Machine{
-		Family: ExpanderFamily, Name: fmt.Sprintf("Expander[%d,d=%d]", n, deg),
+		Family: ExpanderFamily, Name: fmt.Sprintf("Expander[%d,d=%d]", n, expanderDegree),
 		Graph: g, Procs: n,
 	}
 	return m.validate()
 }
+
+// splitter is how many random targets a Multibutterfly vertex draws in
+// each half of its block at the next level.
+const splitter = 2
 
 // Multibutterfly returns an order-d multibutterfly: the level structure of
 // the butterfly, but each vertex at level l connects to `splitter` random
@@ -50,11 +54,8 @@ func Expander(n, deg int, rng *rand.Rand) *Machine {
 // 2^(d-l)-row block at level l+1. Random splitters make the network an
 // expander between consecutive levels, which is what gives multibutterflies
 // their fault tolerance; bandwidth matches the butterfly at Θ(n / lg n).
-func Multibutterfly(order, splitter int, rng *rand.Rand) *Machine {
+func Multibutterfly(order int, rng *rand.Rand) *Machine {
 	checkOrder("Multibutterfly", order, 22)
-	if splitter < 1 {
-		panic(fmt.Sprintf("topology: Multibutterfly splitter %d < 1", splitter))
-	}
 	rows := 1 << order
 	n := (order + 1) * rows
 	id := func(level, row int) int { return level*rows + row }

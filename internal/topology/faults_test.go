@@ -140,7 +140,7 @@ func TestMultibutterflyFaultToleranceBeatsButterfly(t *testing.T) {
 	for trial := 0; trial < trials; trial++ {
 		rng := rand.New(rand.NewSource(int64(100 + trial)))
 		bfly := Butterfly(5)
-		mbfly := Multibutterfly(5, 2, rng)
+		mbfly := Multibutterfly(5, rng)
 		db := DeleteRandomEdges(bfly, frac, rng)
 		dm := DeleteRandomEdges(mbfly, frac, rng)
 		bflyTotal += LargestComponentFraction(db, nil)

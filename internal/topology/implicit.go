@@ -9,8 +9,8 @@ import (
 
 // Implicit adjacency: the hypercube, mesh, and torus families are defined
 // by closed-form neighbour rules, so a million-vertex machine does not need
-// a materialized edge list — neighbours, degrees, distances, and dense
-// directed-edge ids are all computable on the fly. An *Implicit carries
+// a materialized edge list — neighbours, degrees and dense directed-edge
+// ids are all computable on the fly. An *Implicit carries
 // those rules; a Machine with a non-nil Implicit field (and a nil Graph)
 // routes through them.
 //
@@ -155,34 +155,6 @@ func (im *Implicit) Neighbor(u, slot int) int {
 		}
 	})
 	return found
-}
-
-// Distance returns the exact graph distance between u and v. The routing
-// engine uses it as the fault-free distance on every hypercube, mesh and
-// torus it routes with a closed-form next hop, materialized or implicit,
-// so the closed form lives only here.
-func (im *Implicit) Distance(u, v int) int {
-	switch im.kind {
-	case implHypercube:
-		return bits.OnesCount(uint(u ^ v))
-	default:
-		wrap := im.kind == implTorus
-		d := 0
-		for k := 0; k < im.dim; k++ {
-			cu, cv := u%im.side, v%im.side
-			u /= im.side
-			v /= im.side
-			delta := cu - cv
-			if delta < 0 {
-				delta = -delta
-			}
-			if wrap && im.side-delta < delta {
-				delta = im.side - delta
-			}
-			d += delta
-		}
-		return d
-	}
 }
 
 // E returns the undirected edge count.

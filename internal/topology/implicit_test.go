@@ -82,23 +82,6 @@ func TestImplicitNeighborSlots(t *testing.T) {
 	}
 }
 
-func TestImplicitDistanceMatchesBFS(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	for _, pair := range randomTwinPairs(rng) {
-		im, g := pair.imp.Implicit, pair.exp.Graph
-		// Every distance from a handful of random roots against BFS truth.
-		for i := 0; i < 3; i++ {
-			src := rng.Intn(g.N())
-			d := g.BFS(src)
-			for v := 0; v < g.N(); v++ {
-				if got := im.Distance(src, v); got != d[v] {
-					t.Fatalf("%s: Distance(%d, %d) = %d, BFS says %d", pair.imp.Name, src, v, got, d[v])
-				}
-			}
-		}
-	}
-}
-
 func TestImplicitEdgesMatchExplicit(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	for _, pair := range randomTwinPairs(rng) {
@@ -187,15 +170,9 @@ func TestImplicitMillionVertexBuilds(t *testing.T) {
 	if h.N() != 1<<20 || h.EdgeCount() != int64(1<<20)*20/2 {
 		t.Fatalf("dim-20 hypercube: n=%d e=%d", h.N(), h.EdgeCount())
 	}
-	if d := h.Implicit.Distance(0, 1<<20-1); d != 20 {
-		t.Fatalf("antipodal distance %d, want 20", d)
-	}
 	m := ImplicitMesh(2, 1024)
 	if m.N() != 1024*1024 || m.EdgeCount() != int64(2*1024*1023) {
 		t.Fatalf("1024x1024 mesh: n=%d e=%d", m.N(), m.EdgeCount())
-	}
-	if d := m.Implicit.Distance(0, m.N()-1); d != 2*1023 {
-		t.Fatalf("corner-to-corner distance %d, want %d", d, 2*1023)
 	}
 	if deg := implicitDegree(m.Implicit, 0); deg != 2 {
 		t.Fatalf("mesh corner degree %d, want 2", deg)

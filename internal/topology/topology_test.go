@@ -379,7 +379,7 @@ func TestWeakHypercube(t *testing.T) {
 
 func TestExpander(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	m := Expander(64, 4, rng)
+	m := Expander(64, rng)
 	if m.N() != 64 {
 		t.Fatalf("N = %d, want 64", m.N())
 	}
@@ -398,7 +398,7 @@ func TestExpander(t *testing.T) {
 
 func TestMultibutterfly(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
-	m := Multibutterfly(3, 2, rng)
+	m := Multibutterfly(3, rng)
 	if m.N() != 32 {
 		t.Fatalf("N = %d, want 32", m.N())
 	}

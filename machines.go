@@ -96,13 +96,13 @@ var (
 
 // NewExpander returns a random 4-regular expander on n vertices.
 func NewExpander(n int, seed int64) *Machine {
-	return topology.Expander(n, 4, rand.New(rand.NewSource(seed)))
+	return topology.Expander(n, rand.New(rand.NewSource(seed)))
 }
 
 // NewMultibutterfly returns an order-d multibutterfly with 2-way random
 // splitters.
 func NewMultibutterfly(order int, seed int64) *Machine {
-	return topology.Multibutterfly(order, 2, rand.New(rand.NewSource(seed)))
+	return topology.Multibutterfly(order, rand.New(rand.NewSource(seed)))
 }
 
 // DegradeEdges returns a copy of m with each wire removed independently

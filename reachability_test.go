@@ -11,6 +11,7 @@ import (
 	"go/types"
 	"os/exec"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -84,6 +85,71 @@ func TestReachabilityRules(t *testing.T) {
 	}
 }
 
+// TestEveryFieldHasAProductionWriter is the field gate: every struct
+// field of this module must be written by a production file (a non-test
+// file of this module, or the bench module), and every exported field of
+// an ...Options or ...Config struct by a production file outside its own
+// package, or through its address (a flag binding). A write is a keyed or
+// positional composite literal, an assignment, an increment, an
+// address-of, or a method call through the field. A json-tagged field is
+// exempt, because encoding/json writes it, and so are embedded fields and
+// blank padding. A field nothing writes is a constant zero, and an option
+// only its own package sets has one value: make it a constant, or give it
+// a production writer.
+func TestEveryFieldHasAProductionWriter(t *testing.T) {
+	hits, err := unwrittenFields(".", "bench")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, h := range hits {
+		t.Errorf("%s has no production writer", h)
+	}
+	if len(hits) > 0 {
+		t.Logf("%d fields only tests or their own package's defaults write", len(hits))
+	}
+}
+
+// TestFieldWriterRules pins the field gate's rules on the fixture module
+// under testdata/reach.
+func TestFieldWriterRules(t *testing.T) {
+	hits, err := unwrittenFields(filepath.Join("testdata", "reach"), filepath.Join("testdata", "reach", "bench"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	listed := map[string]bool{}
+	for _, h := range hits {
+		listed[h[strings.LastIndex(h, " ")+1:]] = true
+	}
+	tests := []struct {
+		name   string
+		field  string
+		listed bool
+	}{
+		{"option nothing sets", "opts.Options.Unset", true},
+		{"option only its own package's defaults set", "opts.Options.Defaulted", true},
+		{"plain field nothing writes", "opts.plain.unwritten", true},
+		{"option another package's keyed literal sets", "opts.Options.Keyed", false},
+		{"option another package assigns", "opts.Options.Assigned", false},
+		{"option bound to a flag in its own package", "opts.Options.Flagged", false},
+		{"option only the bench module sets", "opts.Options.Bench", false},
+		{"json-tagged field", "opts.plain.Tagged", false},
+		{"field written by a positional literal", "opts.pair.a", false},
+		{"atomic field written through Add", "opts.counter.n", false},
+		{"field of a generic type written through an instantiation", "inner.Box.v", false},
+		{"embedded field", "inner.V.Base", false},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			if listed[tt.field] != tt.listed {
+				t.Errorf("%s listed = %v, want %v (hits: %v)", tt.field, listed[tt.field], tt.listed, hits)
+			}
+		})
+	}
+	if len(hits) != 3 {
+		t.Errorf("got %d hits, want 3: %v", len(hits), hits)
+	}
+}
+
 // listedPackage is the part of `go list -json` the scan reads.
 type listedPackage struct {
 	ImportPath string
@@ -154,10 +220,10 @@ func (s *reachScan) check(p listedPackage) error {
 	return nil
 }
 
-// unreachableFuncs returns "file:line: pkg.[Recv.]Name" for every
-// function and method of the module at dir that no production root
-// reaches; every function of the extra modules is a root.
-func unreachableFuncs(dir string, extra ...string) ([]string, error) {
+// loadModules type-checks the non-test files of the module at dir and of
+// the extra modules, returning the scan, the module paths (true for the
+// module at dir) and the module at dir's path.
+func loadModules(dir string, extra ...string) (*reachScan, map[string]bool, string, error) {
 	s := &reachScan{
 		fset:  token.NewFileSet(),
 		std:   importer.Default(),
@@ -174,7 +240,7 @@ func unreachableFuncs(dir string, extra ...string) ([]string, error) {
 	for i, d := range append([]string{dir}, extra...) {
 		pkgs, err := goList(d)
 		if err != nil {
-			return nil, err
+			return nil, nil, "", err
 		}
 		for _, p := range pkgs {
 			if !p.DepOnly && p.Module != nil {
@@ -184,9 +250,20 @@ func unreachableFuncs(dir string, extra ...string) ([]string, error) {
 				}
 			}
 			if err := s.check(p); err != nil {
-				return nil, err
+				return nil, nil, "", err
 			}
 		}
+	}
+	return s, modules, mainModule, nil
+}
+
+// unreachableFuncs returns "file:line: pkg.[Recv.]Name" for every
+// function and method of the module at dir that no production root
+// reaches; every function of the extra modules is a root.
+func unreachableFuncs(dir string, extra ...string) ([]string, error) {
+	s, modules, mainModule, err := loadModules(dir, extra...)
+	if err != nil {
+		return nil, err
 	}
 
 	edges := map[*types.Func][]*types.Func{}
@@ -273,23 +350,26 @@ func unreachableFuncs(dir string, extra ...string) ([]string, error) {
 			roots = append(roots, edges[fn]...)
 		}
 	}
-	absDir, err := filepath.Abs(dir)
-	if err != nil {
-		return nil, err
-	}
 	var hits []string
 	for _, c := range candidates {
 		if !reached[c.fn] {
-			p := s.fset.Position(c.pos)
-			rel, err := filepath.Rel(absDir, p.Filename)
-			if err != nil {
-				rel = p.Filename
-			}
-			hits = append(hits, fmt.Sprintf("%s:%d: %s", filepath.ToSlash(rel), p.Line, c.name))
+			hits = append(hits, s.hit(dir, c.pos, c.name))
 		}
 	}
 	sort.Strings(hits)
 	return hits, nil
+}
+
+// hit renders "file:line: name", the file relative to dir.
+func (s *reachScan) hit(dir string, pos token.Pos, name string) string {
+	p := s.fset.Position(pos)
+	rel := p.Filename
+	if abs, err := filepath.Abs(dir); err == nil {
+		if r, err := filepath.Rel(abs, p.Filename); err == nil {
+			rel = r
+		}
+	}
+	return fmt.Sprintf("%s:%d: %s", filepath.ToSlash(rel), p.Line, name)
 }
 
 // interfaceMethods returns the methods through which a named type of
@@ -374,4 +454,131 @@ func funcName(pkg *types.Package, fn *types.Func) string {
 		t = p.Elem()
 	}
 	return pkg.Name() + "." + t.(*types.Named).Obj().Name() + "." + fn.Name()
+}
+
+// unwrittenFields returns "file:line: pkg.Type.Field" for every field of a
+// package-level struct type of the module at dir that the field gate
+// lists: no production file writes it, or it is an exported field of an
+// ...Options or ...Config struct that only its own package writes other
+// than through its address. Files of the extra modules are production.
+func unwrittenFields(dir string, extra ...string) ([]string, error) {
+	s, modules, _, err := loadModules(dir, extra...)
+	if err != nil {
+		return nil, err
+	}
+	written := map[*types.Var]bool{} // some production file writes it
+	outside := map[*types.Var]bool{} // another package writes it, or its address is taken
+	for path, files := range s.files {
+		write := func(v *types.Var, addr bool) {
+			v = v.Origin()
+			written[v] = true
+			outside[v] = outside[v] || addr || v.Pkg().Path() != path
+		}
+		// mark writes every field selected along e: x.F.G[i] = … writes
+		// both G and F.
+		mark := func(e ast.Expr, addr bool) {
+			for {
+				switch x := e.(type) {
+				case *ast.ParenExpr:
+					e = x.X
+				case *ast.StarExpr:
+					e = x.X
+				case *ast.IndexExpr:
+					e = x.X
+				case *ast.SelectorExpr:
+					if v, ok := s.info.Uses[x.Sel].(*types.Var); ok && v.IsField() {
+						write(v, addr)
+					}
+					e = x.X
+				default:
+					return
+				}
+			}
+		}
+		for _, f := range files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.CompositeLit:
+					st := structOf(s.info.Types[n].Type)
+					for i, elt := range n.Elts {
+						if kv, ok := elt.(*ast.KeyValueExpr); ok {
+							if key, ok := kv.Key.(*ast.Ident); ok {
+								if v, ok := s.info.Uses[key].(*types.Var); ok && v.IsField() {
+									write(v, false)
+								}
+							}
+						} else if st != nil {
+							write(st.Field(i), false)
+						}
+					}
+				case *ast.AssignStmt:
+					for _, l := range n.Lhs {
+						mark(l, false)
+					}
+				case *ast.IncDecStmt:
+					mark(n.X, false)
+				case *ast.UnaryExpr:
+					if n.Op == token.AND {
+						mark(n.X, true)
+					}
+				case *ast.CallExpr:
+					if sel, ok := n.Fun.(*ast.SelectorExpr); ok {
+						if _, ok := s.info.Uses[sel.Sel].(*types.Func); ok {
+							mark(sel.X, false)
+						}
+					}
+				}
+				return true
+			})
+		}
+	}
+
+	var hits []string
+	for path, files := range s.files {
+		pkg := s.pkgs[path]
+		if !modules[modulePath(path, modules)] {
+			continue
+		}
+		for _, f := range files {
+			for _, d := range f.Decls {
+				gd, ok := d.(*ast.GenDecl)
+				if !ok || gd.Tok != token.TYPE {
+					continue
+				}
+				for _, spec := range gd.Specs {
+					ts := spec.(*ast.TypeSpec)
+					if ts.Assign != 0 {
+						continue
+					}
+					st, ok := s.info.Defs[ts.Name].Type().Underlying().(*types.Struct)
+					if !ok {
+						continue
+					}
+					option := strings.HasSuffix(ts.Name.Name, "Options") || strings.HasSuffix(ts.Name.Name, "Config")
+					for i := 0; i < st.NumFields(); i++ {
+						v := st.Field(i)
+						if _, ok := reflect.StructTag(st.Tag(i)).Lookup("json"); ok || v.Embedded() || v.Name() == "_" {
+							continue // encoding/json writes it, it promotes methods, or it is padding
+						}
+						if !written[v] || option && v.Exported() && !outside[v] {
+							hits = append(hits, s.hit(dir, v.Pos(), pkg.Name()+"."+ts.Name.Name+"."+v.Name()))
+						}
+					}
+				}
+			}
+		}
+	}
+	sort.Strings(hits)
+	return hits, nil
+}
+
+// structOf returns the struct type a composite literal of type t builds,
+// looking through a pointer (an elided &T in a slice or map literal), or
+// nil for other literals.
+func structOf(t types.Type) *types.Struct {
+	if p, ok := t.Underlying().(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	st, _ := t.Underlying().(*types.Struct)
+	return st
 }

@@ -2,6 +2,12 @@
 // functions are roots.
 package bench
 
-import "fixture/internal/inner"
+import (
+	"fixture/internal/inner"
+	"fixture/internal/opts"
+)
 
-func run() { inner.BenchOnly() }
+func run() {
+	inner.BenchOnly()
+	opts.Run(opts.Options{Bench: 1})
+}

@@ -19,8 +19,9 @@ func AsValue() {}
 // BenchOnly is called only by the bench module.
 func BenchOnly() {}
 
-// Generic is called through an instantiation.
-func Generic[E any](e E) E { return e }
+// Generic is called through an instantiation, and writes Box's field
+// through one.
+func Generic[E any](e E) E { return Box[E]{v: e}.Get() }
 
 // Box is generic; Get is called on an instantiation.
 type Box[E any] struct{ v E }
