@@ -5,9 +5,9 @@
 //
 // With -measure, the per-host-size emulations and β measurements run as
 // jobs on the deterministic experiment orchestrator: each job's randomness
-// is keyed by its identity (host size), so the printed numbers are
-// identical at any -workers value, and the guest's β is measured once and
-// served from the orchestrator's cache for every row.
+// is keyed by its identity (host size, or the measured machine), so the
+// printed numbers are identical at any -workers value. The guest's β is
+// one job whose value every row divides by.
 //
 // Usage:
 //
@@ -44,7 +44,6 @@ func main() {
 	doPlot := flag.Bool("plot", false, "render an ASCII log-log chart of the two curves")
 	seed := flag.Int64("seed", 1, "rng seed")
 	workers := flag.Int("workers", 0, "concurrent measurement jobs (0 = GOMAXPROCS); output is identical at any value")
-	cacheDir := flag.String("cache", "", "persist β measurements in this directory and reuse them across -measure runs; output is identical with or without it")
 	flag.Parse()
 
 	gf := family(*guestName)
@@ -73,20 +72,11 @@ func main() {
 	// With -measure, every host size becomes two orchestrator jobs (an
 	// emulation and a host β measurement) plus one shared guest β job; all
 	// randomness is keyed by job identity, so rows are reproducible at any
-	// worker count, and repeated sizes hit the β cache instead of the
-	// simulator.
+	// worker count.
 	type measured struct{ slowdown, betaRatio float64 }
 	var rows []*experiment.Future[measured]
-	var cache *experiment.DiskCache
 	if *measure {
 		r := experiment.New(*seed, *workers)
-		if *cacheDir != "" {
-			var err error
-			cache, err = r.AttachDiskCache(*cacheDir)
-			if err != nil {
-				log.Fatal(err)
-			}
-		}
 		opts := netemu.MeasureOptions{}
 		guestBeta := r.BetaFuture(gf, *gdim, *gsize, opts)
 		for _, pts := range curve {
@@ -118,10 +108,6 @@ func main() {
 	m, slow := bound.CrossoverPoint(n)
 	fmt.Printf("\ncrossover: |H| ≈ %.0f with slowdown ≈ %.1f\n", m, slow)
 	fmt.Printf("max efficient host (symbolic): %s\n", bound.MaxHostString())
-	if cache != nil {
-		hits, misses := cache.Counts()
-		log.Printf("cache %s: %d hits, %d misses", cache.Dir(), hits, misses)
-	}
 
 	if *doPlot {
 		load := plot.Series{Name: "load n/m", Marker: '*'}

@@ -7,15 +7,11 @@
 //
 // Sections run as jobs on the deterministic experiment orchestrator
 // (internal/experiment): the output is byte-identical at any -workers
-// value, so parallelism is free. With -cache, β measurements persist as
-// JSON files in the given directory and repeat runs are served from it —
-// also without changing a byte, since entries are keyed by measurement
-// identity, seed, and measurement version, and hits replay the machine
-// construction on the same keyed stream.
+// value, so parallelism is free.
 //
 // Usage:
 //
-//	report [-quick] [-seed 1] [-workers N] [-cache DIR] [-o report.md]
+//	report [-quick] [-seed 1] [-workers N] [-o report.md]
 //	       [-cpuprofile cpu.out] [-memprofile mem.out] [-trace trace.out]
 //
 // The profiling flags write standard pprof/trace output covering the whole
@@ -27,7 +23,6 @@ import (
 	"log"
 	"os"
 
-	"repro/internal/experiment"
 	"repro/internal/profiling"
 	"repro/internal/report"
 )
@@ -38,7 +33,6 @@ func main() {
 	quick := flag.Bool("quick", false, "smaller sweeps for a fast run")
 	seed := flag.Int64("seed", 1, "rng seed")
 	workers := flag.Int("workers", 0, "concurrent measurement jobs (0 = GOMAXPROCS); output is identical at any value")
-	cacheDir := flag.String("cache", "", "persist β measurements in this directory and reuse them across runs; output is identical with or without it")
 	out := flag.String("o", "", "output file (default stdout)")
 	prof := profiling.RegisterFlags(flag.CommandLine)
 	flag.Parse()
@@ -49,13 +43,6 @@ func main() {
 	}
 	defer stop()
 
-	var cache *experiment.DiskCache
-	if *cacheDir != "" {
-		cache, err = experiment.OpenDiskCache(*cacheDir)
-		if err != nil {
-			log.Fatal(err)
-		}
-	}
 	w := os.Stdout
 	if *out != "" {
 		f, err := os.Create(*out)
@@ -69,11 +56,7 @@ func main() {
 		}()
 		w = f
 	}
-	if err := report.Generate(w, report.Options{Quick: *quick, Seed: *seed, Workers: *workers, Cache: cache}); err != nil {
+	if err := report.Generate(w, report.Options{Quick: *quick, Seed: *seed, Workers: *workers}); err != nil {
 		log.Fatal(err)
-	}
-	if cache != nil {
-		hits, misses := cache.Counts()
-		log.Printf("cache %s: %d hits, %d misses", cache.Dir(), hits, misses)
 	}
 }

@@ -34,8 +34,8 @@
 // emulation mode, a mid-run fault scenario, a snapshot and the shard count
 // are all fields of the spec, and a spec the machine cannot run is an
 // error. The spec's Canonical() string is the system-wide identity: the
-// experiment orchestrator's memo cache, its persistent DiskCache, and the
-// netemud service's flight table and result store all key off it, and
+// netemud service's flight table and result store key off it, the
+// experiment orchestrator names each β job's RNG stream by it, and
 // results are byte-identical however the request arrives (Run call, CLI
 // flag set, or HTTP POST). Shards is excluded from Canonical(): the
 // simulator's determinism contract makes results identical at every

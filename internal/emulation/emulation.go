@@ -184,7 +184,7 @@ func DirectPipelined(guest, host *topology.Machine, steps int, assign []int, rng
 	return direct(guest, host, steps, assign, true, rng)
 }
 
-func direct(guest, host *topology.Machine, steps int, assign []int, overlap bool, rng *rand.Rand) Result {
+func direct(guest, host *topology.Machine, steps int, assign []int, pipelined bool, rng *rand.Rand) Result {
 	if steps < 1 {
 		panic(fmt.Sprintf("emulation: steps %d < 1", steps))
 	}
@@ -194,41 +194,39 @@ func direct(guest, host *topology.Machine, steps int, assign []int, overlap bool
 	if len(assign) != guest.N() {
 		panic(fmt.Sprintf("emulation: assignment covers %d of %d guest processors", len(assign), guest.N()))
 	}
-	loads := blockLoads(assign, host.N())
-	compute := maxLoad(loads)
-	eng := routing.NewEngine(host, routing.Greedy)
-
-	// The per-step message batch: both directions of every cross-block
-	// guest wire (multiplicity counts as parallel messages).
-	template := crossTemplate(guest, assign)
-
 	res := Result{
 		Guest: guest, Host: host, GuestSteps: steps,
 		Inefficiency: 1.0,
 		LoadBound:    float64(guest.N()) / float64(host.N()),
 	}
+	compute := maxLoad(blockLoads(assign, host.N()))
+	res.HostTicks, res.ComputeTicks, res.RouteTicks = runSteps(host, crossTemplate(guest, assign), compute, steps, pipelined, rng)
+	res.Slowdown = float64(res.HostTicks) / float64(steps)
+	return res
+}
+
+// runSteps runs `steps` guest steps of a contraction emulation on host:
+// each step spends compute ticks simulating the largest block and routes
+// one copy of the cross-block template. A sequential step costs the sum
+// of the two; a pipelined one overlaps them and costs their max.
+func runSteps(host *topology.Machine, template []traffic.Message, compute, steps int, pipelined bool, rng *rand.Rand) (ticks, computeTicks, routeTicks int) {
+	eng := routing.NewEngine(host, routing.Greedy)
 	for s := 0; s < steps; s++ {
-		res.ComputeTicks += compute
-		stepRoute := 0
+		route := 0
 		if len(template) > 0 {
 			batch := make([]traffic.Message, len(template))
 			copy(batch, template)
-			stepRoute = eng.Route(batch, rng, 1).Ticks
-			res.RouteTicks += stepRoute
+			route = eng.Route(batch, rng, 1).Ticks
 		}
-		if overlap {
-			// Pipelined: the step costs the max of compute and route.
-			if stepRoute > compute {
-				res.HostTicks += stepRoute
-			} else {
-				res.HostTicks += compute
-			}
+		computeTicks += compute
+		routeTicks += route
+		if pipelined {
+			ticks += max(compute, route)
 		} else {
-			res.HostTicks += compute + stepRoute
+			ticks += compute + route
 		}
 	}
-	res.Slowdown = float64(res.HostTicks) / float64(steps)
-	return res
+	return ticks, computeTicks, routeTicks
 }
 
 // Circuit runs the redundant-model emulation: build a circuit for `steps`

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"sort"
 
-	"repro/internal/routing"
 	"repro/internal/topology"
 	"repro/internal/traffic"
 )
@@ -54,21 +53,6 @@ func crossTemplate(guest *topology.Machine, assign []int) []traffic.Message {
 	return template
 }
 
-// runDirectPhase routes `steps` guest steps of a contraction emulation and
-// returns the host ticks spent (compute + route, sequential).
-func runDirectPhase(host *topology.Machine, template []traffic.Message, compute, steps int, rng *rand.Rand) (ticks, computeTicks, routeTicks int) {
-	eng := routing.NewEngine(host, routing.Greedy)
-	for s := 0; s < steps; s++ {
-		computeTicks += compute
-		if len(template) > 0 {
-			batch := make([]traffic.Message, len(template))
-			copy(batch, template)
-			routeTicks += eng.Route(batch, rng, 1).Ticks
-		}
-	}
-	return computeTicks + routeTicks, computeTicks, routeTicks
-}
-
 // DirectDegraded runs the contraction emulation of `steps` guest steps,
 // killing failCount random host processors after failStep steps. The dead
 // hosts' guests are remapped to the nearest live host (ties to the smallest
@@ -93,7 +77,7 @@ func DirectDegraded(guest, host *topology.Machine, steps, failStep, failCount in
 	}
 
 	// Phase 1: intact.
-	preTicks, c1, r1 := runDirectPhase(host, template, compute, failStep, rng)
+	preTicks, c1, r1 := runSteps(host, template, compute, failStep, false, rng)
 	out.ComputeTicks += c1
 	out.RouteTicks += r1
 	out.PreSlowdown = float64(preTicks) / float64(failStep)
@@ -141,7 +125,7 @@ func DirectDegraded(guest, host *topology.Machine, steps, failStep, failCount in
 	compute2 := maxLoad(blockLoads(assign, degHost.N()))
 	template2 := crossTemplate(guest, assign)
 	postSteps := steps - failStep
-	postTicks, c2, r2 := runDirectPhase(degHost, template2, compute2, postSteps, rng)
+	postTicks, c2, r2 := runSteps(degHost, template2, compute2, postSteps, false, rng)
 	out.ComputeTicks += c2
 	out.RouteTicks += r2
 	out.PostSlowdown = float64(postTicks) / float64(postSteps)
@@ -157,7 +141,7 @@ func DirectDegraded(guest, host *topology.Machine, steps, failStep, failCount in
 // extendToMainComponent returns the failed set extended with every live
 // processor outside the largest live component of the degraded host.
 func extendToMainComponent(degHost *topology.Machine, failed map[int]bool) map[int]bool {
-	main := mainLiveComponent(degHost, failed)
+	main, _ := topology.LargestLiveComponent(degHost, failed)
 	inMain := make(map[int]bool, len(main))
 	for _, v := range main {
 		inMain[v] = true
@@ -172,25 +156,6 @@ func extendToMainComponent(degHost *topology.Machine, failed map[int]bool) map[i
 		}
 	}
 	return dead
-}
-
-// mainLiveComponent returns the live processors of the degraded host's
-// largest component (largest by live-processor count, ties to the component
-// holding the smallest processor id, which Components' ordering provides).
-func mainLiveComponent(degHost *topology.Machine, failed map[int]bool) []int {
-	var best []int
-	for _, comp := range degHost.Graph.Components() {
-		var live []int
-		for _, v := range comp {
-			if v < degHost.N() && !failed[v] {
-				live = append(live, v)
-			}
-		}
-		if len(live) > len(best) {
-			best = live
-		}
-	}
-	return best
 }
 
 func sortedKeys(set map[int]bool) []int {

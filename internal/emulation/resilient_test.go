@@ -46,6 +46,10 @@ func TestDirectDegradedRemapsAndFinishes(t *testing.T) {
 	if res.Slowdown < res.LoadBound {
 		t.Fatalf("slowdown %v beat the load bound %v", res.Slowdown, res.LoadBound)
 	}
+	// Both phases run sequential steps: compute and route ticks add up.
+	if res.HostTicks != res.ComputeTicks+res.RouteTicks {
+		t.Fatalf("host ticks %d != compute %d + route %d", res.HostTicks, res.ComputeTicks, res.RouteTicks)
+	}
 }
 
 func TestDirectDegradedAssignsOnlyLiveHosts(t *testing.T) {

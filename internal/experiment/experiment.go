@@ -7,30 +7,35 @@
 // or goroutine scheduling: a suite run at -workers 1 and -workers 8 produces
 // byte-identical output.
 //
-// The runner also memoizes the expensive shared measurement (operational β
-// of a Build-identified machine) keyed by (family, dim, size,
-// canonical MeasureOptions), so report sections and the crossover tool stop
-// recomputing the same host-machine bandwidths.
+// A β measurement of a Build-identified machine (BetaFuture) is such a
+// job, keyed by the measurement's canonical RunSpec string: report
+// sections and the crossover tool that ask for the same machine under
+// equivalent options draw the same stream and print the same value. The
+// runner's artifact cache shares each deterministic machine and its
+// routing engine across the jobs that measure it.
 package experiment
 
 import (
 	"math/rand"
 	"runtime"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/measure"
 	"repro/internal/runspec"
 )
 
+// MeasurementVersion names the semantics of measured values. Bump it
+// whenever the simulator or estimators change measured numbers. netemud's
+// result store labels every record with it and answers only from records
+// of the current version, so results written by an older build go stale
+// by construction.
+const MeasurementVersion = "m4"
+
 // Runner executes keyed jobs on a bounded worker pool. The zero value is
 // not usable; construct with New.
 type Runner struct {
 	plan      measure.SeedPlan
-	seed      int64
 	sem       chan struct{}
-	beta      sync.Map // string -> *Future[bandwidth.Measurement]
-	disk      *DiskCache
 	artifacts *runspec.ArtifactCache
 }
 
@@ -42,7 +47,6 @@ func New(seed int64, workers int) *Runner {
 	}
 	return &Runner{
 		plan:      measure.NewSeedPlan(seed),
-		seed:      seed,
 		sem:       make(chan struct{}, workers),
 		artifacts: runspec.NewArtifactCache(0, 0),
 	}

@@ -84,35 +84,19 @@ func TestNestedWaitDoesNotDeadlock(t *testing.T) {
 	}
 }
 
-func TestBetaCacheComputesOnce(t *testing.T) {
-	r := New(3, 4)
-	// Two sections asking for the same machine under equivalent options
-	// (zero value vs explicit defaults) must share one future.
-	f1 := r.BetaFuture(topology.MeshFamily, 2, 64, bandwidth.MeasureOptions{})
-	f2 := r.BetaFuture(topology.MeshFamily, 2, 64, bandwidth.MeasureOptions{LoadFactors: []int{2, 4, 8}, Trials: 2})
-	if f1 != f2 {
-		t.Fatal("canonical-equal options missed the cache")
-	}
-	m1 := f1.Wait()
-	m2 := r.BetaFuture(topology.MeshFamily, 2, 64, bandwidth.MeasureOptions{}).Wait()
-	if m1.Beta != m2.Beta {
-		t.Fatalf("cache returned different values: %v vs %v", m1.Beta, m2.Beta)
-	}
-	if m1.Beta <= 0 {
-		t.Fatalf("non-positive beta %v", m1.Beta)
-	}
-}
-
-// Cached β equals what a cold single-job run on the same key stream yields:
-// memoization must not shift numbers.
+// β depends only on (seed, key): a run at another worker count, and
+// options spelled differently but canonically equal (the zero value and
+// the explicit defaults {2,4,8}×2), give the same value.
 func TestBetaCacheMatchesColdRun(t *testing.T) {
 	opts := bandwidth.MeasureOptions{}.Canonical()
-	r1 := New(9, 4)
-	warm := r1.BetaFuture(topology.DeBruijnFamily, 0, 64, opts).Wait()
-
-	r2 := New(9, 1)
-	cold := r2.BetaFuture(topology.DeBruijnFamily, 0, 64, opts).Wait()
-	if warm.Beta != cold.Beta {
-		t.Fatalf("beta differs across worker counts: %v vs %v", warm.Beta, cold.Beta)
+	want := New(9, 4).BetaFuture(topology.DeBruijnFamily, 0, 64, opts).Wait().Beta
+	if want <= 0 {
+		t.Fatalf("non-positive beta %v", want)
+	}
+	r := New(9, 1)
+	for _, o := range []bandwidth.MeasureOptions{opts, {}, {LoadFactors: []int{2, 4, 8}, Trials: 2}} {
+		if got := r.BetaFuture(topology.DeBruijnFamily, 0, 64, o).Wait().Beta; got != want {
+			t.Fatalf("options %+v: beta %v, want %v", o, got, want)
+		}
 	}
 }

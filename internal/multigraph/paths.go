@@ -3,6 +3,7 @@ package multigraph
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 )
 
 // unreachable marks a vertex not reachable from the BFS source.
@@ -102,7 +103,7 @@ func (g *Multigraph) RandomShortestPath(src, dst int, rng *rand.Rand) []int {
 		}
 		// Sort so the rng draw is deterministic for a given seed (map
 		// iteration order is not).
-		sortInts(choices)
+		slices.Sort(choices)
 		u = choices[rng.Intn(len(choices))]
 		path = append(path, u)
 	}
@@ -149,17 +150,9 @@ func (g *Multigraph) Components() [][]int {
 		comps = append(comps, comp)
 	}
 	for _, c := range comps {
-		sortInts(c)
+		slices.Sort(c)
 	}
 	return comps
-}
-
-func sortInts(a []int) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j] < a[j-1]; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
-		}
-	}
 }
 
 // Eccentricity returns the maximum distance from src to any reachable

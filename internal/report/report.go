@@ -12,8 +12,9 @@
 // never drawn from a shared stream. Sections are assembled in declaration
 // order, so the output is byte-identical at any worker count — `report
 // -quick -workers 8` and `-workers 1` produce the same document, only
-// faster. Repeated β requests (Table 4's sweep sizes vs Theorem 6's
-// machines) are served from the orchestrator's memo cache.
+// faster. A β measurement two sections request (Table 4's sweep sizes vs
+// Theorem 6's machines) is the same keyed job in both, so both print the
+// same value.
 package report
 
 import (
@@ -41,13 +42,6 @@ type Options struct {
 	// Workers caps concurrent leaf jobs; < 1 means GOMAXPROCS. The value
 	// changes wall-clock only, never the output.
 	Workers int
-	// Cache, when non-nil, persists β measurements on disk and serves
-	// repeat runs from it (open one with experiment.OpenDiskCache).
-	// Entries are keyed by measurement identity, seed, and measurement
-	// version, and the hit path replays each machine construction on its
-	// keyed stream, so the output stays byte-identical with the cache
-	// cold, warm, or absent.
-	Cache *experiment.DiskCache
 }
 
 // section is one report chapter: a stable identity (the key prefix of all
@@ -76,9 +70,6 @@ var sections = []section{
 // changing a byte.
 func Generate(w io.Writer, o Options) error {
 	r := experiment.New(o.Seed, o.Workers)
-	if o.Cache != nil {
-		r.UseDiskCache(o.Cache)
-	}
 	futs := make([]*experiment.Future[string], len(sections))
 	for i, s := range sections {
 		s := s
@@ -98,7 +89,8 @@ func Generate(w io.Writer, o Options) error {
 }
 
 // sweepOpts is the measurement configuration every β job in the report
-// uses; keeping it uniform maximizes cache sharing across sections.
+// uses; keeping it uniform makes a machine's β one key, so every section
+// prints the same value for it.
 var sweepOpts = netemu.MeasureOptions{LoadFactors: []int{2, 4, 8}, Trials: 2}
 
 func table4(r *experiment.Runner, o Options) string {
@@ -136,7 +128,7 @@ func table4(r *experiment.Runner, o Options) string {
 			}
 		}
 	}
-	// Fan out every (entry, size) β measurement through the memo cache.
+	// Fan out every (entry, size) β measurement as a keyed job.
 	futs := make([][]*experiment.Future[bandwidth.Measurement], len(entries))
 	for i, e := range entries {
 		futs[i] = make([]*experiment.Future[bandwidth.Measurement], len(e.sizes))
@@ -363,8 +355,8 @@ func theorem6(r *experiment.Runner, o Options) string {
 		{netemu.DeBruijn, 0, 64, func() *netemu.Machine { return netemu.NewDeBruijn(6) }},
 		{netemu.Ring, 0, 64, func() *netemu.Machine { return netemu.NewRing(64) }},
 	}
-	// Operational β comes from the shared memo cache — the Mesh²/DeBruijn
-	// entries are the same measurements Table 4's sweep requests.
+	// Operational β: the Mesh²/DeBruijn entries are the same keyed jobs
+	// Table 4's sweep requests, so they print the same values.
 	ops := make([]*experiment.Future[bandwidth.Measurement], len(machines))
 	gts := make([]*experiment.Future[float64], len(machines))
 	tts := make([]*experiment.Future[[2]float64], len(machines))

@@ -166,12 +166,12 @@ func (e *Engine) liveDist(dst int) []int {
 
 // Stranded-packet resilience. A stranded packet may make retryBudget
 // reroute attempts; the first backs off backoffBase ticks and each further
-// one doubles the wait, capped at maxBackoff ticks. A packet older than
-// faultTTL ticks is dropped regardless of retries.
+// one doubles the wait, so the last waits backoffBase<<(retryBudget-1) =
+// 256 ticks. A packet older than faultTTL ticks is dropped regardless of
+// retries.
 const (
 	retryBudget = 8
 	backoffBase = 2
-	maxBackoff  = 1024
 	faultTTL    = 512
 )
 
@@ -284,7 +284,7 @@ func (s *Sim) reapDeadPackets() {
 }
 
 // backoffTicks returns the exponential backoff for the given retry number
-// (1 to retryBudget), capped at maxBackoff ticks.
+// (1 to retryBudget).
 func backoffTicks(retries uint8) int {
-	return min(backoffBase<<(retries-1), maxBackoff)
+	return backoffBase << (retries - 1)
 }

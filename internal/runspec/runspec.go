@@ -5,11 +5,11 @@
 // layers all key off the same canonical string and an identical request is
 // an identical computation everywhere.
 //
-// The facade's historical Measure*/Emulate* variants are all expressible
-// as Specs; the netemu package keeps them as one-line deprecated wrappers
-// over Run. The determinism contract carries over unchanged: a Spec's
-// result depends only on its canonical form, never on Shards (a pure
-// throughput knob) or on who executes it.
+// The netemu facade runs Specs through three entry points: netemu.Run (a
+// measurement on a built machine), RunEmulation (a guest on a built host)
+// and Execute (a spec that names its own machines). A Spec's result
+// depends only on its canonical form, never on Shards (a pure throughput
+// knob) or on who executes it.
 package runspec
 
 import (
@@ -399,8 +399,8 @@ func stripRepresentation(n Spec) Spec {
 // adjacency representations stripped. Two Specs describing the same
 // computation — defaults spelled out or left zero, any shard count,
 // either machine representation — canonicalize identically. The server's
-// flight table and result store, the experiment memo cache, and its disk
-// cache all key off this one string.
+// flight table and result store key off this one string, and the
+// experiment orchestrator names each β job's RNG stream by it.
 func (s Spec) Canonical() string {
 	n := stripRepresentation(s.Normalized())
 	b, err := json.Marshal(n)

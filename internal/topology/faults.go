@@ -65,6 +65,27 @@ func DeleteRandomProcessors(m *Machine, count int, rng *rand.Rand) (*Machine, ma
 	return &out, failed
 }
 
+// LargestLiveComponent returns the connected component of m's graph
+// holding the most live processors (those not in failed), with that count.
+// On a tie it returns the component with the smallest member, the first in
+// Components' order. The component keeps its switch vertices and failed
+// processors.
+func LargestLiveComponent(m *Machine, failed map[int]bool) (comp []int, live int) {
+	live = -1
+	for _, c := range m.Graph.Components() {
+		count := 0
+		for _, v := range c {
+			if v < m.N() && !failed[v] {
+				count++
+			}
+		}
+		if count > live {
+			comp, live = c, count
+		}
+	}
+	return comp, live
+}
+
 // LargestComponentFraction returns the fraction of m's processors inside
 // the largest connected component of the (possibly degraded) graph,
 // ignoring the given failed set. 1.0 means all surviving processors still
@@ -79,23 +100,7 @@ func LargestComponentFraction(m *Machine, failed map[int]bool) float64 {
 	if surviving == 0 {
 		return 0
 	}
-	if surviving == 1 {
-		// A lone surviving processor is trivially its own component; don't
-		// depend on how Components treats isolated vertices.
-		return 1
-	}
-	best := 0
-	for _, comp := range m.Graph.Components() {
-		count := 0
-		for _, v := range comp {
-			if v < m.N() && !failed[v] {
-				count++
-			}
-		}
-		if count > best {
-			best = count
-		}
-	}
+	_, best := LargestLiveComponent(m, failed)
 	return float64(best) / float64(surviving)
 }
 
@@ -104,20 +109,7 @@ func LargestComponentFraction(m *Machine, failed map[int]bool) float64 {
 // measurements on what's left. Vertex caps are remapped; switch vertices
 // outside the component are dropped.
 func SurvivingSubmachine(m *Machine, failed map[int]bool) *Machine {
-	var bestComp []int
-	bestCount := -1
-	for _, comp := range m.Graph.Components() {
-		count := 0
-		for _, v := range comp {
-			if v < m.N() && !failed[v] {
-				count++
-			}
-		}
-		if count > bestCount {
-			bestCount = count
-			bestComp = comp
-		}
-	}
+	bestComp, _ := LargestLiveComponent(m, failed)
 	// Renumber: surviving processors first, then switches, preserving the
 	// processors-are-a-prefix invariant.
 	oldToNew := make(map[int]int, len(bestComp))

@@ -93,6 +93,10 @@ func TestLargestComponentFraction(t *testing.T) {
 	if got := LargestComponentFraction(d, nil); got != 0.5 {
 		t.Fatalf("fraction = %v, want 0.5", got)
 	}
+	// The tie goes to the component with the smallest member.
+	if comp, live := LargestLiveComponent(d, nil); live != 5 || comp[0] != 0 {
+		t.Fatalf("largest live component %v (%d live), want [0..4] (5 live)", comp, live)
+	}
 	if got := LargestComponentFraction(m, nil); got != 1.0 {
 		t.Fatalf("intact fraction = %v", got)
 	}
