@@ -11,12 +11,13 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"log"
 	"os"
 
-	"repro"
+	"repro/internal/core"
 )
 
 func main() {
@@ -27,35 +28,18 @@ func main() {
 	k := flag.Int("k", 2, "host dimension for dimensioned hosts")
 	flag.Parse()
 
-	w := os.Stdout
-	emit := func(err error) {
-		if err != nil {
+	ids := []string{*table}
+	if *table == "all" {
+		ids = []string{"4", "1", "2", "3"}
+	}
+	for i, id := range ids {
+		if i > 0 {
+			fmt.Println()
+		}
+		if err := core.WritePaperTable(os.Stdout, id, *j, *k); errors.Is(err, core.ErrUnknownTable) {
+			log.Fatalf("unknown table %q (want 1, 2, 3, 4, or all)", *table)
+		} else if err != nil {
 			log.Fatal(err)
 		}
 	}
-	switch *table {
-	case "1":
-		emit(netemu.WriteTable(w, title(1, *j, *k), netemu.Table1(*j, *k)))
-	case "2":
-		emit(netemu.WriteTable(w, title(2, *j, *k), netemu.Table2(*j, *k)))
-	case "3":
-		emit(netemu.WriteTable(w, fmt.Sprintf("Table 3: hypercubic guests (hosts at k=%d)", *k), netemu.Table3(*k)))
-	case "4":
-		emit(netemu.WriteTable4(w, *k))
-	case "all":
-		emit(netemu.WriteTable4(w, *k))
-		fmt.Fprintln(w)
-		emit(netemu.WriteTable(w, title(1, *j, *k), netemu.Table1(*j, *k)))
-		fmt.Fprintln(w)
-		emit(netemu.WriteTable(w, title(2, *j, *k), netemu.Table2(*j, *k)))
-		fmt.Fprintln(w)
-		emit(netemu.WriteTable(w, fmt.Sprintf("Table 3: hypercubic guests (hosts at k=%d)", *k), netemu.Table3(*k)))
-	default:
-		log.Fatalf("unknown table %q (want 1, 2, 3, 4, or all)", *table)
-	}
-}
-
-func title(t, j, k int) string {
-	kind := map[int]string{1: "mesh/torus/X-grid guests", 2: "mesh-of-trees/multigrid/pyramid guests"}[t]
-	return fmt.Sprintf("Table %d: %s at j=%d (hosts at k=%d)", t, kind, j, k)
 }

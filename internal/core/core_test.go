@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"strings"
@@ -197,6 +198,36 @@ func TestWriteTables(t *testing.T) {
 	}
 	if !strings.Contains(sb.String(), "Θ(n lg^{-1} n)") {
 		t.Errorf("Table 4 output missing butterfly bandwidth:\n%s", sb.String())
+	}
+}
+
+// WritePaperTable names each table by its id and (j, k), renders the same
+// rows WriteTable and WriteTable4 do, and writes nothing for an unknown id.
+func TestWritePaperTable(t *testing.T) {
+	var got, want strings.Builder
+	if err := WritePaperTable(&got, "2", 3, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteTable(&want, "Table 2: mesh-of-trees/multigrid/pyramid guests at j=3 (hosts at k=1)", Table2(3, 1)); err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != want.String() {
+		t.Errorf("table 2 at j=3, k=1:\n%s\nwant:\n%s", got.String(), want.String())
+	}
+	got.Reset()
+	want.Reset()
+	if err := WritePaperTable(&got, "4", 3, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteTable4(&want, 1); err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != want.String() {
+		t.Errorf("table 4 at k=1:\n%s\nwant:\n%s", got.String(), want.String())
+	}
+	got.Reset()
+	if err := WritePaperTable(&got, "5", 2, 2); !errors.Is(err, ErrUnknownTable) || got.Len() != 0 {
+		t.Errorf("table 5: err %v, wrote %q; want ErrUnknownTable and nothing", err, got.String())
 	}
 }
 

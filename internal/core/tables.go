@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"text/tabwriter"
@@ -100,6 +101,28 @@ func crossRows(guests, hosts []Spec) []Row {
 		}
 	}
 	return out
+}
+
+// ErrUnknownTable is WritePaperTable's error for an id other than "1" to
+// "4".
+var ErrUnknownTable = errors.New("unknown table")
+
+// WritePaperTable renders the paper's table id ("1" to "4") with guests at
+// dimension j and hosts at dimension k: the one rendering nettables prints
+// and GET /v1/tables/{id} serves. An unknown id writes nothing and returns
+// an error wrapping ErrUnknownTable.
+func WritePaperTable(w io.Writer, id string, j, k int) error {
+	switch id {
+	case "1":
+		return WriteTable(w, fmt.Sprintf("Table 1: mesh/torus/X-grid guests at j=%d (hosts at k=%d)", j, k), Table1(j, k))
+	case "2":
+		return WriteTable(w, fmt.Sprintf("Table 2: mesh-of-trees/multigrid/pyramid guests at j=%d (hosts at k=%d)", j, k), Table2(j, k))
+	case "3":
+		return WriteTable(w, fmt.Sprintf("Table 3: hypercubic guests (hosts at k=%d)", k), Table3(k))
+	case "4":
+		return WriteTable4(w, k)
+	}
+	return fmt.Errorf("%w %q (want 1, 2, 3, or 4)", ErrUnknownTable, id)
 }
 
 // WriteTable renders rows as an aligned text table.

@@ -7,8 +7,9 @@
 // The algorithm is classic recursive coordinated bisection: split the
 // guest with a small balanced cut, split the host likewise, map the halves
 // to each other, and recurse until the host side is a single processor.
-// Guest cuts use the multigraph's local-search bisection; host cuts reuse
-// the same heuristic, so the expensive spectral machinery stays optional.
+// Guest and host cuts both use multigraph's local search
+// (Multigraph.RefinePartition), the refiner behind its bisection
+// estimate.
 package mapping
 
 import (
@@ -103,7 +104,7 @@ func splitPart(g *multigraph.Multigraph, part []int, k int, rng *rand.Rand) ([]i
 		for i := 0; i < k; i++ {
 			side[perm[i]] = true
 		}
-		cut := refineFixedSize(sub, side, k)
+		cut := sub.RefinePartition(side, 2*n)
 		if bestCut < 0 || cut < bestCut {
 			bestCut = cut
 			copy(bestSide, side)
@@ -118,71 +119,4 @@ func splitPart(g *multigraph.Multigraph, part []int, k int, rng *rand.Rand) ([]i
 		}
 	}
 	return a, b
-}
-
-// refineFixedSize greedily swaps one vertex from each side while the cut
-// improves, preserving the side sizes, and returns the final cut. The swap
-// pair is chosen among the top-gain candidates of each side, keeping each
-// iteration O(n).
-func refineFixedSize(g *multigraph.Multigraph, side []bool, _ int) int64 {
-	n := g.N()
-	gain := make([]int64, n)
-	recompute := func(u int) {
-		var ext, in int64
-		g.VisitNeighbors(u, func(v int, mult int64) {
-			if side[v] != side[u] {
-				ext += mult
-			} else {
-				in += mult
-			}
-		})
-		gain[u] = ext - in
-	}
-	for u := 0; u < n; u++ {
-		recompute(u)
-	}
-	cut := g.CutWeight(side)
-	const cand = 6
-	top := func(want bool) []int {
-		out := make([]int, 0, cand)
-		for u := 0; u < n; u++ {
-			if side[u] != want {
-				continue
-			}
-			pos := len(out)
-			for pos > 0 && gain[out[pos-1]] < gain[u] {
-				pos--
-			}
-			if pos < cand {
-				if len(out) < cand {
-					out = append(out, 0)
-				}
-				copy(out[pos+1:], out[pos:len(out)-1])
-				out[pos] = u
-			}
-		}
-		return out
-	}
-	for iter := 0; iter < 2*n; iter++ {
-		bestU, bestV := -1, -1
-		var bestDelta int64
-		for _, u := range top(true) {
-			for _, v := range top(false) {
-				delta := gain[u] + gain[v] - 2*g.Multiplicity(u, v)
-				if delta > bestDelta {
-					bestDelta, bestU, bestV = delta, u, v
-				}
-			}
-		}
-		if bestU < 0 {
-			break
-		}
-		side[bestU], side[bestV] = false, true
-		cut -= bestDelta
-		recompute(bestU)
-		recompute(bestV)
-		g.VisitNeighbors(bestU, func(v int, _ int64) { recompute(v) })
-		g.VisitNeighbors(bestV, func(v int, _ int64) { recompute(v) })
-	}
-	return cut
 }

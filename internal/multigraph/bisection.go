@@ -1,9 +1,11 @@
 package multigraph
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 )
 
 // Bisection width is the minimum number of simple edges (counting
@@ -74,8 +76,8 @@ func (g *Multigraph) CutWeight(side []bool) int64 {
 
 // EstimateBisection upper-bounds the bisection width with a randomized
 // Kernighan–Lin-style local search: `restarts` random balanced partitions,
-// each refined by greedy balanced swaps until no swap improves the cut.
-// For n <= 20 it returns the exact value.
+// each refined by RefinePartition (at most 4n swaps). For n <= 20 it
+// returns the exact value.
 func (g *Multigraph) EstimateBisection(restarts int, rng *rand.Rand) int64 {
 	if g.n <= 20 {
 		return g.ExactBisection()
@@ -86,7 +88,7 @@ func (g *Multigraph) EstimateBisection(restarts int, rng *rand.Rand) int64 {
 	best := int64(math.MaxInt64)
 	for r := 0; r < restarts; r++ {
 		side := g.randomBalancedPartition(rng)
-		cut := g.refinePartition(side)
+		cut := g.RefinePartition(side, 4*g.n)
 		if cut < best {
 			best = cut
 		}
@@ -96,7 +98,7 @@ func (g *Multigraph) EstimateBisection(restarts int, rng *rand.Rand) int64 {
 	if g.n > 0 {
 		for _, src := range []int{0, g.n - 1, g.n / 2} {
 			side := g.sweepPartition(src)
-			cut := g.refinePartition(side)
+			cut := g.RefinePartition(side, 4*g.n)
 			if cut < best {
 				best = cut
 			}
@@ -115,31 +117,19 @@ func (g *Multigraph) randomBalancedPartition(rng *rand.Rand) []bool {
 }
 
 // sweepPartition puts the floor(n/2) vertices closest to src (BFS order) on
-// side A.
+// side A; ties go to the smaller id, unreachable vertices come last.
 func (g *Multigraph) sweepPartition(src int) []bool {
 	dist := g.BFS(src)
+	for v, d := range dist {
+		if d == unreachable {
+			dist[v] = math.MaxInt
+		}
+	}
 	order := make([]int, g.n)
 	for i := range order {
 		order[i] = i
 	}
-	// Stable selection of n/2 smallest distances.
-	for i := 1; i < len(order); i++ {
-		for j := i; j > 0; j-- {
-			a, b := order[j], order[j-1]
-			da, db := dist[a], dist[b]
-			if da == unreachable {
-				da = math.MaxInt32
-			}
-			if db == unreachable {
-				db = math.MaxInt32
-			}
-			if da < db {
-				order[j], order[j-1] = order[j-1], order[j]
-			} else {
-				break
-			}
-		}
-	}
+	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(dist[a], dist[b]) })
 	side := make([]bool, g.n)
 	for i := 0; i < g.n/2; i++ {
 		side[order[i]] = true
@@ -147,30 +137,35 @@ func (g *Multigraph) sweepPartition(src int) []bool {
 	return side
 }
 
-// refinePartition greedily swaps the best (A,B) vertex pair while the cut
-// improves, returning the final cut weight. side is modified in place.
-func (g *Multigraph) refinePartition(side []bool) int64 {
+// RefinePartition improves the partition side (true = part A) in place by
+// greedy balanced swaps, one vertex from each part, so the part sizes never
+// change. It makes at most maxSwaps swaps, each the best pair among the six
+// highest-gain vertices of either part, stops when no such pair lowers the
+// cut, and returns the final cut weight. Choosing among top candidates
+// keeps a swap O(n) rather than O(n²).
+func (g *Multigraph) RefinePartition(side []bool, maxSwaps int) int64 {
 	// gain[u]: reduction in cut weight if u switches sides.
 	gain := make([]int64, g.n)
 	recompute := func(u int) {
-		var ext, int_ int64
+		var ext, in int64
 		for v, m := range g.adj[u] {
 			if side[v] != side[u] {
 				ext += m
 			} else {
-				int_ += m
+				in += m
 			}
 		}
-		gain[u] = ext - int_
+		gain[u] = ext - in
 	}
-	for u := 0; u < g.n; u++ {
+	for u := range gain {
 		recompute(u)
 	}
 	cut := g.CutWeight(side)
-	const k = 6 // candidates per side; best pair among k*k avoids O(n^2) scans
-	for iter := 0; iter < 4*g.n; iter++ {
-		candA := g.topGain(side, true, gain, k)
-		candB := g.topGain(side, false, gain, k)
+	const k = 6 // candidates per side
+	var bufA, bufB [k]int
+	for iter := 0; iter < maxSwaps; iter++ {
+		candA := g.topGain(side, true, gain, bufA[:0])
+		candB := g.topGain(side, false, gain, bufB[:0])
 		bestU, bestV := -1, -1
 		var bestDelta int64
 		for _, u := range candA {
@@ -186,24 +181,24 @@ func (g *Multigraph) refinePartition(side []bool) int64 {
 		}
 		side[bestU], side[bestV] = false, true
 		cut -= bestDelta
-		touched := map[int]bool{bestU: true, bestV: true}
+		// Only the swapped pair and their neighbours change gain.
+		recompute(bestU)
+		recompute(bestV)
 		for v := range g.adj[bestU] {
-			touched[v] = true
+			recompute(v)
 		}
 		for v := range g.adj[bestV] {
-			touched[v] = true
-		}
-		for u := range touched {
-			recompute(u)
+			recompute(v)
 		}
 	}
 	return cut
 }
 
-// topGain returns up to k vertices on the given side with the largest gain,
-// in descending gain order.
-func (g *Multigraph) topGain(side []bool, want bool, gain []int64, k int) []int {
-	out := make([]int, 0, k)
+// topGain fills out (length 0, capacity k) with up to k vertices on the
+// given side with the largest gain, in descending gain order, ties by
+// ascending id.
+func (g *Multigraph) topGain(side []bool, want bool, gain []int64, out []int) []int {
+	k := cap(out)
 	for u := 0; u < g.n; u++ {
 		if side[u] != want {
 			continue

@@ -88,12 +88,14 @@ type Engine struct {
 	M        *topology.Machine
 	Strategy Strategy
 
-	// distPtrs caches per-destination BFS distance fields. Lazily filled
-	// with atomic publication so concurrent shards can warm it without
-	// locks: a racing recompute produces the identical field (BFS is
-	// deterministic) and the last store wins. Nil for implicit machines,
-	// whose fault-free next hop is always closed-form, and never filled
-	// while an explicit machine has a shape.
+	// distPtrs caches per-destination BFS distance fields, over the live
+	// subgraph once faults are enabled. Lazily filled with atomic
+	// publication so concurrent shards can warm it without locks: a racing
+	// recompute produces the identical field (BFS is deterministic) and the
+	// last store wins. EnableFaults and every fault event swap in a fresh
+	// array (driver context, between phases). Nil for fault-free implicit
+	// machines, whose next hop is always closed-form, and never filled
+	// while a fault-free explicit machine has a shape.
 	distPtrs []atomic.Pointer[[]int]
 
 	// Explicit adjacency, flattened CSR-style (nil for implicit machines):
@@ -287,6 +289,30 @@ func (e *Engine) explicitShape(m *topology.Machine) *topology.Implicit {
 	return tw.Implicit
 }
 
+// neighbors returns u's neighbours in ascending vertex-id order and the id
+// of u's first out-edge; the neighbour at index i leaves u on edge
+// base+i. Explicit machines return a view of the CSR arrays. Implicit
+// ones append the generator's output to buf, so a caller that passes a
+// stack buffer of topology.MaxImplicitDegree entries allocates nothing.
+// Every walk over a vertex's neighbours except the closed-form next hop
+// goes through here.
+func (e *Engine) neighbors(u int, buf []int32) ([]int32, int32) {
+	if e.geom != nil {
+		return e.geom.AppendNeighbors(buf, u), int32(u * e.gDeg)
+	}
+	base := e.edgeBase[u]
+	return e.nbrV[base:e.edgeBase[u+1]], base
+}
+
+// mult returns the wire multiplicity of directed edge id: the number of
+// packets it may carry per tick. Generated adjacency is simple.
+func (e *Engine) mult(id int32) int64 {
+	if e.nbrMult == nil {
+		return 1
+	}
+	return e.nbrMult[id]
+}
+
 // edgeEnds recovers the (from, to) vertices of a directed edge id.
 func (e *Engine) edgeEnds(id int32) (int, int) {
 	if e.geom != nil {
@@ -307,21 +333,41 @@ func (e *Engine) edgeEnds(id int32) (int, int) {
 }
 
 // dist returns the BFS distance field to dst, computing and caching it on
-// first use. Safe for concurrent shards: publication is atomic and a racing
-// duplicate compute yields the identical deterministic field.
+// first use. Under faults, masked wires and processors do not exist and
+// vertices cut off from dst get -1. Safe for concurrent shards:
+// publication is atomic and a racing duplicate compute yields the
+// identical deterministic field.
 func (e *Engine) dist(dst int) []int {
-	if e.live != nil {
-		return e.liveDist(dst)
-	}
-	if e.geom != nil {
-		// Implicit machines route on their shape; a fault-free BFS field
+	if e.distPtrs == nil {
+		// Fault-free implicit machines route on their shape; a BFS field
 		// would be an O(N) allocation bug, not a fallback.
 		panic("routing: BFS distance field requested on an implicit machine without faults")
 	}
 	if p := e.distPtrs[dst].Load(); p != nil {
 		return *p
 	}
-	d := e.M.Graph.BFS(dst)
+	lv := e.live
+	d := make([]int, e.numVerts)
+	for i := range d {
+		d[i] = -1
+	}
+	if lv == nil || !lv.nodeDown[dst] {
+		var buf [topology.MaxImplicitDegree]int32
+		queue := make([]int32, 1, e.numVerts)
+		queue[0] = int32(dst)
+		d[dst] = 0
+		for h := 0; h < len(queue); h++ {
+			u := int(queue[h])
+			nbrs, base := e.neighbors(u, buf[:0])
+			for i, v := range nbrs {
+				if d[v] >= 0 || lv != nil && (lv.edgeDown[base+int32(i)] || lv.nodeDown[v]) {
+					continue
+				}
+				d[v] = d[u] + 1
+				queue = append(queue, v)
+			}
+		}
+	}
 	e.distPtrs[dst].Store(&d)
 	return d
 }
@@ -375,18 +421,17 @@ func (e *Engine) Route(batch []traffic.Message, rng *rand.Rand, shards int) Stat
 //
 // Fault-free machines with a shape take the closed-form fast paths, which
 // read neither a distance field nor a neighbour list; only the base of u's
-// edge ids depends on the representation. Everything else walks u's
-// neighbours against a BFS distance field. Every path enumerates the
-// candidates in the same order — neighbours ascending by vertex id — and
-// spends exactly one reservoir draw per unsaturated downhill neighbour, so
-// the decision streams (and therefore all results) are identical across
-// explicit, implicit, serial, and sharded runs.
+// edge ids depends on the representation (u*gDeg for generated adjacency,
+// edgeBase[u] for CSR). Everything else walks u's neighbours against a BFS
+// distance field, skipping dead wires under faults. Every path enumerates
+// the candidates in the same order — neighbours ascending by vertex id —
+// and spends exactly one reservoir draw per unsaturated downhill
+// neighbour, so the decision streams (and therefore all results) are
+// identical across explicit, implicit, serial, and sharded runs.
 func (e *Engine) pickHop(u, dst int, edgeUsed []int32, vr *vrand) (int, int32) {
 	if e.shape != nil && e.live == nil {
-		var base int32
-		if e.geom != nil {
-			base = int32(u * e.gDeg)
-		} else {
+		base := int32(u * e.gDeg)
+		if e.edgeBase != nil {
 			base = e.edgeBase[u]
 		}
 		if e.gk == geomHypercube {
@@ -394,32 +439,26 @@ func (e *Engine) pickHop(u, dst int, edgeUsed []int32, vr *vrand) (int, int32) {
 		}
 		return e.pickHopGrid(u, dst, base, edgeUsed, vr)
 	}
-	if e.geom != nil {
-		return e.pickHopGeomLive(u, dst, edgeUsed, vr)
-	}
-	base := e.edgeBase[u]
-	end := e.edgeBase[u+1]
-	best := -1
-	var bestEdge int32 = -1
-	count := 0
 	d := e.dist(dst)
 	du := d[u] - 1
 	lv := e.live
-	for id := base; id < end; id++ {
-		v := int(e.nbrV[id])
+	var buf [topology.MaxImplicitDegree]int32
+	nbrs, base := e.neighbors(u, buf[:0])
+	best := -1
+	var bestEdge int32 = -1
+	count := 0
+	for i, v := range nbrs {
 		if d[v] != du {
 			continue
 		}
-		if lv != nil && lv.edgeDown[id] {
-			continue
-		}
-		if int64(edgeUsed[id]) >= e.nbrMult[id] {
+		id := base + int32(i)
+		if lv != nil && lv.edgeDown[id] || int64(edgeUsed[id]) >= e.mult(id) {
 			continue
 		}
 		// Reservoir-sample uniformly among available downhill neighbours.
 		count++
 		if vr.intn(count) == 0 {
-			best = v
+			best = int(v)
 			bestEdge = id
 		}
 	}
@@ -583,36 +622,4 @@ func wrapDelta(delta, side int) int {
 		delta = side - delta
 	}
 	return delta
-}
-
-// pickHopGeomLive is pickHop for implicit machines under faults: the masked
-// BFS field replaces the shape's distances and dead wires are skipped,
-// with neighbours enumerated through the generator in the canonical
-// ascending order.
-func (e *Engine) pickHopGeomLive(u, dst int, edgeUsed []int32, vr *vrand) (int, int32) {
-	d := e.dist(dst)
-	du := d[u] - 1
-	lv := e.live
-	base := int32(u * e.gDeg)
-	best := -1
-	var bestEdge int32 = -1
-	count := 0
-	e.geom.VisitNeighbors(u, func(slot, v int) {
-		if d[v] != du {
-			return
-		}
-		id := base + int32(slot)
-		if lv.edgeDown[id] {
-			return
-		}
-		if edgeUsed[id] >= 1 {
-			return
-		}
-		count++
-		if vr.intn(count) == 0 {
-			best = v
-			bestEdge = id
-		}
-	})
-	return best, bestEdge
 }

@@ -10,10 +10,10 @@ import (
 // Dynamic-fault support: an Engine can mask wires and processors as dead
 // mid-run and route around them, and a Sim can execute a
 // topology.FaultSchedule while packets are in flight. Routing tables are
-// masked lazily: every fault event invalidates the live distance cache and
-// each destination's field is recomputed (on the surviving subgraph) the
-// first time a packet needs it, so a machine that only ever routes to a few
-// destinations after a fault pays only for those.
+// masked lazily: every fault event invalidates the engine's distance-field
+// cache and each destination's field is recomputed (on the surviving
+// subgraph) the first time a packet needs it, so a machine that only ever
+// routes to a few destinations after a fault pays only for those.
 //
 // Packets stranded by a fault — no live path from their current vertex to
 // their target — are not lost immediately: they back off exponentially and
@@ -26,16 +26,11 @@ import (
 // at every tick, which TestFaultConservationOnTable4Machines enforces.
 
 // liveState is the engine's fault mask: per-directed-edge and per-vertex
-// down flags plus a distance-field cache over the live subgraph, rebuilt
-// lazily after every fault event.
+// down flags. The distance fields routed on under faults live in the
+// engine's one field cache, which every fault event swaps out.
 type liveState struct {
 	edgeDown []bool // per directed edge id
 	nodeDown []bool // per vertex
-	// distPtrs caches masked distance fields with atomic publication, the
-	// same scheme as Engine.distPtrs: shards may warm it concurrently, a
-	// racing recompute is identical, and ApplyFaultEvent (driver context,
-	// between phases) swaps in a fresh array to invalidate.
-	distPtrs []atomic.Pointer[[]int]
 }
 
 // EnableFaults switches the engine into liveness-aware routing. An engine
@@ -48,8 +43,8 @@ func (e *Engine) EnableFaults() {
 		e.live = &liveState{
 			edgeDown: make([]bool, e.numEdges),
 			nodeDown: make([]bool, e.numVerts),
-			distPtrs: make([]atomic.Pointer[[]int], e.numVerts),
 		}
+		e.distPtrs = make([]atomic.Pointer[[]int], e.numVerts)
 	}
 }
 
@@ -59,19 +54,11 @@ func (e *Engine) NodeDown(v int) bool { return e.live != nil && e.live.nodeDown[
 
 // dirEdgeID returns the dense id of directed edge u->v, or -1 if absent.
 func (e *Engine) dirEdgeID(u, v int) int32 {
-	if e.geom != nil {
-		found := int32(-1)
-		base := int32(u * e.gDeg)
-		e.geom.VisitNeighbors(u, func(slot, nb int) {
-			if nb == v {
-				found = base + int32(slot)
-			}
-		})
-		return found
-	}
-	for id := e.edgeBase[u]; id < e.edgeBase[u+1]; id++ {
-		if int(e.nbrV[id]) == v {
-			return id
+	var buf [topology.MaxImplicitDegree]int32
+	nbrs, base := e.neighbors(u, buf[:0])
+	for i, w := range nbrs {
+		if int(w) == v {
+			return base + int32(i)
 		}
 	}
 	return -1
@@ -88,7 +75,8 @@ func (e *Engine) setEdgeDown(u, v int, down bool) {
 
 // ApplyFaultEvent applies one materialized event to the mask: the listed
 // wires and processors go down, or (Heal) every masked element recovers.
-// The live distance cache is invalidated; fields are recomputed on demand.
+// The engine's distance-field cache is swapped for an empty one; fields are
+// recomputed on demand over the live subgraph.
 func (e *Engine) ApplyFaultEvent(ev topology.FaultEvent) {
 	e.EnableFaults()
 	lv := e.live
@@ -109,59 +97,7 @@ func (e *Engine) ApplyFaultEvent(ev topology.FaultEvent) {
 		}
 		lv.nodeDown[v] = true
 	}
-	lv.distPtrs = make([]atomic.Pointer[[]int], e.numVerts)
-}
-
-// liveDist returns the BFS distance field to dst over the live subgraph:
-// masked wires and vertices do not exist, unreachable vertices get -1.
-// Works on both representations — explicit machines walk the CSR arrays,
-// implicit ones enumerate neighbours through the generator with the same
-// slot-derived edge ids the hop fast paths use.
-func (e *Engine) liveDist(dst int) []int {
-	lv := e.live
-	if p := lv.distPtrs[dst].Load(); p != nil {
-		return *p
-	}
-	n := e.numVerts
-	d := make([]int, n)
-	for i := range d {
-		d[i] = -1
-	}
-	if !lv.nodeDown[dst] {
-		queue := make([]int, 0, n)
-		d[dst] = 0
-		queue = append(queue, dst)
-		if e.geom != nil {
-			var u int
-			visit := func(slot, v int) {
-				if d[v] >= 0 || lv.edgeDown[int32(u*e.gDeg+slot)] || lv.nodeDown[v] {
-					return
-				}
-				d[v] = d[u] + 1
-				queue = append(queue, v)
-			}
-			for len(queue) > 0 {
-				u = queue[0]
-				queue = queue[1:]
-				e.geom.VisitNeighbors(u, visit)
-			}
-		} else {
-			for len(queue) > 0 {
-				u := queue[0]
-				queue = queue[1:]
-				for id := e.edgeBase[u]; id < e.edgeBase[u+1]; id++ {
-					v := int(e.nbrV[id])
-					if d[v] >= 0 || lv.edgeDown[id] || lv.nodeDown[v] {
-						continue
-					}
-					d[v] = d[u] + 1
-					queue = append(queue, v)
-				}
-			}
-		}
-	}
-	lv.distPtrs[dst].Store(&d)
-	return d
+	e.distPtrs = make([]atomic.Pointer[[]int], e.numVerts)
 }
 
 // Stranded-packet resilience. A stranded packet may make retryBudget

@@ -66,6 +66,41 @@ func TestStepSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// The faulted hot path allocates nothing either, once every destination's
+// masked field is built: pickHop walks a vertex's neighbours into a stack
+// buffer, on generated adjacency (ImplicitMesh, ImplicitWeakHypercube) as
+// on CSR arrays (Mesh, and DeBruijn, which has no closed-form hop even
+// fault-free), and the dead-wire and stranded-packet checks reuse the
+// cached fields.
+func TestFaultedStepSteadyStateAllocs(t *testing.T) {
+	for _, m := range []*topology.Machine{
+		topology.Mesh(2, 10),
+		topology.ImplicitMesh(2, 10),
+		topology.ImplicitWeakHypercube(7),
+		topology.DeBruijn(7),
+	} {
+		e := NewEngine(m, Greedy)
+		rng := rand.New(rand.NewSource(3))
+		s := e.NewSim(rng)
+		s.SetFaults(topology.MustParseFaultSpec("edges:0.1@t2").Materialize(m, rng))
+		dist := traffic.NewSymmetric(m.N())
+		tick := func() {
+			s.InjectSampled(dist, 4)
+			s.Step()
+		}
+		// Warm up past the fault: 500 ticks of 4 messages name each of the
+		// ≤128 destinations about 16 times, so every masked field is built
+		// and the queues and histograms have reached their sizes.
+		for i := 0; i < 500; i++ {
+			tick()
+		}
+		if avg := testing.AllocsPerRun(100, tick); avg > 0.1 {
+			t.Errorf("%s (implicit=%v): faulted Step allocates %.3f objects/tick at steady state, budget 0.1", m.Name, m.Implicit != nil, avg)
+		}
+		s.Close()
+	}
+}
+
 // InjectSampled must behave exactly like Inject(traffic.Batch(...)) given
 // the same rng state — the open-loop driver relies on that equivalence.
 func TestInjectSampledMatchesBatchInject(t *testing.T) {

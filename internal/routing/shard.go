@@ -301,7 +301,7 @@ func (sh *simShard) move(s *Sim) {
 						sh.outbox[dst] = append(sh.outbox[dst], arrival{sender: int32(u), p: p})
 						continue
 					}
-					if fs != nil && eng.liveDist(int(p.dst))[u] < 0 {
+					if fs != nil && eng.dist(int(p.dst))[u] < 0 {
 						// Stranded: no live path to the current target.
 						if p.phase1 {
 							// The Valiant intermediate became unreachable;
@@ -355,10 +355,10 @@ func (sh *simShard) move(s *Sim) {
 }
 
 // arrive merges this shard's inbound mailboxes by ascending sender id and
-// pushes each arrival (or applies the Valiant phase switch). Each mailbox
-// is already sender-sorted (move serves vertices in ascending order), so a
-// k-way merge over the in-neighbour shards restores the canonical global
-// order.
+// pushes each arrival, applying the Valiant phase switch on the way. Each
+// mailbox is already sender-sorted (move serves vertices in ascending
+// order), so a k-way merge over the in-neighbour shards restores the
+// canonical global order.
 func (sh *simShard) arrive(s *Sim) {
 	heads := sh.heads
 	for i := range heads {
@@ -381,36 +381,22 @@ func (sh *simShard) arrive(s *Sim) {
 		// consume the whole run before rescanning.
 		ob := s.shards[sh.srcShards[src]].outbox[sh.id]
 		h := heads[src]
-		for h < len(ob) && ob[h].sender == bestSender {
-			sh.handleArrival(s, ob[h].p)
-			h++
+		for ; h < len(ob) && ob[h].sender == bestSender; h++ {
+			p := ob[h].p
+			if p.at == p.dst {
+				// Only a packet at its Valiant intermediate arrives at its
+				// target: move counts every final-destination delivery at
+				// the sender shard. Phase 2 starts next tick.
+				p.phase1 = false
+				p.dst = p.finalDst
+			}
+			s.push(p)
 		}
 		heads[src] = h
 	}
 	if s.stats != nil {
 		sh.sampleQueues(s)
 	}
-}
-
-func (sh *simShard) handleArrival(s *Sim, p simPacket) {
-	if p.at == p.dst {
-		if p.phase1 {
-			// Reached the Valiant intermediate; phase 2 starts next tick.
-			p.phase1 = false
-			p.dst = p.finalDst
-			s.push(p)
-			return
-		}
-		// Final-destination deliveries are counted at the sender shard
-		// during move and never cross a mailbox; this branch only defends
-		// against a future caller.
-		sh.tickDelivered++
-		lat := s.now - int(p.born)
-		sh.tickLatency += int64(lat)
-		sh.latHist.Record(lat)
-		return
-	}
-	s.push(p)
 }
 
 // sampleQueues records one queue-occupancy sample per owned vertex: the

@@ -163,21 +163,12 @@ func (s *Sim) wireShardTopology() {
 	for i := 0; i < k; i++ {
 		adj[i*k+i] = true
 	}
-	if e.geom != nil {
-		var su int
-		visit := func(slot, v int) {
+	var buf [topology.MaxImplicitDegree]int32
+	for u := 0; u < e.numVerts; u++ {
+		su := int(s.shardOf[u])
+		nbrs, _ := e.neighbors(u, buf[:0])
+		for _, v := range nbrs {
 			adj[su*k+int(s.shardOf[v])] = true
-		}
-		for u := 0; u < e.numVerts; u++ {
-			su = int(s.shardOf[u])
-			e.geom.VisitNeighbors(u, visit)
-		}
-	} else {
-		for u := 0; u < e.numVerts; u++ {
-			su := int(s.shardOf[u])
-			for j := e.edgeBase[u]; j < e.edgeBase[u+1]; j++ {
-				adj[su*k+int(s.shardOf[e.nbrV[j]])] = true
-			}
 		}
 	}
 	for i, sh := range s.shards {

@@ -348,17 +348,9 @@ func (s *Server) handleTables(w http.ResponseWriter, r *http.Request) {
 	// Render into a buffer first so a failed render can still serve a
 	// clean error status instead of a truncated body.
 	var buf bytes.Buffer
-	switch id {
-	case "1":
-		err = core.WriteTable(&buf, fmt.Sprintf("Table 1: mesh/torus/X-grid guests at j=%d (hosts at k=%d)", j, k), core.Table1(j, k))
-	case "2":
-		err = core.WriteTable(&buf, fmt.Sprintf("Table 2: mesh-of-trees/multigrid/pyramid guests at j=%d (hosts at k=%d)", j, k), core.Table2(j, k))
-	case "3":
-		err = core.WriteTable(&buf, fmt.Sprintf("Table 3: hypercubic guests (hosts at k=%d)", k), core.Table3(k))
-	case "4":
-		err = core.WriteTable4(&buf, k)
-	default:
-		writeError(w, http.StatusNotFound, api.CodeNotFound, fmt.Sprintf("unknown table %q (want 1, 2, 3, or 4)", id))
+	err = core.WritePaperTable(&buf, id, j, k)
+	if errors.Is(err, core.ErrUnknownTable) {
+		writeError(w, http.StatusNotFound, api.CodeNotFound, err.Error())
 		return
 	}
 	if err != nil {

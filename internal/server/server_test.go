@@ -330,10 +330,10 @@ func TestTablesAndHealthz(t *testing.T) {
 	}
 }
 
-// TestDiskCacheAcrossRestarts: a second server over the same result
-// store directory serves the first server's response bytes without
+// TestStoreServesAcrossRestarts: a second server over the same -store
+// result store directory serves the first server's response bytes without
 // running the simulator.
-func TestDiskCacheAcrossRestarts(t *testing.T) {
+func TestStoreServesAcrossRestarts(t *testing.T) {
 	dir := t.TempDir()
 	_, _, url1 := newStoreServer(t, dir, Config{})
 	code, body1 := post(t, url1+"/v1/measure", quickBeta, nil)

@@ -3,6 +3,7 @@ package topology
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"repro/internal/multigraph"
 )
@@ -35,6 +36,12 @@ const (
 // array of this length, so materialized meshes and tori of higher
 // dimension route on BFS distance fields instead of the closed form.
 const MaxImplicitDim = 8
+
+// MaxImplicitDegree bounds the vertex degree of every implicit machine: it
+// is the hypercube's order cap, and meshes and tori stop at
+// 2·MaxImplicitDim. A [MaxImplicitDegree]int32 buffer therefore holds any
+// vertex's neighbours (AppendNeighbors).
+const MaxImplicitDegree = 26
 
 // Implicit generates the adjacency of one geometric machine on demand.
 type Implicit struct {
@@ -71,76 +78,58 @@ func (im *Implicit) Grid() (dim, side int, wrap, ok bool) {
 	return im.dim, im.side, im.kind == implTorus, true
 }
 
-// VisitNeighbors calls visit for every neighbour v of u in ascending
-// vertex-id order; slot is v's rank in that order (the low part of the
-// directed edge id u*MaxDeg()+slot).
-func (im *Implicit) VisitNeighbors(u int, visit func(slot, v int)) {
+// AppendNeighbors appends u's neighbours to out in ascending vertex-id order
+// and returns the extended slice; v's rank in that order is the low part of
+// the directed edge id u*MaxDeg()+rank. Vertex ids fit in int32 because the
+// constructors bound the edge-id space. This is the one neighbour
+// enumeration: Neighbor, Edges and the routing engine all walk it, and a
+// caller that passes a [MaxImplicitDegree]int32 stack buffer allocates
+// nothing.
+func (im *Implicit) AppendNeighbors(out []int32, u int) []int32 {
 	switch im.kind {
 	case implHypercube:
-		slot := 0
-		// Set bits high-to-low give the below-u neighbours in ascending order.
+		// Set bits high-to-low give the below-u neighbours in ascending
+		// order, clear bits low-to-high the above-u ones.
 		for d := uint(u); d != 0; {
 			i := bits.Len(d) - 1
 			d &^= 1 << i
-			visit(slot, u^(1<<i))
-			slot++
+			out = append(out, int32(u^(1<<i)))
 		}
-		// Clear bits low-to-high give the above-u neighbours in ascending order.
 		for i := 0; i < im.order; i++ {
 			if u&(1<<i) == 0 {
-				visit(slot, u^(1<<i))
-				slot++
+				out = append(out, int32(u^(1<<i)))
 			}
 		}
 	case implMesh:
-		slot := 0
 		// Minus-steps by descending dimension are the below-u neighbours in
-		// ascending order (stride shrinks with d).
+		// ascending order (stride shrinks with d), plus-steps by ascending
+		// dimension the above-u ones.
 		for d := im.dim - 1; d >= 0; d-- {
 			if (u/im.stride[d])%im.side > 0 {
-				visit(slot, u-im.stride[d])
-				slot++
+				out = append(out, int32(u-im.stride[d]))
 			}
 		}
 		for d := 0; d < im.dim; d++ {
 			if (u/im.stride[d])%im.side < im.side-1 {
-				visit(slot, u+im.stride[d])
-				slot++
+				out = append(out, int32(u+im.stride[d]))
 			}
 		}
 	case implTorus:
-		var nbr [2 * MaxImplicitDim]int
-		k := im.appendTorusNeighbors(u, nbr[:0])
-		for slot, v := range k {
-			visit(slot, v)
+		// Wraparound breaks the mesh's monotone orderings, so the 2·dim
+		// candidates are gathered and sorted.
+		start := len(out)
+		for d := 0; d < im.dim; d++ {
+			c := (u / im.stride[d]) % im.side
+			minus, plus := u-im.stride[d], u+im.stride[d]
+			if c == 0 {
+				minus = u + (im.side-1)*im.stride[d]
+			}
+			if c == im.side-1 {
+				plus = u - (im.side-1)*im.stride[d]
+			}
+			out = append(out, int32(minus), int32(plus))
 		}
-	}
-}
-
-// appendTorusNeighbors collects u's torus neighbours sorted ascending.
-// Wraparound breaks the mesh's monotone orderings, so the ≤2·dim candidates
-// are gathered and insertion-sorted.
-func (im *Implicit) appendTorusNeighbors(u int, out []int) []int {
-	for d := 0; d < im.dim; d++ {
-		c := (u / im.stride[d]) % im.side
-		minus := u - im.stride[d]
-		if c == 0 {
-			minus = u + (im.side-1)*im.stride[d]
-		}
-		plus := u + im.stride[d]
-		if c == im.side-1 {
-			plus = u - (im.side-1)*im.stride[d]
-		}
-		out = append(out, minus, plus)
-	}
-	for i := 1; i < len(out); i++ {
-		v := out[i]
-		j := i - 1
-		for j >= 0 && out[j] > v {
-			out[j+1] = out[j]
-			j--
-		}
-		out[j+1] = v
+		slices.Sort(out[start:])
 	}
 	return out
 }
@@ -148,13 +137,11 @@ func (im *Implicit) appendTorusNeighbors(u int, out []int) []int {
 // Neighbor returns the neighbour of u at the given rank slot, or -1 when
 // the slot is empty (mesh boundary vertices have degree below MaxDeg).
 func (im *Implicit) Neighbor(u, slot int) int {
-	found := -1
-	im.VisitNeighbors(u, func(s, v int) {
-		if s == slot {
-			found = v
-		}
-	})
-	return found
+	var buf [MaxImplicitDegree]int32
+	if nb := im.AppendNeighbors(buf[:0], u); 0 <= slot && slot < len(nb) {
+		return int(nb[slot])
+	}
+	return -1
 }
 
 // E returns the undirected edge count.
@@ -176,43 +163,11 @@ func (im *Implicit) E() int64 {
 // representations.
 func (im *Implicit) Edges() []multigraph.Edge {
 	out := make([]multigraph.Edge, 0, im.E())
-	var scratch [2 * MaxImplicitDim]int
+	var buf [MaxImplicitDegree]int32
 	for u := 0; u < im.n; u++ {
-		switch im.kind {
-		case implHypercube:
-			for i := 0; i < im.order; i++ {
-				if u&(1<<i) == 0 {
-					out = append(out, multigraph.Edge{U: u, V: u ^ (1 << i), Mult: 1})
-				}
-			}
-		case implMesh:
-			for d := 0; d < im.dim; d++ {
-				if (u/im.stride[d])%im.side < im.side-1 {
-					out = append(out, multigraph.Edge{U: u, V: u + im.stride[d], Mult: 1})
-				}
-			}
-		case implTorus:
-			up := scratch[:0]
-			for d := 0; d < im.dim; d++ {
-				c := (u / im.stride[d]) % im.side
-				if c < im.side-1 {
-					up = append(up, u+im.stride[d])
-				}
-				if c == 0 {
-					up = append(up, u+(im.side-1)*im.stride[d])
-				}
-			}
-			for i := 1; i < len(up); i++ {
-				v := up[i]
-				j := i - 1
-				for j >= 0 && up[j] > v {
-					up[j+1] = up[j]
-					j--
-				}
-				up[j+1] = v
-			}
-			for _, v := range up {
-				out = append(out, multigraph.Edge{U: u, V: v, Mult: 1})
+		for _, v := range im.AppendNeighbors(buf[:0], u) {
+			if int(v) > u {
+				out = append(out, multigraph.Edge{U: u, V: int(v), Mult: 1})
 			}
 		}
 	}
@@ -228,7 +183,7 @@ const maxEdgeIDSpace = 1<<31 - 1
 // WeakHypercube(order), but with generated adjacency and no edge list.
 // Orders up to 26 are accepted (the explicit constructor stops at 22).
 func ImplicitWeakHypercube(order int) *Machine {
-	checkOrder("ImplicitWeakHypercube", order, 26)
+	checkOrder("ImplicitWeakHypercube", order, MaxImplicitDegree)
 	n := 1 << order
 	if int64(n)*int64(order) > maxEdgeIDSpace {
 		panic(fmt.Sprintf("topology: ImplicitWeakHypercube order %d exceeds the edge-id space", order))
@@ -307,8 +262,8 @@ func BuildImplicit(f Family, dim, approxN int) (*Machine, error) {
 
 // Materialize returns the explicit twin of an implicit machine (building
 // the multigraph); explicit machines return themselves. It is the escape
-// hatch for analyses that need a real edge list (spectral bounds, diameter
-// estimation).
+// hatch for analyses that need a real edge list (bisection and flux
+// bounds, diameter estimation).
 func (m *Machine) Materialize() *Machine {
 	if m.Implicit == nil {
 		return m

@@ -40,15 +40,16 @@ func TestImplicitNeighborsMatchExplicit(t *testing.T) {
 		}
 		for u := 0; u < g.N(); u++ {
 			want := g.Neighbors(u) // sorted ascending
+			// Slots count from the end of the caller's prefix, which stays put.
+			const prefix = 1 << 30
+			nb := im.AppendNeighbors([]int32{prefix}, u)
+			if nb[0] != prefix {
+				t.Fatalf("%s: vertex %d: the enumeration moved the caller's prefix: %v", pair.imp.Name, u, nb)
+			}
 			var got []int
-			lastSlot := -1
-			im.VisitNeighbors(u, func(slot, v int) {
-				if slot != lastSlot+1 {
-					t.Fatalf("%s: vertex %d slots not consecutive: %d after %d", pair.imp.Name, u, slot, lastSlot)
-				}
-				lastSlot = slot
-				got = append(got, v)
-			})
+			for _, v := range nb[1:] {
+				got = append(got, int(v))
+			}
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("%s: vertex %d neighbours %v, want %v", pair.imp.Name, u, got, want)
 			}
@@ -103,9 +104,7 @@ func TestImplicitEdgesMatchExplicit(t *testing.T) {
 
 // implicitDegree returns the degree of vertex u.
 func implicitDegree(im *Implicit, u int) int {
-	deg := 0
-	im.VisitNeighbors(u, func(int, int) { deg++ })
-	return deg
+	return len(im.AppendNeighbors(nil, u))
 }
 
 func TestImplicitCapsMatchExplicit(t *testing.T) {
