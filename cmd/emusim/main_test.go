@@ -2,8 +2,10 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"os/exec"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -53,5 +55,43 @@ func TestEmusimRejectsBadFlags(t *testing.T) {
 				t.Fatalf("args %v: error %q does not mention %q", tc.args, msg, tc.want)
 			}
 		})
+	}
+}
+
+// The ratio line must describe the emulation the report printed, here the
+// mapped one, not a separate direct run. DeBruijn-256 on Mesh-64 is
+// load-bound (|G|/|H| = 4), so the printed bound is exact, and host ticks
+// over guest steps gives the unrounded slowdown.
+func TestEmusimRatioIsReportedSlowdownOverBound(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds the binary")
+	}
+	bin := filepath.Join(t.TempDir(), "emusim")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("build: %v\n%s", err, out)
+	}
+	out, err := exec.Command(bin, "-map", "-shards", "1").Output()
+	if err != nil {
+		t.Fatalf("emusim -map: %v", err)
+	}
+	field := func(prefix string) string {
+		for _, line := range strings.Split(string(out), "\n") {
+			if rest, ok := strings.CutPrefix(line, prefix); ok {
+				return strings.Fields(rest)[0]
+			}
+		}
+		t.Fatalf("no %q line in\n%s", prefix, out)
+		return ""
+	}
+	num := func(prefix string) float64 {
+		v, err := strconv.ParseFloat(field(prefix), 64)
+		if err != nil {
+			t.Fatalf("%s: %v", prefix, err)
+		}
+		return v
+	}
+	slowdown := num("host ticks:") / num("guest steps:")
+	if got, want := field("measured/bound ratio:"), fmt.Sprintf("%.2f", slowdown/num("theorem bound:")); got != want {
+		t.Fatalf("ratio %s, want slowdown %.2f / bound = %s\n%s", got, slowdown, want, out)
 	}
 }

@@ -15,6 +15,7 @@ package mapping
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"repro/internal/multigraph"
 	"repro/internal/topology"
@@ -49,6 +50,7 @@ func RecursiveBisection(guest, host *topology.Machine, rng *rand.Rand) []int {
 }
 
 // recurse maps the guest vertices in gPart onto the host vertices in hPart.
+// Every part is ascending, since splitPart keeps its input's order.
 func recurse(g, h *multigraph.Multigraph, gPart, hPart []int, assign []int, rng *rand.Rand) {
 	if len(hPart) == 1 {
 		for _, v := range gPart {
@@ -69,8 +71,9 @@ func recurse(g, h *multigraph.Multigraph, gPart, hPart []int, assign []int, rng 
 	recurse(g, h, gB, hB, assign, rng)
 }
 
-// splitPart partitions `part` into sizes (k, len-k) minimizing the induced
-// cut with a random-restart local search over the induced subgraph.
+// splitPart partitions the ascending `part` into ascending halves of sizes
+// (k, len-k) minimizing the induced cut with a random-restart local search
+// over the induced subgraph.
 func splitPart(g *multigraph.Multigraph, part []int, k int, rng *rand.Rand) ([]int, []int) {
 	n := len(part)
 	if k <= 0 {
@@ -79,18 +82,15 @@ func splitPart(g *multigraph.Multigraph, part []int, k int, rng *rand.Rand) ([]i
 	if k >= n {
 		return append([]int(nil), part...), nil
 	}
-	// Build the induced subgraph once.
-	index := make(map[int]int, n)
-	for i, v := range part {
-		index[v] = i
-	}
+	// Build the induced subgraph once; part is ascending, so a neighbour's
+	// index in it is a binary search away.
 	sub := multigraph.New(n)
 	for i, v := range part {
-		g.VisitNeighbors(v, func(u int, mult int64) {
-			if j, ok := index[u]; ok && j > i {
-				sub.AddEdge(i, j, mult)
+		for _, u := range g.Neighbors(v) {
+			if j, ok := slices.BinarySearch(part, u); ok && j > i {
+				sub.AddEdge(i, j, g.Multiplicity(v, u))
 			}
-		})
+		}
 	}
 	bestSide := make([]bool, n)
 	bestCut := int64(-1)

@@ -65,9 +65,9 @@ func (g *Multigraph) CutWeight(side []bool) int64 {
 		if !side[u] {
 			continue
 		}
-		for v, m := range g.adj[u] {
+		for i, v := range g.nbrs[u] {
 			if !side[v] {
-				cut += m
+				cut += g.mults[u][i]
 			}
 		}
 	}
@@ -148,11 +148,12 @@ func (g *Multigraph) RefinePartition(side []bool, maxSwaps int) int64 {
 	gain := make([]int64, g.n)
 	recompute := func(u int) {
 		var ext, in int64
-		for v, m := range g.adj[u] {
+		ms := g.mults[u]
+		for i, v := range g.nbrs[u] {
 			if side[v] != side[u] {
-				ext += m
+				ext += ms[i]
 			} else {
-				in += m
+				in += ms[i]
 			}
 		}
 		gain[u] = ext - in
@@ -170,7 +171,7 @@ func (g *Multigraph) RefinePartition(side []bool, maxSwaps int) int64 {
 		var bestDelta int64
 		for _, u := range candA {
 			for _, v := range candB {
-				delta := gain[u] + gain[v] - 2*g.adj[u][v]
+				delta := gain[u] + gain[v] - 2*g.Multiplicity(u, v)
 				if delta > bestDelta {
 					bestDelta, bestU, bestV = delta, u, v
 				}
@@ -184,10 +185,10 @@ func (g *Multigraph) RefinePartition(side []bool, maxSwaps int) int64 {
 		// Only the swapped pair and their neighbours change gain.
 		recompute(bestU)
 		recompute(bestV)
-		for v := range g.adj[bestU] {
+		for _, v := range g.nbrs[bestU] {
 			recompute(v)
 		}
-		for v := range g.adj[bestV] {
+		for _, v := range g.nbrs[bestV] {
 			recompute(v)
 		}
 	}

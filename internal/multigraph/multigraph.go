@@ -12,16 +12,19 @@ package multigraph
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
-// Multigraph is an undirected multigraph on a fixed vertex set.
+// Multigraph is an undirected multigraph on a fixed vertex set. Each
+// vertex keeps its distinct neighbours in ascending order, so every walk
+// over the adjacency visits them in that one order.
 // The zero value is an empty graph on zero vertices; use New for a graph
 // with vertices.
 type Multigraph struct {
 	n     int
-	adj   []map[int]int64 // adj[u][v] = multiplicity of edge {u,v}; mirrored
-	edges int64           // sum of multiplicities over unordered pairs
+	nbrs  [][]int   // nbrs[u]: distinct neighbours of u, ascending; mirrored
+	mults [][]int64 // mults[u][i] = multiplicity of edge {u, nbrs[u][i]}
+	edges int64     // sum of multiplicities over unordered pairs
 }
 
 // New returns an empty multigraph on n vertices.
@@ -29,7 +32,7 @@ func New(n int) *Multigraph {
 	if n < 0 {
 		panic(fmt.Sprintf("multigraph: negative vertex count %d", n))
 	}
-	return &Multigraph{n: n, adj: make([]map[int]int64, n)}
+	return &Multigraph{n: n, nbrs: make([][]int, n), mults: make([][]int64, n)}
 }
 
 // N returns the number of vertices.
@@ -43,14 +46,10 @@ func (g *Multigraph) E() int64 { return g.edges }
 // least one edge.
 func (g *Multigraph) DistinctEdges() int {
 	c := 0
-	for u := 0; u < g.n; u++ {
-		for v := range g.adj[u] {
-			if v > u {
-				c++
-			}
-		}
+	for _, vs := range g.nbrs {
+		c += len(vs)
 	}
-	return c
+	return c / 2
 }
 
 func (g *Multigraph) check(u int) {
@@ -70,15 +69,26 @@ func (g *Multigraph) AddEdge(u, v int, mult int64) {
 	if mult <= 0 {
 		panic(fmt.Sprintf("multigraph: non-positive multiplicity %d", mult))
 	}
-	if g.adj[u] == nil {
-		g.adj[u] = make(map[int]int64)
-	}
-	if g.adj[v] == nil {
-		g.adj[v] = make(map[int]int64)
-	}
-	g.adj[u][v] += mult
-	g.adj[v][u] += mult
+	g.adjust(u, v, mult)
+	g.adjust(v, u, mult)
 	g.edges += mult
+}
+
+// adjust adds delta to the multiplicity u's adjacency holds for v: it
+// inserts v in order when it is new and deletes it when the multiplicity
+// reaches zero.
+func (g *Multigraph) adjust(u, v int, delta int64) {
+	i, ok := slices.BinarySearch(g.nbrs[u], v)
+	switch {
+	case !ok:
+		g.nbrs[u] = slices.Insert(g.nbrs[u], i, v)
+		g.mults[u] = slices.Insert(g.mults[u], i, delta)
+	case g.mults[u][i]+delta == 0:
+		g.nbrs[u] = slices.Delete(g.nbrs[u], i, i+1)
+		g.mults[u] = slices.Delete(g.mults[u], i, i+1)
+	default:
+		g.mults[u][i] += delta
+	}
 }
 
 // AddSimpleEdge adds a single edge between u and v.
@@ -87,22 +97,13 @@ func (g *Multigraph) AddSimpleEdge(u, v int) { g.AddEdge(u, v, 1) }
 // RemoveEdge removes mult parallel edges between u and v, or all of them if
 // mult exceeds the current multiplicity. It reports how many were removed.
 func (g *Multigraph) RemoveEdge(u, v int, mult int64) int64 {
-	g.check(u)
-	g.check(v)
-	cur := g.adj[u][v]
+	cur := g.Multiplicity(u, v)
 	if cur == 0 || mult <= 0 {
 		return 0
 	}
-	if mult > cur {
-		mult = cur
-	}
-	if mult == cur {
-		delete(g.adj[u], v)
-		delete(g.adj[v], u)
-	} else {
-		g.adj[u][v] -= mult
-		g.adj[v][u] -= mult
-	}
+	mult = min(mult, cur)
+	g.adjust(u, v, -mult)
+	g.adjust(v, u, -mult)
 	g.edges -= mult
 	return mult
 }
@@ -111,37 +112,29 @@ func (g *Multigraph) RemoveEdge(u, v int, mult int64) int64 {
 func (g *Multigraph) Multiplicity(u, v int) int64 {
 	g.check(u)
 	g.check(v)
-	return g.adj[u][v]
+	if i, ok := slices.BinarySearch(g.nbrs[u], v); ok {
+		return g.mults[u][i]
+	}
+	return 0
 }
 
 // HasEdge reports whether at least one edge joins u and v.
 func (g *Multigraph) HasEdge(u, v int) bool { return g.Multiplicity(u, v) > 0 }
 
-// Neighbors returns the distinct neighbours of u in ascending order.
+// Neighbors returns the distinct neighbours of u in ascending order. The
+// slice is a read-only view of g's own storage: callers must not write
+// through it, and it is valid only until the next AddEdge or RemoveEdge
+// that touches u.
 func (g *Multigraph) Neighbors(u int) []int {
 	g.check(u)
-	out := make([]int, 0, len(g.adj[u]))
-	for v := range g.adj[u] {
-		out = append(out, v)
-	}
-	sort.Ints(out)
-	return out
-}
-
-// VisitNeighbors calls fn(v, mult) for each distinct neighbour v of u, in
-// unspecified order. It avoids the allocation of Neighbors for hot loops.
-func (g *Multigraph) VisitNeighbors(u int, fn func(v int, mult int64)) {
-	g.check(u)
-	for v, m := range g.adj[u] {
-		fn(v, m)
-	}
+	return g.nbrs[u]
 }
 
 // Degree returns the degree of u counting multiplicities.
 func (g *Multigraph) Degree(u int) int64 {
 	g.check(u)
 	var d int64
-	for _, m := range g.adj[u] {
+	for _, m := range g.mults[u] {
 		d += m
 	}
 	return d
@@ -151,14 +144,9 @@ func (g *Multigraph) Degree(u int) int64 {
 func (g *Multigraph) Clone() *Multigraph {
 	h := New(g.n)
 	h.edges = g.edges
-	for u := 0; u < g.n; u++ {
-		if g.adj[u] == nil {
-			continue
-		}
-		h.adj[u] = make(map[int]int64, len(g.adj[u]))
-		for v, m := range g.adj[u] {
-			h.adj[u][v] = m
-		}
+	for u := range g.nbrs {
+		h.nbrs[u] = slices.Clone(g.nbrs[u])
+		h.mults[u] = slices.Clone(g.mults[u])
 	}
 	return h
 }
@@ -172,19 +160,13 @@ type Edge struct {
 // Edges returns all distinct edges with U < V, sorted lexicographically.
 func (g *Multigraph) Edges() []Edge {
 	out := make([]Edge, 0, g.DistinctEdges())
-	for u := 0; u < g.n; u++ {
-		for v, m := range g.adj[u] {
+	for u, vs := range g.nbrs {
+		for i, v := range vs {
 			if v > u {
-				out = append(out, Edge{U: u, V: v, Mult: m})
+				out = append(out, Edge{U: u, V: v, Mult: g.mults[u][i]})
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].U != out[j].U {
-			return out[i].U < out[j].U
-		}
-		return out[i].V < out[j].V
-	})
 	return out
 }
 

@@ -1,7 +1,10 @@
 package multigraph
 
 import (
+	"cmp"
+	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -492,4 +495,97 @@ func TestPropertyCutWeightSymmetric(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// A random interleaving of insertions, partial and over-removals and
+// clones must leave the sorted adjacency equal to a plain pair model:
+// every entry whose multiplicity reaches zero is gone, every neighbour
+// list is strictly ascending, and Edges lists the pairs in order.
+func TestPropertyAdjacencyMatchesPairModel(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		n := 2 + rng.Intn(12)
+		g := New(n)
+		model := map[[2]int]int64{}
+		pair := func() (int, int) {
+			u := rng.Intn(n)
+			v := (u + 1 + rng.Intn(n-1)) % n
+			return u, v
+		}
+		key := func(u, v int) [2]int { return [2]int{min(u, v), max(u, v)} }
+		for op := 0; op < 80; op++ {
+			switch r := rng.Intn(10); {
+			case r < 5:
+				u, v := pair()
+				m := int64(1 + rng.Intn(3))
+				g.AddEdge(u, v, m)
+				model[key(u, v)] += m
+			case r < 9:
+				u, v := pair()
+				cur := model[key(u, v)]
+				m := int64(rng.Intn(int(cur) + 3)) // 0, partial, exact or over
+				want := min(max(m, 0), cur)
+				if got := g.RemoveEdge(u, v, m); got != want {
+					t.Logf("seed %d op %d: RemoveEdge(%d,%d,%d) = %d, want %d", seed, op, u, v, m, got, want)
+					return false
+				}
+				if model[key(u, v)] -= want; model[key(u, v)] == 0 {
+					delete(model, key(u, v))
+				}
+			default:
+				// Edits to the original must not reach the clone.
+				old := g
+				g = g.Clone()
+				u, v := pair()
+				old.AddEdge(u, v, 1)
+			}
+			if err := matchesModel(g, model); err != "" {
+				t.Logf("seed %d op %d: %s", seed, op, err)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// matchesModel compares g with a model of unordered pairs (U < V) to their
+// multiplicities and describes the first difference, or returns "".
+func matchesModel(g *Multigraph, model map[[2]int]int64) string {
+	var total int64
+	var want []Edge
+	for p, m := range model {
+		total += m
+		want = append(want, Edge{U: p[0], V: p[1], Mult: m})
+	}
+	slices.SortFunc(want, func(a, b Edge) int { return cmp.Or(cmp.Compare(a.U, b.U), cmp.Compare(a.V, b.V)) })
+	if g.E() != total || g.DistinctEdges() != len(model) {
+		return fmt.Sprintf("E=%d pairs=%d, want %d and %d", g.E(), g.DistinctEdges(), total, len(model))
+	}
+	if got := g.Edges(); !slices.Equal(got, want) {
+		return fmt.Sprintf("Edges = %v, want %v", got, want)
+	}
+	for u := 0; u < g.N(); u++ {
+		var nbrs []int
+		var deg int64
+		for v := 0; v < g.N(); v++ {
+			m := model[[2]int{min(u, v), max(u, v)}]
+			if got := g.Multiplicity(u, v); got != m {
+				return fmt.Sprintf("Multiplicity(%d,%d) = %d, want %d", u, v, got, m)
+			}
+			if m > 0 {
+				nbrs = append(nbrs, v)
+				deg += m
+			}
+		}
+		if got := g.Neighbors(u); !slices.Equal(got, nbrs) {
+			return fmt.Sprintf("Neighbors(%d) = %v, want %v", u, got, nbrs)
+		}
+		if got := g.Degree(u); got != deg {
+			return fmt.Sprintf("Degree(%d) = %d, want %d", u, got, deg)
+		}
+	}
+	return ""
 }

@@ -23,7 +23,7 @@ func (g *Multigraph) BFS(src int) []int {
 	for len(queue) > 0 {
 		u := queue[0]
 		queue = queue[1:]
-		for v := range g.adj[u] {
+		for _, v := range g.nbrs[u] {
 			if dist[v] == unreachable {
 				dist[v] = dist[u] + 1
 				queue = append(queue, v)
@@ -55,7 +55,7 @@ func (g *Multigraph) ShortestPath(src, dst int) []int {
 		if u == dst {
 			break
 		}
-		for _, v := range g.Neighbors(u) { // sorted: deterministic ties
+		for _, v := range g.nbrs[u] { // ascending: deterministic ties
 			if parent[v] == unreachable {
 				parent[v] = u
 				queue = append(queue, v)
@@ -94,16 +94,14 @@ func (g *Multigraph) RandomShortestPath(src, dst int, rng *rand.Rand) []int {
 	path := make([]int, 0, dist[src]+1)
 	u := src
 	path = append(path, u)
+	var choices []int
 	for u != dst {
-		var choices []int
-		for v := range g.adj[u] {
+		choices = choices[:0]
+		for _, v := range g.nbrs[u] { // ascending: the draw is fixed per seed
 			if dist[v] == dist[u]-1 {
 				choices = append(choices, v)
 			}
 		}
-		// Sort so the rng draw is deterministic for a given seed (map
-		// iteration order is not).
-		slices.Sort(choices)
 		u = choices[rng.Intn(len(choices))]
 		path = append(path, u)
 	}
@@ -140,7 +138,7 @@ func (g *Multigraph) Components() [][]int {
 			u := queue[0]
 			queue = queue[1:]
 			comp = append(comp, u)
-			for v := range g.adj[u] {
+			for _, v := range g.nbrs[u] {
 				if !seen[v] {
 					seen[v] = true
 					queue = append(queue, v)

@@ -6,11 +6,12 @@
 // support.
 //
 // A program can be run natively on its guest machine or under the direct
-// contraction emulation on a host. The emulated run applies identical
-// semantics (so final states must match the native run bit for bit) while
-// paying the host's communication costs through the routing engine — which
-// is how the measured-slowdown experiments get a workload with a
-// correctness oracle.
+// contraction emulation on a host. An emulated run takes its final states
+// from the native run and its host costs from emulation.Direct, which
+// routes one message per cross-block guest wire direction each step: the
+// words the step reads across blocks. That gives the measured-slowdown
+// experiments a workload whose results can be checked (odd-even sort must
+// come out sorted).
 package program
 
 import (
@@ -18,9 +19,7 @@ import (
 	"math/rand"
 
 	"repro/internal/emulation"
-	"repro/internal/routing"
 	"repro/internal/topology"
-	"repro/internal/traffic"
 )
 
 // Word is a processor state.
@@ -55,15 +54,11 @@ func Run(p Program, guest *topology.Machine, steps int) []Word {
 		cur[v] = p.Init(v)
 	}
 	next := make([]Word, n)
-	nbrs := make([][]int, n)
-	for v := 0; v < n; v++ {
-		nbrs[v] = guest.Graph.Neighbors(v)
-	}
 	buf := make([]Word, 0, 16)
 	for s := 0; s < steps; s++ {
 		for v := 0; v < n; v++ {
 			buf = buf[:0]
-			for _, u := range nbrs[v] {
+			for _, u := range guest.Graph.Neighbors(v) {
 				buf = append(buf, cur[u])
 			}
 			next[v] = p.Step(s, v, cur[v], buf)
@@ -85,75 +80,19 @@ type EmulatedResult struct {
 }
 
 // RunEmulated executes p on host emulating guest: each host processor
-// simulates a contraction block of guest processors. Per guest step the
-// host (a) spends block-size compute ticks, (b) routes one message per
-// cross-block guest wire direction through the routing engine, and (c)
-// applies the exact step semantics. The returned states must equal Run's.
+// simulates a contraction block of guest processors. The states are Run's
+// and the costs emulation.Direct's: per guest step the host spends
+// block-size compute ticks and routes one message per cross-block guest
+// wire direction, carrying the words the step reads across blocks. steps
+// must be at least 1.
 func RunEmulated(p Program, guest, host *topology.Machine, steps int, rng *rand.Rand) EmulatedResult {
-	if guest.N() != guest.Graph.N() {
-		panic(fmt.Sprintf("program: guest %s has switch vertices", guest.Name))
+	states := Run(p, guest, steps)
+	er := emulation.Direct(guest, host, steps, nil, rng)
+	return EmulatedResult{
+		States:       states,
+		HostTicks:    er.HostTicks,
+		ComputeTicks: er.ComputeTicks,
+		RouteTicks:   er.RouteTicks,
+		Slowdown:     er.Slowdown,
 	}
-	assign := emulation.ContractionMap(guest, host)
-	eng := routing.NewEngine(host, routing.Greedy)
-
-	n := guest.N()
-	cur := make([]Word, n)
-	for v := 0; v < n; v++ {
-		cur[v] = p.Init(v)
-	}
-	next := make([]Word, n)
-	nbrs := make([][]int, n)
-	for v := 0; v < n; v++ {
-		nbrs[v] = guest.Graph.Neighbors(v)
-	}
-	// The per-step message batch is fixed: both directions of every
-	// cross-block guest wire.
-	var template []traffic.Message
-	for _, e := range guest.Graph.Edges() {
-		hu, hv := assign[e.U], assign[e.V]
-		if hu == hv {
-			continue
-		}
-		for k := int64(0); k < e.Mult; k++ {
-			template = append(template, traffic.Message{Src: hu, Dst: hv}, traffic.Message{Src: hv, Dst: hu})
-		}
-	}
-	loads := make([]int, host.N())
-	for _, hp := range assign {
-		loads[hp]++
-	}
-	compute := 0
-	for _, l := range loads {
-		if l > compute {
-			compute = l
-		}
-	}
-
-	res := EmulatedResult{}
-	buf := make([]Word, 0, 16)
-	for s := 0; s < steps; s++ {
-		res.ComputeTicks += compute
-		if len(template) > 0 {
-			batch := make([]traffic.Message, len(template))
-			copy(batch, template)
-			res.RouteTicks += eng.Route(batch, rng, 1).Ticks
-		}
-		// Semantics: identical to the native step. (The messages above
-		// paid for delivering exactly the cross-block words used here;
-		// intra-block words are free local memory.)
-		for v := 0; v < n; v++ {
-			buf = buf[:0]
-			for _, u := range nbrs[v] {
-				buf = append(buf, cur[u])
-			}
-			next[v] = p.Step(s, v, cur[v], buf)
-		}
-		cur, next = next, cur
-	}
-	res.States = cur
-	res.HostTicks = res.ComputeTicks + res.RouteTicks
-	if steps > 0 {
-		res.Slowdown = float64(res.HostTicks) / float64(steps)
-	}
-	return res
 }

@@ -55,7 +55,8 @@ func DeleteRandomProcessors(m *Machine, count int, rng *rand.Rand) (*Machine, ma
 	perm := rng.Perm(m.N())
 	for _, v := range perm[:count] {
 		failed[v] = true
-		for _, u := range g.Neighbors(v) {
+		// Walk the intact graph's view: removing edges edits the clone's.
+		for _, u := range m.Graph.Neighbors(v) {
 			g.RemoveEdge(v, u, g.Multiplicity(v, u))
 		}
 	}

@@ -13,8 +13,8 @@ type Program = program.Program
 // Word is a processor state.
 type Word = program.Word
 
-// ProgramResult reports an emulated program run: the final states (always
-// bit-identical to the native run) and the host's tick costs.
+// ProgramResult reports an emulated program run: the final states (those
+// of the native run) and the host's tick costs.
 type ProgramResult = program.EmulatedResult
 
 // NewFloodMax returns the flood-maximum program: after diameter steps every
@@ -39,8 +39,8 @@ func RunProgram(p Program, guest *Machine, steps int) []Word {
 }
 
 // RunProgramEmulated executes p on host emulating guest under the direct
-// contraction emulation: identical semantics (states match the native run
-// exactly) at the host's communication cost.
+// contraction emulation: the states are the native run's, the tick costs
+// those of routing the cross-block words on host. steps must be at least 1.
 func RunProgramEmulated(p Program, guest, host *Machine, steps int, seed int64) ProgramResult {
 	return program.RunEmulated(p, guest, host, steps, rand.New(rand.NewSource(seed)))
 }
