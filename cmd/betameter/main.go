@@ -32,8 +32,8 @@
 // check diffs.
 //
 // With -sweep, the whole -sizes sweep executes as one batch over a shared
-// artifact cache (machines and engines build once per size, simulator
-// arenas recycle across points) and each size's RunResult streams as
+// artifact cache (machines and engines build once per size, pooled
+// simulators recycle across points) and each size's RunResult streams as
 // indented JSON — the concatenation is byte-identical to netemud's POST
 // /v1/sweep response for the equivalent SweepSpec.
 //

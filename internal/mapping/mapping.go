@@ -15,7 +15,6 @@ package mapping
 import (
 	"fmt"
 	"math/rand"
-	"slices"
 
 	"repro/internal/multigraph"
 	"repro/internal/topology"
@@ -82,16 +81,7 @@ func splitPart(g *multigraph.Multigraph, part []int, k int, rng *rand.Rand) ([]i
 	if k >= n {
 		return append([]int(nil), part...), nil
 	}
-	// Build the induced subgraph once; part is ascending, so a neighbour's
-	// index in it is a binary search away.
-	sub := multigraph.New(n)
-	for i, v := range part {
-		for _, u := range g.Neighbors(v) {
-			if j, ok := slices.BinarySearch(part, u); ok && j > i {
-				sub.AddEdge(i, j, g.Multiplicity(v, u))
-			}
-		}
-	}
+	sub := g.Induced(part)
 	bestSide := make([]bool, n)
 	bestCut := int64(-1)
 	side := make([]bool, n)

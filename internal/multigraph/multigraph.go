@@ -151,6 +151,33 @@ func (g *Multigraph) Clone() *Multigraph {
 	return h
 }
 
+// Induced returns the subgraph of g induced by part, which must ascend:
+// vertex i of the result is part[i], and every edge of g with both ends
+// in part keeps its multiplicity. Each vertex's lists are preallocated to
+// its degree in g and filled by append, since both g's lists and part
+// ascend.
+func (g *Multigraph) Induced(part []int) *Multigraph {
+	h := New(len(part))
+	for i, v := range part {
+		g.check(v)
+		if i > 0 && part[i-1] >= v {
+			panic(fmt.Sprintf("multigraph: induced part not ascending at %d", i))
+		}
+		h.nbrs[i] = make([]int, 0, len(g.nbrs[v]))
+		h.mults[i] = make([]int64, 0, len(g.nbrs[v]))
+		for k, u := range g.nbrs[v] {
+			if j, ok := slices.BinarySearch(part, u); ok {
+				h.nbrs[i] = append(h.nbrs[i], j)
+				h.mults[i] = append(h.mults[i], g.mults[v][k])
+				if j > i {
+					h.edges += g.mults[v][k]
+				}
+			}
+		}
+	}
+	return h
+}
+
 // Edge is an unordered edge with its multiplicity, reported with U < V.
 type Edge struct {
 	U, V int

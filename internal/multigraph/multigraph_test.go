@@ -500,7 +500,8 @@ func TestPropertyCutWeightSymmetric(t *testing.T) {
 // A random interleaving of insertions, partial and over-removals and
 // clones must leave the sorted adjacency equal to a plain pair model:
 // every entry whose multiplicity reaches zero is gone, every neighbour
-// list is strictly ascending, and Edges lists the pairs in order.
+// list is strictly ascending, and Edges lists the pairs in order. Induced
+// on a random ascending subset must equal the model restricted to it.
 func TestPropertyAdjacencyMatchesPairModel(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -541,6 +542,26 @@ func TestPropertyAdjacencyMatchesPairModel(t *testing.T) {
 			}
 			if err := matchesModel(g, model); err != "" {
 				t.Logf("seed %d op %d: %s", seed, op, err)
+				return false
+			}
+			// Induced on a random ascending subset matches the model
+			// restricted to it, with vertices renumbered by position.
+			var part []int
+			for v := 0; v < n; v++ {
+				if rng.Intn(2) == 0 {
+					part = append(part, v)
+				}
+			}
+			sub := map[[2]int]int64{}
+			for i, u := range part {
+				for j := i + 1; j < len(part); j++ {
+					if m := model[[2]int{u, part[j]}]; m > 0 {
+						sub[[2]int{i, j}] = m
+					}
+				}
+			}
+			if err := matchesModel(g.Induced(part), sub); err != "" {
+				t.Logf("seed %d op %d: Induced(%v): %s", seed, op, part, err)
 				return false
 			}
 		}

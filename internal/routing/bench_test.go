@@ -48,9 +48,8 @@ func BenchmarkSimStep(b *testing.B) {
 // BenchmarkSimStepSharded is the scaling curve behind BENCH_routing.json:
 // Step on a dim-16 weak hypercube (65536 vertices, closed-form next hop,
 // no BFS tables) under a standing load, at 1/2/4/8 shards. The
-// serial (shards=1) sub-benchmark is the baseline; on an 8-core machine
-// the 8-shard run should be ≥3× faster. scripts/bench_routing.sh runs
-// this and records the numbers.
+// serial (shards=1) sub-benchmark is the baseline. scripts/bench_routing.sh
+// runs this and records the numbers.
 func BenchmarkSimStepSharded(b *testing.B) {
 	m := topology.WeakHypercube(16)
 	dist := traffic.NewSymmetric(m.N())

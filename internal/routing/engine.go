@@ -140,8 +140,8 @@ type Engine struct {
 
 	// simFree pools retired sims for reuse via acquireSim/releaseSim, so
 	// repeated measurements on one engine (open-loop bisection, warm
-	// sweeps) recycle the queue arenas and per-vertex tables instead of
-	// reallocating ~N words per run.
+	// sweeps) recycle the queues' backing arrays and per-vertex tables
+	// instead of reallocating ~N words per run.
 	simMu   sync.Mutex
 	simFree []*Sim
 

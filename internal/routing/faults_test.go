@@ -14,8 +14,8 @@ import (
 // white-box side of the conservation invariant.
 func queuedPackets(s *Sim) int {
 	total := 0
-	for u := range s.vq {
-		total += int(s.vq[u].n)
+	for _, q := range s.vq {
+		total += len(q)
 	}
 	return total
 }

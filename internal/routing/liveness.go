@@ -2,6 +2,7 @@ package routing
 
 import (
 	"fmt"
+	"math/bits"
 	"sync/atomic"
 
 	"repro/internal/topology"
@@ -155,65 +156,37 @@ func (s *Sim) applyFaultEvents() {
 // reapDeadPackets drops every packet queued at a dead processor and every
 // packet whose final destination died; Valiant packets that lost only
 // their intermediate are retargeted at their destination instead. Queues
-// are filtered in place with the same chunk-cursor compaction move uses.
-// Emptied vertices stay on the active list until the next move phase
-// drains them (move tolerates n == 0 entries).
+// are filtered in place, and a vertex whose queue empties leaves its
+// shard's active bitset.
 func (s *Sim) reapDeadPackets() {
 	lv := s.eng.live
 	for _, sh := range s.shards {
-		for _, u := range sh.active {
-			q := &s.vq[u]
-			qn := int(q.n)
-			if qn == 0 {
-				continue
-			}
-			if lv.nodeDown[u] {
-				// A dead processor loses its queue wholesale.
-				s.dropped += qn
-				s.droppedTick += qn
-				sh.qfree(q)
-				continue
-			}
-			rci, wci := q.head, q.head
-			rC, wC := sh.chunk(rci), sh.chunk(rci)
-			ri, wi := 0, 0
-			kept := 0
-			for i := 0; i < qn; i++ {
-				if ri == qChunkCap {
-					rci = rC.next
-					rC = sh.chunk(rci)
-					ri = 0
+		for w, word := range sh.active {
+			for ; word != 0; word &= word - 1 {
+				b := bits.TrailingZeros64(word)
+				u := sh.lo + w<<6 + b
+				q := s.vq[u]
+				kept := q[:0]
+				for _, p := range q {
+					// A dead processor loses its whole queue, a dead
+					// destination its own packets.
+					if lv.nodeDown[u] || lv.nodeDown[p.finalDst] {
+						s.dropped++
+						s.droppedTick++
+						continue
+					}
+					if p.phase1 && lv.nodeDown[p.dst] {
+						// The Valiant intermediate died; head straight for
+						// the destination.
+						p.phase1 = false
+						p.dst = p.finalDst
+					}
+					kept = append(kept, p)
 				}
-				p := rC.p[ri]
-				ri++
-				if lv.nodeDown[p.finalDst] {
-					s.dropped++
-					s.droppedTick++
-					continue
+				s.vq[u] = kept
+				if len(kept) == 0 {
+					sh.active[w] &^= 1 << b
 				}
-				if p.phase1 && lv.nodeDown[p.dst] {
-					// The Valiant intermediate died; head straight for the
-					// destination.
-					p.phase1 = false
-					p.dst = p.finalDst
-				}
-				if wi == qChunkCap {
-					wci = wC.next
-					wC = sh.chunk(wci)
-					wi = 0
-				}
-				wC.p[wi] = p
-				wi++
-				kept++
-			}
-			q.n = int32(kept)
-			if kept == 0 {
-				sh.qfree(q)
-			} else {
-				fc := wC.next
-				wC.next = -1
-				q.tail = wci
-				sh.freeChain(fc)
 			}
 		}
 	}

@@ -1,8 +1,8 @@
 package routing
 
 import (
+	"math/bits"
 	"runtime"
-	"slices"
 	"sync/atomic"
 )
 
@@ -23,11 +23,11 @@ import (
 // driver joins all shards only at the end of the tick (to fold counters
 // and let the next tick's injections land safely).
 //
-// Safety rests on ownership plus the epoch protocol: vq[u], inActive[u],
-// the chunk arena, and the edge slots of edges *out of* u (edgeUsed,
-// stats.edgeTotals) are touched only by u's owning shard; a mailbox
-// shards[j].outbox[i] is written only during j's move and read only
-// during i's arrive, which the atomic epoch store/load pair orders. A
+// Safety rests on ownership plus the epoch protocol: vq[u], u's bit in
+// the shard's own active bitset, and the edge slots of edges *out of* u
+// (edgeUsed, stats.edgeTotals) are touched only by u's owning shard; a
+// mailbox shards[j].outbox[i] is written only during j's move and read
+// only during i's arrive, which the atomic epoch store/load pair orders. A
 // shard only ever touches the mailboxes of shards it shares a graph edge
 // with (srcShards/outNbrs, computed once), so no slice header is ever
 // accessed by a non-synchronized pair of shards.
@@ -57,38 +57,21 @@ type shardEpoch struct {
 	_ [56]byte
 }
 
-// Queue chunk arena: per-vertex queues are chains of fixed-size chunks
-// drawn from a per-shard pool, so steady-state queue churn allocates
-// nothing and the pool grows with the shard's in-flight high-water mark,
-// not with per-vertex maxima.
-const (
-	qChunkCap     = 16
-	chunksPerPage = 1024
-	pageShift     = 10 // log2(chunksPerPage)
-)
-
-type qChunk struct {
-	next int32 // next chunk id in the chain or free list; -1 ends
-	p    [qChunkCap]simPacket
-}
-
-// simShard owns a subset of the vertices. All mutable state below is
-// private to the shard's phase functions except the outboxes (published
-// via the epoch protocol) and the cumulative histograms (merged by the
-// driver between ticks).
+// simShard owns a contiguous range of vertices, [lo, lo+owned). All
+// mutable state below is private to the shard's phase functions except the
+// outboxes (published via the epoch protocol) and the cumulative histograms
+// (merged by the driver between ticks).
 type simShard struct {
 	id    int
+	lo    int // first owned vertex
 	owned int // number of vertices assigned to this shard
 
-	active    []int // owned vertices with queued packets; prefix [:sortedLen] sorted
-	sortedLen int   // length of the sorted prefix of active
+	// active has bit u-lo set exactly when owned vertex u has queued
+	// packets. It is per shard, never global: a shared boundary word would
+	// let two shards race on it in arrive.
+	active []uint64
 
-	touched  []int32 // edge-usage slots dirtied this tick
-	mergeBuf []int   // active-list merge scratch
-
-	// Chunk arena for the owned vertices' queues.
-	pages    [][]qChunk
-	freeHead int32 // head of the free-chunk list; -1 when empty
+	touched []int32 // edge-usage slots dirtied this tick
 
 	outbox [][]arrival // per destination shard, refilled every move phase
 	heads  []int       // arrive-phase merge cursors, one per source shard
@@ -115,109 +98,22 @@ type simShard struct {
 	tickLatency   int64
 }
 
-func newSimShard(id, owned int) *simShard {
+func newSimShard(id, lo, owned int) *simShard {
 	return &simShard{
-		id:       id,
-		owned:    owned,
-		freeHead: -1,
+		id:     id,
+		lo:     lo,
+		owned:  owned,
+		active: make([]uint64, (owned+63)/64),
 	}
-}
-
-// chunk resolves a chunk id in the shard's arena.
-func (sh *simShard) chunk(id int32) *qChunk {
-	return &sh.pages[id>>pageShift][id&(chunksPerPage-1)]
-}
-
-// allocChunk pops a free chunk, growing the arena by a page when empty.
-func (sh *simShard) allocChunk() int32 {
-	id := sh.freeHead
-	if id < 0 {
-		base := int32(len(sh.pages) << pageShift)
-		page := make([]qChunk, chunksPerPage)
-		for i := range page {
-			page[i].next = base + int32(i) + 1
-		}
-		page[chunksPerPage-1].next = -1
-		sh.pages = append(sh.pages, page)
-		id = base
-	}
-	c := sh.chunk(id)
-	sh.freeHead = c.next
-	c.next = -1
-	return id
-}
-
-// freeChain returns a whole chunk chain to the free list.
-func (sh *simShard) freeChain(id int32) {
-	if id < 0 {
-		return
-	}
-	last := id
-	for c := sh.chunk(last); c.next >= 0; c = sh.chunk(last) {
-		last = c.next
-	}
-	sh.chunk(last).next = sh.freeHead
-	sh.freeHead = id
-}
-
-// qpush appends p to queue q (owned by this shard). The dense-chain
-// invariant makes the tail's fill level n mod cap.
-func (sh *simShard) qpush(q *vqueue, p simPacket) {
-	if q.n == 0 {
-		nc := sh.allocChunk()
-		q.head, q.tail = nc, nc
-	} else if q.n%qChunkCap == 0 {
-		nc := sh.allocChunk()
-		sh.chunk(q.tail).next = nc
-		q.tail = nc
-	}
-	sh.chunk(q.tail).p[q.n%qChunkCap] = p
-	q.n++
-}
-
-// qfree empties queue q, returning its chunks to the arena.
-func (sh *simShard) qfree(q *vqueue) {
-	sh.freeChain(q.head)
-	q.head, q.tail, q.n = -1, -1, 0
-}
-
-// mergeActive restores the active list's sorted order: vertices activated
-// since the last move sit in an unsorted suffix, which is sorted and
-// back-merged with the sorted prefix — O(new + shifted) instead of
-// re-sorting the whole list every tick.
-func (sh *simShard) mergeActive() {
-	a := sh.active
-	if sh.sortedLen == len(a) {
-		return
-	}
-	suffix := a[sh.sortedLen:]
-	slices.Sort(suffix)
-	if sh.sortedLen == 0 || a[sh.sortedLen-1] < suffix[0] {
-		sh.sortedLen = len(a)
-		return
-	}
-	buf := append(sh.mergeBuf[:0], suffix...)
-	i, j, k := sh.sortedLen-1, len(buf)-1, len(a)-1
-	for j >= 0 {
-		if i >= 0 && a[i] > buf[j] {
-			a[k] = a[i]
-			i--
-		} else {
-			a[k] = buf[j]
-			j--
-		}
-		k--
-	}
-	sh.mergeBuf = buf
-	sh.sortedLen = len(a)
 }
 
 // move serves every active owned vertex in ascending id order: clears the
 // previous tick's edge usage, serves each queue in FIFO order under
 // per-wire capacity, counts packets that reached their final destination as
 // delivered, and posts the other moved packets to the destination shard's
-// mailbox. Queue chains are compacted in place (the write cursor never
-// passes the read cursor).
+// mailbox. Each queue is filtered in place, which is safe because nothing
+// pushes to an owned vertex during move: arrivals wait in the mailboxes
+// for arrive, and injections happen between Steps.
 func (sh *simShard) move(s *Sim) {
 	for _, id := range sh.touched {
 		s.edgeUsed[id] = 0
@@ -226,132 +122,97 @@ func (sh *simShard) move(s *Sim) {
 	for _, j := range sh.outNbrs {
 		sh.outbox[j] = sh.outbox[j][:0]
 	}
-	// Canonical service order: ascending vertex id. Fairness across ticks
-	// comes from the positional randomness of the hop choices, not from
-	// shuffling the service order.
-	sh.mergeActive()
 	eng := s.eng
 	fs := s.faults
 	stats := s.stats
 	caps := eng.caps
 	now := s.now
-	for _, u := range sh.active {
-		q := &s.vq[u]
-		qn := int(q.n)
-		if qn == 0 {
-			continue // reaped this tick; drained from active below
-		}
-		if qn > sh.maxQueue {
-			sh.maxQueue = qn
-		}
-		vr := s.vertexRand(u)
-		var capLeft int64 = -1
-		if caps != nil {
-			capLeft = caps[u]
-		}
-		rci, wci := q.head, q.head
-		rC, wC := sh.chunk(rci), sh.chunk(rci)
-		ri, wi := 0, 0
-		kept := 0
-		for i := 0; i < qn; i++ {
-			if ri == qChunkCap {
-				rci = rC.next
-				rC = sh.chunk(rci)
-				ri = 0
+	// Canonical service order: ascending vertex id, read off the bitset by
+	// trailing-zero count. Fairness across ticks comes from the positional
+	// randomness of the hop choices, not from shuffling the service order.
+	for w, word := range sh.active {
+		for ; word != 0; word &= word - 1 {
+			b := bits.TrailingZeros64(word)
+			u := sh.lo + w<<6 + b
+			q := s.vq[u]
+			if len(q) > sh.maxQueue {
+				sh.maxQueue = len(q)
 			}
-			p := rC.p[ri]
-			ri++
-			if capLeft != 0 {
-				keep := false
-				if fs != nil {
-					if int(p.sleepUntil) > now {
-						keep = true // backing off
-					} else if now-int(p.born) > faultTTL {
-						sh.tickDropped++
-						continue
-					}
-				}
-				if !keep {
-					h, edge := eng.pickHop(int(p.at), int(p.dst), s.edgeUsed, &vr)
-					if h >= 0 {
-						if s.edgeUsed[edge] == 0 {
-							sh.touched = append(sh.touched, edge)
-						}
-						s.edgeUsed[edge]++
-						if stats != nil {
-							stats.edgeTotals[edge]++
-						}
-						if capLeft > 0 {
-							capLeft--
-						}
-						p.at = int32(h)
-						sh.tickHops++
-						if p.dst == p.at && !p.phase1 {
-							// Delivered: counted here at the sender shard —
-							// the counters and histogram buckets it feeds
-							// are order-independent, so this matches the
-							// serial accounting exactly.
-							sh.tickDelivered++
-							lat := now - int(p.born)
-							sh.tickLatency += int64(lat)
-							sh.latHist.Record(lat)
+			vr := s.vertexRand(u)
+			var capLeft int64 = -1
+			if caps != nil {
+				capLeft = caps[u]
+			}
+			kept := q[:0]
+			for _, p := range q {
+				if capLeft != 0 {
+					keep := false
+					if fs != nil {
+						if int(p.sleepUntil) > now {
+							keep = true // backing off
+						} else if now-int(p.born) > faultTTL {
+							sh.tickDropped++
 							continue
 						}
-						dst := s.shardOf[h]
-						sh.outbox[dst] = append(sh.outbox[dst], arrival{sender: int32(u), p: p})
-						continue
 					}
-					if fs != nil && eng.dist(int(p.dst))[u] < 0 {
-						// Stranded: no live path to the current target.
-						if p.phase1 {
-							// The Valiant intermediate became unreachable;
-							// try the final destination directly.
-							p.phase1 = false
-							p.dst = p.finalDst
-						} else {
-							p.retries++
-							sh.tickRetried++
-							if p.retries > retryBudget {
-								sh.tickDropped++
+					if !keep {
+						h, edge := eng.pickHop(int(p.at), int(p.dst), s.edgeUsed, &vr)
+						if h >= 0 {
+							if s.edgeUsed[edge] == 0 {
+								sh.touched = append(sh.touched, edge)
+							}
+							s.edgeUsed[edge]++
+							if stats != nil {
+								stats.edgeTotals[edge]++
+							}
+							if capLeft > 0 {
+								capLeft--
+							}
+							p.at = int32(h)
+							sh.tickHops++
+							if p.dst == p.at && !p.phase1 {
+								// Delivered: counted here at the sender shard —
+								// the counters and histogram buckets it feeds
+								// are order-independent, so this matches the
+								// serial accounting exactly.
+								sh.tickDelivered++
+								lat := now - int(p.born)
+								sh.tickLatency += int64(lat)
+								sh.latHist.Record(lat)
 								continue
 							}
-							p.sleepUntil = int32(now + backoffTicks(p.retries))
+							dst := s.shardOf[h]
+							sh.outbox[dst] = append(sh.outbox[dst], arrival{sender: int32(u), p: p})
+							continue
 						}
+						if fs != nil && eng.dist(int(p.dst))[u] < 0 {
+							// Stranded: no live path to the current target.
+							if p.phase1 {
+								// The Valiant intermediate became unreachable;
+								// try the final destination directly.
+								p.phase1 = false
+								p.dst = p.finalDst
+							} else {
+								p.retries++
+								sh.tickRetried++
+								if p.retries > retryBudget {
+									sh.tickDropped++
+									continue
+								}
+								p.sleepUntil = int32(now + backoffTicks(p.retries))
+							}
+						}
+						// Otherwise: all downhill wires saturated; wait in place.
 					}
-					// Otherwise: all downhill wires saturated; wait in place.
 				}
+				kept = append(kept, p)
 			}
-			// Keep p: compact it to the write cursor.
-			if wi == qChunkCap {
-				wci = wC.next
-				wC = sh.chunk(wci)
-				wi = 0
+			s.vq[u] = kept
+			if len(kept) == 0 {
+				sh.active[w] &^= 1 << b
 			}
-			wC.p[wi] = p
-			wi++
-			kept++
-		}
-		q.n = int32(kept)
-		if kept == 0 {
-			sh.qfree(q)
-		} else if fc := wC.next; true {
-			wC.next = -1
-			q.tail = wci
-			sh.freeChain(fc)
 		}
 	}
-	// Drop drained vertices from the active list; the survivors keep their
-	// sorted order.
-	na := sh.active[:0]
-	for _, u := range sh.active {
-		if s.vq[u].n > 0 {
-			na = append(na, u)
-		} else {
-			s.inActive[u] = false
-		}
-	}
-	sh.active = na
-	sh.sortedLen = len(na)
 }
 
 // arrive merges this shard's inbound mailboxes by ascending sender id and
@@ -402,10 +263,15 @@ func (sh *simShard) arrive(s *Sim) {
 // sampleQueues records one queue-occupancy sample per owned vertex: the
 // queue length for active vertices, zero for the rest.
 func (sh *simShard) sampleQueues(s *Sim) {
-	for _, u := range sh.active {
-		sh.queueOcc.Record(int(s.vq[u].n))
+	idle := sh.owned
+	for w, word := range sh.active {
+		for ; word != 0; word &= word - 1 {
+			u := sh.lo + w<<6 + bits.TrailingZeros64(word)
+			sh.queueOcc.Record(len(s.vq[u]))
+			idle--
+		}
 	}
-	for i := len(sh.active); i < sh.owned; i++ {
+	for ; idle > 0; idle-- {
 		sh.queueOcc.Record(0)
 	}
 }

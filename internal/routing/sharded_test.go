@@ -74,8 +74,10 @@ func shardedRun(t *testing.T, m *topology.Machine, shards int, faults, bfs bool)
 }
 
 // ISSUE acceptance: the full equivalence matrix. For every Table 4
-// machine (plus the strong hypercube, an odd-side torus and a mesh at the
-// implicit generators' dimension limit) the reference is the serial
+// machine (plus the strong hypercube, an odd-side torus, a mesh at the
+// implicit generators' dimension limit, and a 13×13 mesh whose 169
+// vertices make shard active bitsets span several words, end in a partial
+// word and start off a multiple of 64) the reference is the serial
 // explicit run through the CSR + BFS-field path. Every shard count in
 // {1, 2, 4, 7}, every available representation (explicit CSR, and the
 // implicit generator for weak-hypercube/mesh/torus machines), with and
@@ -86,7 +88,7 @@ func shardedRun(t *testing.T, m *topology.Machine, shards int, faults, bfs bool)
 // implementations rather than a tautology.
 func TestShardedEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
-	machines := append(table4Machines(rng), topology.StrongHypercube(4), topology.Torus(3, 3), topology.Mesh(topology.MaxImplicitDim, 2))
+	machines := append(table4Machines(rng), topology.StrongHypercube(4), topology.Torus(3, 3), topology.Mesh(topology.MaxImplicitDim, 2), topology.Mesh(2, 13))
 	for _, m := range machines {
 		m := m
 		t.Run(m.Name, func(t *testing.T) {

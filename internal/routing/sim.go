@@ -2,6 +2,7 @@ package routing
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 
 	"repro/internal/measure"
@@ -13,11 +14,12 @@ import (
 // machine runs, which is what the open-loop (steady-state) bandwidth
 // measurements need. Route is a batch wrapper around it.
 //
-// The inner loop is allocation-free at steady state: per-tick wire usage
-// lives in a flat array cleared through a touched-list, per-vertex queues
-// live in per-shard chunk arenas that recycle their storage, mailboxes
-// reuse their backing arrays, and delivery latencies stream into bucketed
-// histograms (see TestStepSteadyStateAllocs and
+// The inner loop allocates only when a vertex's queue first outgrows its
+// earlier capacity: per-tick wire usage lives in a flat array cleared
+// through a touched-list, each vertex's queue is a slice filtered in place
+// that keeps its backing array, each shard marks its occupied vertices in
+// a bitset, mailboxes reuse their backing arrays, and delivery latencies
+// stream into bucketed histograms (see TestStepSteadyStateAllocs and
 // TestShardedStepSteadyStateAllocs for the enforced budgets).
 //
 // A Sim always runs as one or more shards (shard.go): the vertex set is
@@ -45,9 +47,8 @@ type Sim struct {
 	// freely instead of meeting at a global barrier.
 	epochs []shardEpoch
 
-	vq       []vqueue // per-vertex queue state; touched only by the owning shard
-	inActive []bool   // per vertex; touched only by the owning shard
-	edgeUsed []int32  // per directed edge id, usage this tick (owner-shard writes)
+	vq       [][]simPacket // per-vertex FIFO; touched only by the owning shard
+	edgeUsed []int32       // per directed edge id, usage this tick (owner-shard writes)
 
 	now int // current tick
 
@@ -71,8 +72,8 @@ type Sim struct {
 	closed bool
 }
 
-// simPacket is one in-flight message, packed to 24 bytes so queue chunks
-// and mailboxes stay cache-friendly at million-packet populations.
+// simPacket is one in-flight message, packed to 24 bytes so queues and
+// mailboxes stay cache-friendly at million-packet populations.
 type simPacket struct {
 	at       int32 // current vertex
 	dst      int32 // current target (intermediate during Valiant phase 1)
@@ -84,15 +85,6 @@ type simPacket struct {
 	// retries counts reroute attempts while stranded (faults only).
 	retries uint8
 	phase1  bool // still heading for the Valiant intermediate
-}
-
-// vqueue is one vertex's queue: a chain of fixed-size chunks in the owning
-// shard's arena. Every chunk in the chain is full except the tail (move
-// rewrites chains densely), so the position of packet i is chunk i/cap,
-// slot i%cap along the chain.
-type vqueue struct {
-	head, tail int32 // chunk ids in the owning shard's arena; -1 when empty
-	n          int32
 }
 
 // NewSim returns a fresh serial simulation on the engine's machine.
@@ -117,15 +109,11 @@ func (e *Engine) NewShardedSim(rng *rand.Rand, shards int) *Sim {
 		eng:         e,
 		rng:         rng,
 		planState:   uint64(measure.NewSeedPlan(rng.Int63()).Seed()),
-		vq:          make([]vqueue, n),
-		inActive:    make([]bool, n),
+		vq:          make([][]simPacket, n),
 		edgeUsed:    make([]int32, e.numEdges),
 		shardOf:     make([]int32, n),
 		epochs:      make([]shardEpoch, shards),
 		latMergedAt: -1,
-	}
-	for i := range s.vq {
-		s.vq[i].head, s.vq[i].tail = -1, -1
 	}
 	s.shards = make([]*simShard, shards)
 	for i := range s.shards {
@@ -133,7 +121,7 @@ func (e *Engine) NewShardedSim(rng *rand.Rand, shards int) *Sim {
 		for v := lo; v < hi; v++ {
 			s.shardOf[v] = int32(i)
 		}
-		s.shards[i] = newSimShard(i, hi-lo)
+		s.shards[i] = newSimShard(i, lo, hi-lo)
 	}
 	s.wireShardTopology()
 	if shards > 1 {
@@ -191,11 +179,12 @@ func (s *Sim) wireShardTopology() {
 
 // Reset returns the sim to the state a fresh NewShardedSim on the same
 // engine and shard count would have, rooted at rng, while keeping every
-// allocation: chunk arenas, queue tables, mailbox backing arrays, histogram
-// buckets, and the worker goroutines all survive. A warm (reset) run is
-// byte-identical to a cold one because the only run-visible state — queues,
-// per-tick wire usage, counters, histograms, epochs, and the rng-derived
-// plan seed — is restored exactly; the recycled storage is never observable.
+// allocation: each vertex queue's backing array, the active bitsets,
+// mailbox backing arrays, histogram buckets, and the worker goroutines all
+// survive. A warm (reset) run is byte-identical to a cold one because the
+// only run-visible state — queues, per-tick wire usage, counters,
+// histograms, epochs, and the rng-derived plan seed — is restored exactly;
+// the recycled storage is never observable.
 //
 // Sims that ran a fault schedule cannot be reset: SetFaults hands the
 // engine's liveness mask to the sim, so the pair is torn down together.
@@ -214,17 +203,16 @@ func (s *Sim) Reset(rng *rand.Rand) {
 			s.edgeUsed[id] = 0
 		}
 		sh.touched = sh.touched[:0]
-		// Every vertex with a non-empty queue is on its shard's active
-		// list (push activates, move prunes), so draining the active lists
-		// returns every live chunk chain to the arena.
-		for _, u := range sh.active {
-			if s.vq[u].n > 0 {
-				sh.qfree(&s.vq[u])
+		// Every vertex with a non-empty queue has its bit set (push sets
+		// it, move clears it), so truncating the active vertices' queues
+		// empties the machine and keeps every backing array.
+		for w, word := range sh.active {
+			for ; word != 0; word &= word - 1 {
+				u := sh.lo + w<<6 + bits.TrailingZeros64(word)
+				s.vq[u] = s.vq[u][:0]
 			}
-			s.inActive[u] = false
+			sh.active[w] = 0
 		}
-		sh.active = sh.active[:0]
-		sh.sortedLen = 0
 		for j := range sh.outbox {
 			sh.outbox[j] = sh.outbox[j][:0]
 		}
@@ -328,15 +316,14 @@ func (s *Sim) latencyHist() *Histogram {
 	return &s.latMerged
 }
 
+// push appends p to the queue of the vertex it sits at and marks that
+// vertex active in its owning shard.
 func (s *Sim) push(p simPacket) {
 	u := int(p.at)
 	sh := s.shards[s.shardOf[u]]
-	q := &s.vq[u]
-	if q.n == 0 && !s.inActive[u] {
-		s.inActive[u] = true
-		sh.active = append(sh.active, u)
-	}
-	sh.qpush(q, p)
+	i := u - sh.lo
+	sh.active[i>>6] |= 1 << (i & 63)
+	s.vq[u] = append(s.vq[u], p)
 }
 
 func (s *Sim) injectOne(m traffic.Message) {

@@ -14,7 +14,7 @@ import "fmt"
 // same machine, so executing them over one ArtifactCache (and, in cluster
 // mode, dispatching the whole sweep by the machine key to one worker)
 // reuses the built machine, the engine's distance fields, and the pooled
-// sim arenas across every point.
+// sims across every point.
 type SweepSpec struct {
 	Base   Spec         `json:"base"`
 	Points []SweepPoint `json:"points"`

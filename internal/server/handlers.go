@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"strconv"
 	"strings"
@@ -87,8 +88,8 @@ func requestTimeout(r *http.Request, def time.Duration) time.Duration {
 		return def
 	}
 	ms, err := strconv.ParseInt(raw, 10, 64)
-	if err != nil || ms <= 0 {
-		return def
+	if err != nil || ms <= 0 || ms > math.MaxInt64/int64(time.Millisecond) {
+		return def // past the bound, ms in nanoseconds wraps negative
 	}
 	return time.Duration(ms) * time.Millisecond
 }

@@ -162,6 +162,23 @@ func TestDeadlineExpiresAs504(t *testing.T) {
 	}
 }
 
+// TestOverflowingDeadlineFallsBack pins requestTimeout's bound: a client
+// deadline whose nanosecond count overflows int64 falls back to the server
+// default instead of wrapping negative and failing a fresh spec with 504.
+func TestOverflowingDeadlineFallsBack(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	const huge = "10000000000000" // ms
+	spec := func(seed int) string {
+		return fmt.Sprintf(`{"kind":"beta","machine":{"family":"Mesh","dim":2,"size":16},"load_factors":[2],"trials":1,"seed":%d}`, seed)
+	}
+	if code, body := post(t, ts.URL+"/v1/measure", spec(101), map[string]string{"X-Timeout-Ms": huge}); code != http.StatusOK {
+		t.Fatalf("X-Timeout-Ms %s: status %d, want 200; body %s", huge, code, body)
+	}
+	if code, body := post(t, ts.URL+"/v1/measure?timeout_ms="+huge, spec(102), nil); code != http.StatusOK {
+		t.Fatalf("timeout_ms=%s: status %d, want 200; body %s", huge, code, body)
+	}
+}
+
 func TestShutdownDrainsInFlight(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
 	type outcome struct {

@@ -24,8 +24,8 @@ const maxSweepBodyBytes = 4 << 20
 //
 // What the batch adds is affinity: points execute in order over the
 // server's shared artifact cache, so every point after the first reuses
-// the built machine, the engine's distance fields, and the pooled sim
-// arenas; and in cluster mode each point is dispatched by its *machine*
+// the built machine, the engine's distance fields, and the pooled
+// sims; and in cluster mode each point is dispatched by its *machine*
 // key rather than its spec key, so a whole sweep lands on the one
 // worker whose cache is hot for that machine.
 //
