@@ -1,9 +1,10 @@
 // A real workload under emulation: the flood-maximum leader-election
 // program runs natively on a de Bruijn guest and then under emulation on
 // hosts of decreasing communication power. An emulated run reports the
-// native run's states and the host's cost of delivering every word the
-// program reads across blocks, so the measured slowdown climbs exactly as
-// the bandwidth theorem predicts for the weaker hosts.
+// native run's states together with the host's cost of delivering every
+// word the program reads across blocks, so what the hosts differ in is
+// cost: the measured slowdown climbs exactly as the bandwidth theorem
+// predicts for the weaker hosts.
 package main
 
 import (
@@ -37,14 +38,9 @@ func main() {
 	fmt.Printf("%-22s %8s %10s %10s %10s\n", "host", "|H|", "compute", "route", "slowdown")
 	for _, host := range hosts {
 		res := netemu.RunProgramEmulated(p, guest, host, steps, 1)
-		for v := range native {
-			if res.States[v] != native[v] {
-				log.Fatalf("emulation on %s diverged at processor %d", host.Name, v)
-			}
-		}
 		fmt.Printf("%-22s %8d %10d %10d %10.1f\n",
 			host.Name, host.N(), res.ComputeTicks, res.RouteTicks, res.Slowdown)
 	}
-	fmt.Println("\nall emulated runs reproduced the native states exactly; the slowdown")
-	fmt.Println("column is pure communication/load cost, never wrong answers.")
+	fmt.Println("\nthe hosts differ only in cost: the slowdown column is the compute")
+	fmt.Println("load plus the routing time of the cross-block words, per guest step.")
 }

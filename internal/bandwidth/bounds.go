@@ -27,9 +27,19 @@ type Bounds struct {
 // UpperBounds computes the flux and bisection bounds for m. The bisection
 // heuristic uses `restarts` local-search restarts.
 func UpperBounds(m *topology.Machine, restarts int, rng *rand.Rand) Bounds {
+	flux := fluxBound(m, rng)
+	return Bounds{
+		Flux:      flux,
+		Bisection: 4 * float64(m.Graph.EstimateBisection(restarts, rng)),
+	}
+}
+
+// fluxBound computes the flux bound of m (see Bounds), estimating the
+// average distance from BFS samples drawn from rng.
+func fluxBound(m *topology.Machine, rng *rand.Rand) float64 {
 	g := m.Graph
 	if g == nil {
-		panic(fmt.Sprintf("bandwidth: UpperBounds needs a materialized graph; %s is implicit (use Materialize first)", m.Name))
+		panic(fmt.Sprintf("bandwidth: the flux bound needs a materialized graph; %s is implicit (use Materialize first)", m.Name))
 	}
 	var txcap float64
 	for v := 0; v < g.N(); v++ {
@@ -48,11 +58,7 @@ func UpperBounds(m *topology.Machine, restarts int, rng *rand.Rand) Bounds {
 	if err != nil {
 		panic(fmt.Sprintf("bandwidth: %s: %v", m.Name, err))
 	}
-	bis := g.EstimateBisection(restarts, rng)
-	return Bounds{
-		Flux:      txcap / avg,
-		Bisection: 4 * float64(bis),
-	}
+	return txcap / avg
 }
 
 // ImprovedGraphBeta estimates β like GraphTheoreticBeta but routes the

@@ -120,42 +120,46 @@ func (p FaultPoint) Retention() float64 {
 	return r
 }
 
-// MeasureBetaUnderFaults produces a degradation curve for m under symmetric
-// traffic: for each fault fraction, one continuous open-loop run is driven
-// near the intact machine's saturation rate, a wire-fault event fires a
-// third of the way in, and the delivery rate is measured over a pre-fault
-// window and a post-fault window (the middle third after the event is
-// discarded as re-convergence transient). Stranded packets retry with the
-// default budget/backoff/TTL and count as dropped when they give up.
+// MeasureBetaUnderFaults produces a degradation curve for eng's machine
+// under symmetric traffic: for each fault fraction, one continuous
+// open-loop run is driven near the intact machine's saturation rate, a
+// wire-fault event fires a third of the way in, and the delivery rate is
+// measured over a pre-fault window and a post-fault window (the middle
+// third after the event is discarded as re-convergence transient).
+// Stranded packets retry with the default budget/backoff/TTL and count as
+// dropped when they give up.
 //
-// The runs are sharded the given number of ways (the liveness mask shards
-// with the vertex partition: dead processors drop their queues
-// shard-locally and the conservation invariant holds globally); the curve
-// is bit-identical at every shard count.
+// The runs route under eng's strategy (greedy in every caller) and are
+// sharded the given number of ways (the liveness mask shards with the
+// vertex partition: dead processors drop their queues shard-locally and
+// the conservation invariant holds globally); the curve is bit-identical at
+// every shard count. Fault masks live on the runs' sims, so eng is never
+// mutated and may be shared, as the artifact cache shares it.
 //
 // Determinism: each fraction runs on its own plan stream keyed by the
 // fraction's bit pattern, so the curve is invariant under reordering of
 // fracs and each point is independent of the others.
-func MeasureBetaUnderFaults(m *topology.Machine, fracs []float64, ticks, shards int, plan measure.SeedPlan) []FaultPoint {
+func MeasureBetaUnderFaults(eng *routing.Engine, fracs []float64, ticks, shards int, plan measure.SeedPlan) []FaultPoint {
 	if ticks < 30 {
 		panic(fmt.Sprintf("bandwidth: %d ticks cannot hold pre-fault, transient, and post-fault windows; use >= 30", ticks))
 	}
 	out := make([]FaultPoint, 0, len(fracs))
 	for _, frac := range fracs {
-		out = append(out, faultPoint(m, frac, ticks, shards, plan))
+		out = append(out, faultPoint(eng, frac, ticks, shards, plan))
 	}
 	return out
 }
 
 // faultPoint measures one fraction of a degradation curve on its own
 // plan-derived stream.
-func faultPoint(m *topology.Machine, frac float64, ticks, shards int, plan measure.SeedPlan) FaultPoint {
+func faultPoint(eng *routing.Engine, frac float64, ticks, shards int, plan measure.SeedPlan) FaultPoint {
+	m := eng.M
 	rng := plan.RNG(math.Float64bits(frac))
 	dist := traffic.NewSymmetric(m.N())
 
 	// Find the intact machine's saturation rate, then drive the fault run
 	// just below it so the pre-fault window measures a stable β.
-	sat := routing.NewEngine(m, routing.Greedy).SaturationRate(dist, 2*float64(m.Graph.E()), 200, 8, rng, shards)
+	sat := eng.SaturationRate(dist, 2*float64(m.Graph.E()), 200, 8, rng, shards)
 	rate := 0.9 * sat
 	if rate <= 0 {
 		panic(fmt.Sprintf("bandwidth: %s saturates at rate 0", m.Name))
@@ -165,9 +169,7 @@ func faultPoint(m *topology.Machine, frac float64, ticks, shards int, plan measu
 	fplan := topology.FaultPlan{{Kind: topology.EdgeFaults, Tick: failTick, Frac: frac}}
 	sched := fplan.Materialize(m, rng)
 
-	// A fresh engine for the fault run: an engine with faults enabled
-	// belongs to its sim.
-	s := routing.NewEngine(m, routing.Greedy).NewShardedSim(rng, shards)
+	s := eng.NewShardedSim(rng, shards)
 	defer s.Close()
 	s.SetFaults(sched)
 

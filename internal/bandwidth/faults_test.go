@@ -70,12 +70,13 @@ func TestConnectedPairsSamples(t *testing.T) {
 
 // Degradation curves behave: a zero-fault point keeps its bandwidth, heavy
 // faults cost measurable throughput on a butterfly, and the whole curve is
-// deterministic in the plan (and invariant under point reordering).
+// deterministic in the plan (and invariant under point reordering, on an
+// engine the first curve already ran on).
 func TestMeasureBetaUnderFaults(t *testing.T) {
-	m := topology.Butterfly(3)
+	eng := routing.NewEngine(topology.Butterfly(3), routing.Greedy)
 	plan := measure.NewSeedPlan(7)
 	fracs := []float64{0, 0.3}
-	pts := MeasureBetaUnderFaults(m, fracs, 240, 1, plan)
+	pts := MeasureBetaUnderFaults(eng, fracs, 240, 1, plan)
 	if len(pts) != 2 {
 		t.Fatalf("%d points", len(pts))
 	}
@@ -100,7 +101,7 @@ func TestMeasureBetaUnderFaults(t *testing.T) {
 		t.Fatalf("ledger overflow: %+v", heavy)
 	}
 	// Same plan, reversed fracs: the same two points.
-	rev := MeasureBetaUnderFaults(m, []float64{0.3, 0}, 240, 1, plan)
+	rev := MeasureBetaUnderFaults(eng, []float64{0.3, 0}, 240, 1, plan)
 	if rev[1] != zero || rev[0] != heavy {
 		t.Fatalf("curve depends on frac ordering:\n%+v\n%+v", pts, rev)
 	}
@@ -112,5 +113,5 @@ func TestMeasureBetaUnderFaultsTooFewTicksPanics(t *testing.T) {
 			t.Fatal("no panic")
 		}
 	}()
-	MeasureBetaUnderFaults(topology.Ring(8), []float64{0.1}, 10, 1, measure.NewSeedPlan(1))
+	MeasureBetaUnderFaults(routing.NewEngine(topology.Ring(8), routing.Greedy), []float64{0.1}, 10, 1, measure.NewSeedPlan(1))
 }

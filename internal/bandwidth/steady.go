@@ -17,16 +17,23 @@ import (
 // ticks is the run length per trial rate (300–500 works), iters the
 // bisection depth (8–12). The probes run sharded the given number of ways
 // on the (typically cached, greedy) engine, which is never mutated; the
-// value is bit-identical at every shard count. The rng draw order — the
-// UpperBounds flux draw before the bisection — makes warm results
+// value is bit-identical at every shard count, and warm results are
 // byte-identical to a fresh engine's.
 func SteadyStateBeta(eng *routing.Engine, ticks, iters, shards int, rng *rand.Rand) float64 {
 	m := eng.M
 	dist := traffic.NewSymmetric(m.N())
 	// The flux bound caps the search window.
-	upper := UpperBounds(m, 2, rng).Flux * 1.5
+	upper := fluxBound(m, rng) * 1.5
 	if upper < 2 {
 		upper = 2
+	}
+	if n := m.Graph.N(); n > 20 {
+		// The window once came from UpperBounds(m, 2, rng), whose bisection
+		// estimate drew one rng.Perm(n) per restart (graphs of at most 20
+		// vertices are bisected exactly, without the rng). Replaying those
+		// draws keeps every steady-β value's bytes.
+		rng.Perm(n)
+		rng.Perm(n)
 	}
 	return eng.SaturationRate(dist, upper, ticks, iters, rng, shards)
 }

@@ -175,25 +175,26 @@ func TestByName(t *testing.T) {
 	}
 }
 
-// Property: emulated equals native for random ring sizes, hosts, and step
-// counts, for every library program.
+// Property: on random ring sizes, hosts, and step counts, every library
+// program's emulated run splits its host time exactly into compute and
+// routing ticks and is at least as slow as the load bound |G|/|H|. (The
+// emulated states are Run's by construction, so comparing them with a
+// native run would prove nothing.)
 func TestPropertyEmulationFaithful(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		guest := topology.Ring(8 + rng.Intn(24))
 		host := topology.Ring(3 + rng.Intn(6))
 		steps := 1 + rng.Intn(5)
+		load := float64(guest.N()) / float64(host.N())
 		for _, name := range []string{"floodmax", "sumdiffusion", "paritywave"} {
 			p, err := ByName(name)
 			if err != nil {
 				return false
 			}
-			native := Run(p, guest, steps)
 			emu := RunEmulated(p, guest, host, steps, rng)
-			for v := range native {
-				if native[v] != emu.States[v] {
-					return false
-				}
+			if emu.HostTicks != emu.ComputeTicks+emu.RouteTicks || emu.Slowdown < load {
+				return false
 			}
 		}
 		return true

@@ -85,9 +85,11 @@ func BenchmarkSimStepSharded(b *testing.B) {
 
 // BenchmarkSimStepMillionVertex drives Step on the dim-20 weak hypercube
 // — 1,048,576 vertices, buildable only through the implicit generator
-// representation — under a standing symmetric load. The extra ns/vertex
-// column makes the row comparable to the 65k-vertex sharded curve above
-// despite the 16× size difference.
+// representation — under a standing symmetric load, warmed like the
+// sharded curve above (64 ticks with the timed loop's refills) so the row
+// records the steady state rather than the queues' first growth. The extra
+// ns/vertex column makes the row comparable to the 65k-vertex sharded
+// curve despite the 16× size difference.
 func BenchmarkSimStepMillionVertex(b *testing.B) {
 	m := topology.ImplicitWeakHypercube(20)
 	n := m.N()
@@ -97,7 +99,10 @@ func BenchmarkSimStepMillionVertex(b *testing.B) {
 	defer s.Close()
 	dist := traffic.NewSymmetric(n)
 	s.Inject(traffic.Batch(dist, n, rng))
-	for i := 0; i < 4; i++ {
+	for i := 0; i < 64; i++ {
+		if s.InFlight() < n/4 {
+			s.Inject(traffic.Batch(dist, n/2, rng))
+		}
 		s.Step()
 	}
 	b.ReportAllocs()
@@ -143,9 +148,9 @@ func BenchmarkSimRoute(b *testing.B) {
 // (built as a spec with seed 0 builds them) with one message per
 // processor kept in flight, topped up outside the timer before every tick
 // and warmed for 32 ticks — the regime behind the benchmark's
-// routing.step_us_p50.<name> rows. The hypercube and the two meshes take
-// the closed-form next hop; DeBruijn-256 has no geometry and is the
-// control.
+// routing.step_us_p50.<name> rows. The hypercube and the two meshes route
+// on their generator's closed-form next hop; DeBruijn-256 routes on CSR
+// arrays and BFS fields and is the control.
 func BenchmarkSimStepMachines(b *testing.B) {
 	for _, bm := range []struct {
 		name string

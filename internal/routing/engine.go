@@ -18,17 +18,17 @@
 // O(congestion + dilation) bound of the universal routing scheme the paper
 // cites, which is all the Θ-level measurements need.
 //
-// The engine routes on either adjacency representation: a materialized
-// multigraph flattened into CSR arrays, or (for hypercube/mesh/torus
-// machines built with topology.ImplicitWeakHypercube and friends) a
-// generator that computes neighbours on the fly — the difference between a
-// dim-20 hypercube being simulable or not. On hypercubes, meshes and tori
-// the fault-free next hop is closed-form in both representations: the
-// engine holds the machine's generator as its shape and picks the hop from
+// An engine routes on exactly one adjacency form. Pristine hypercubes,
+// meshes and tori — implicit machines built with
+// topology.ImplicitWeakHypercube and friends, and materialized machines
+// that are exact copies of one — route on their generator, which computes
+// neighbours on the fly (the difference between a dim-20 hypercube being
+// simulable or not) and gives a closed-form fault-free next hop from
 // coordinates or bits, without a distance field or a neighbour list. Every
-// other machine, and every machine under faults, routes on BFS distance
-// fields. All of these produce byte-identical results; see pickHop and
-// DESIGN.md.
+// other machine routes on CSR arrays and BFS distance fields. Under faults
+// every machine routes on BFS fields over the live subgraph its Sim's fault
+// mask leaves; the engine itself holds no run state. All of these produce
+// byte-identical results; see pickHop and DESIGN.md.
 //
 // The simulator can run sharded: the vertex set is partitioned across k
 // goroutines that exchange boundary packets through per-shard mailboxes
@@ -72,58 +72,48 @@ func (s Strategy) String() string {
 	}
 }
 
-// geomKind tags the closed-form next-hop fast paths.
+// geomKind tags the closed-form next-hop fast paths of a generator engine.
 type geomKind int
 
 const (
-	geomNone geomKind = iota
-	geomHypercube
+	geomHypercube geomKind = iota
 	geomMesh
 	geomTorus
 )
 
 // Engine simulates packet routing on one machine. It caches per-destination
-// distance fields, so reuse one Engine across batches on the same machine.
+// distance fields and retired sims, so reuse one Engine across batches on
+// the same machine. It holds no run state: faults live on the Sim that
+// runs them, so concurrent runs, faulted or not, may share one engine.
 type Engine struct {
 	M        *topology.Machine
 	Strategy Strategy
 
-	// distPtrs caches per-destination BFS distance fields, over the live
-	// subgraph once faults are enabled. Lazily filled with atomic
-	// publication so concurrent shards can warm it without locks: a racing
-	// recompute produces the identical field (BFS is deterministic) and the
-	// last store wins. EnableFaults and every fault event swap in a fresh
-	// array (driver context, between phases). Nil for fault-free implicit
-	// machines, whose next hop is always closed-form, and never filled
-	// while a fault-free explicit machine has a shape.
-	distPtrs []atomic.Pointer[[]int]
-
-	// Explicit adjacency, flattened CSR-style (nil for implicit machines):
-	// slot j in [edgeBase[u], edgeBase[u+1]) holds neighbour nbrV[j] with
-	// wire multiplicity nbrMult[j], neighbours ascending — directed edge id
-	// j. Sim uses the ids to keep per-tick wire usage in a flat array.
+	// CSR adjacency (nil on a generator engine): slot j in
+	// [edgeBase[u], edgeBase[u+1]) holds neighbour nbrV[j] with wire
+	// multiplicity nbrMult[j], neighbours ascending — directed edge id j.
+	// Sim uses the ids to keep per-tick wire usage in a flat array.
 	nbrV     []int32
 	nbrMult  []int64
 	edgeBase []int32
 
-	// Implicit adjacency (geom != nil): neighbours are generated, and
-	// directed edge u->v gets id u*gDeg + rank(v), order-isomorphic to the
-	// CSR ids of the explicit twin (both number edges by (u asc, v asc)),
-	// so id-ordered tie-breaks agree between representations.
-	geom *topology.Implicit
-	gDeg int // max degree = per-vertex edge-id stride
+	// distPtrs caches a CSR engine's fault-free per-destination BFS
+	// distance fields. Lazily filled with atomic publication so concurrent
+	// shards and runs can warm it without locks: a racing recompute
+	// produces the identical field (BFS is deterministic) and the last
+	// store wins. Nil on a generator engine, whose fault-free next hop is
+	// closed-form; faulted runs keep their fields in their Sim's mask.
+	distPtrs []atomic.Pointer[[]int]
 
-	// shape, when non-nil, is the generator of the machine's fault-free
-	// graph, whichever representation holds the adjacency: an implicit
-	// machine's own generator, or the one explicitShape finds a pristine
-	// materialized hypercube, mesh or torus to be. It supplies the
-	// closed-form next hop, replacing O(N) BFS fields whose
-	// all-destination warmup is O(N^2) memory; setShape unpacks its
-	// parameters into gk..gStride. Faulted routing falls back to masked
-	// BFS fields. Nil selects the CSR +
-	// BFS-field path, the reference the representation tests compare the
-	// closed forms against.
-	shape   *topology.Implicit
+	// Generator adjacency (nil on a CSR engine): the generator of a
+	// pristine hypercube, mesh or torus, an implicit machine's own or the
+	// one explicitShape finds a materialized machine to be. Neighbours are
+	// generated, and directed edge u->v gets id u*gDeg + rank(v),
+	// order-isomorphic to CSR ids (both number edges by (u asc, v asc)), so
+	// id-ordered tie-breaks agree with a CSR engine on the same machine.
+	// gk..gStride unpack its parameters for the closed-form next hop.
+	geom    *topology.Implicit
+	gDeg    int // max degree = per-vertex edge-id stride
 	gk      geomKind
 	gDim    int // mesh/torus dimension
 	gSide   int // mesh/torus side
@@ -132,11 +122,6 @@ type Engine struct {
 	// caps[v] is v's forwarding capacity (-1 unlimited); nil when the
 	// machine has no capped vertex, so the hot path skips the lookup.
 	caps []int64
-
-	// live is nil until EnableFaults: liveness-aware routing (masked
-	// distance fields, dead-wire skipping) costs the fault-free hot path
-	// nothing beyond a nil check.
-	live *liveState
 
 	// simFree pools retired sims for reuse via acquireSim/releaseSim, so
 	// repeated measurements on one engine (open-loop bisection, warm
@@ -182,14 +167,9 @@ func (e *Engine) acquireSim(rng *rand.Rand, shards int) *Sim {
 }
 
 // releaseSim retires a sim into the engine's pool for a later acquireSim.
-// Closed sims are ignored; sims that ran a fault schedule, or overflow the
-// pool, are closed instead of pooled.
+// Closed sims are ignored; sims that overflow the pool are closed instead.
 func (e *Engine) releaseSim(s *Sim) {
 	if s.closed {
-		return
-	}
-	if s.faults != nil {
-		s.Close()
 		return
 	}
 	e.simMu.Lock()
@@ -202,15 +182,39 @@ func (e *Engine) releaseSim(s *Sim) {
 	s.Close()
 }
 
-// NewEngine returns an engine for m using the given strategy.
+// NewEngine returns an engine for m using the given strategy. Pristine
+// hypercubes, meshes and tori route on their generator, every other
+// machine on CSR arrays.
 func NewEngine(m *topology.Machine, strategy Strategy) *Engine {
+	gen := m.Implicit
+	if gen == nil {
+		gen = explicitShape(m)
+	}
+	return newEngine(m, strategy, gen)
+}
+
+// newEngine returns an engine that routes on gen, or on CSR arrays built
+// from m's graph when gen is nil — the BFS-field reference the tests hold
+// the closed-form next hop to.
+func newEngine(m *topology.Machine, strategy Strategy, gen *topology.Implicit) *Engine {
 	e := &Engine{M: m, Strategy: strategy}
-	if im := m.Implicit; im != nil {
-		e.geom = im
-		e.numVerts = im.N()
-		e.gDeg = im.MaxDeg()
+	if gen != nil {
+		e.geom = gen
+		e.numVerts = gen.N()
+		e.gDeg = gen.MaxDeg()
 		e.numEdges = e.numVerts * e.gDeg
-		e.setShape(im)
+		if _, ok := gen.Hypercube(); !ok {
+			dim, side, wrap, _ := gen.Grid()
+			e.gk, e.gDim, e.gSide = geomMesh, dim, side
+			if wrap {
+				e.gk = geomTorus
+			}
+			stride := 1
+			for d := 0; d < dim; d++ {
+				e.gStride[d] = stride
+				stride *= side
+			}
+		}
 	} else {
 		g := m.Graph
 		e.numVerts = g.N()
@@ -231,7 +235,6 @@ func NewEngine(m *topology.Machine, strategy Strategy) *Engine {
 			}
 		}
 		e.distPtrs = make([]atomic.Pointer[[]int], g.N())
-		e.setShape(e.explicitShape(m))
 	}
 	if m.VertexCap != nil || m.UniformCap > 0 {
 		e.caps = make([]int64, e.numVerts)
@@ -242,48 +245,25 @@ func NewEngine(m *topology.Machine, strategy Strategy) *Engine {
 	return e
 }
 
-// setShape installs im as the engine's shape and unpacks the parameters
-// the closed-form next hop reads; nil clears it, leaving the CSR +
-// BFS-field path.
-func (e *Engine) setShape(im *topology.Implicit) {
-	e.shape, e.gk = im, geomNone
-	if im == nil {
-		return
-	}
-	if _, ok := im.Hypercube(); ok {
-		e.gk = geomHypercube
-		return
-	}
-	dim, side, wrap, _ := im.Grid()
-	e.gk, e.gDim, e.gSide = geomMesh, dim, side
-	if wrap {
-		e.gk = geomTorus
-	}
-	stride := 1
-	for d := 0; d < dim; d++ {
-		e.gStride[d] = stride
-		stride *= side
-	}
-}
-
 // explicitShape returns the generator a materialized machine is, or nil.
 // The family, dimension and vertex count name the candidate the way
 // topology.BuildImplicit names a machine — a hypercube (weak or strong:
 // caps are not part of the graph), mesh or torus of dimension at most
 // MaxImplicitDim, the length of the next hop's coordinate scratch. The
 // machine must also keep every processor and wire of that build, each
-// wire of multiplicity 1 (2·E CSR slots): topology's degraded clones only
-// ever delete, so equal counts mean nothing was deleted, and the
-// closed-form next hop then makes the CSR loop's choices with its edge
-// ids. Degraded clones and higher-dimensional meshes route on BFS fields.
-func (e *Engine) explicitShape(m *topology.Machine) *topology.Implicit {
-	n := e.numVerts
+// wire of multiplicity 1 (as many distinct edges as wires): topology's
+// degraded clones only ever delete, so equal counts mean nothing was
+// deleted, and the generator then enumerates the graph's own neighbours.
+// Degraded clones and higher-dimensional meshes route on CSR arrays.
+func explicitShape(m *topology.Machine) *topology.Implicit {
+	g := m.Graph
+	n := g.N()
 	if m.Procs != n || !topology.ImplicitSupported(m.Family) ||
 		m.Family != topology.WeakHypercubeFamily && (m.Dim < 1 || m.Dim > topology.MaxImplicitDim) {
 		return nil
 	}
 	tw, err := topology.BuildImplicit(m.Family, m.Dim, n)
-	if err != nil || tw.N() != n || tw.EdgeCount() != m.Graph.E() || int64(e.numEdges) != 2*m.Graph.E() {
+	if err != nil || tw.N() != n || tw.EdgeCount() != g.E() || int64(g.DistinctEdges()) != g.E() {
 		return nil
 	}
 	return tw.Implicit
@@ -291,9 +271,9 @@ func (e *Engine) explicitShape(m *topology.Machine) *topology.Implicit {
 
 // neighbors returns u's neighbours in ascending vertex-id order and the id
 // of u's first out-edge; the neighbour at index i leaves u on edge
-// base+i. Explicit machines return a view of the CSR arrays. Implicit
-// ones append the generator's output to buf, so a caller that passes a
-// stack buffer of topology.MaxImplicitDegree entries allocates nothing.
+// base+i. CSR engines return a view of their arrays. Generator engines
+// append the generator's output to buf, so a caller that passes a stack
+// buffer of topology.MaxImplicitDegree entries allocates nothing.
 // Every walk over a vertex's neighbours except the closed-form next hop
 // goes through here.
 func (e *Engine) neighbors(u int, buf []int32) ([]int32, int32) {
@@ -333,25 +313,29 @@ func (e *Engine) edgeEnds(id int32) (int, int) {
 }
 
 // dist returns the BFS distance field to dst, computing and caching it on
-// first use. Under faults, masked wires and processors do not exist and
+// first use: in the engine's cache when fs is nil, in the fault mask's
+// otherwise. Under a mask, dead wires and processors do not exist and
 // vertices cut off from dst get -1. Safe for concurrent shards:
 // publication is atomic and a racing duplicate compute yields the
 // identical deterministic field.
-func (e *Engine) dist(dst int) []int {
-	if e.distPtrs == nil {
-		// Fault-free implicit machines route on their shape; a BFS field
-		// would be an O(N) allocation bug, not a fallback.
-		panic("routing: BFS distance field requested on an implicit machine without faults")
+func (e *Engine) dist(dst int, fs *faultState) []int {
+	fields := e.distPtrs
+	if fs != nil {
+		fields = fs.fields
 	}
-	if p := e.distPtrs[dst].Load(); p != nil {
+	if fields == nil {
+		// Fault-free generator engines take the closed-form next hop; a
+		// BFS field would be an O(N) allocation bug, not a fallback.
+		panic("routing: BFS distance field requested on a fault-free generator engine")
+	}
+	if p := fields[dst].Load(); p != nil {
 		return *p
 	}
-	lv := e.live
 	d := make([]int, e.numVerts)
 	for i := range d {
 		d[i] = -1
 	}
-	if lv == nil || !lv.nodeDown[dst] {
+	if !fs.down(dst) {
 		var buf [topology.MaxImplicitDegree]int32
 		queue := make([]int32, 1, e.numVerts)
 		queue[0] = int32(dst)
@@ -360,7 +344,7 @@ func (e *Engine) dist(dst int) []int {
 			u := int(queue[h])
 			nbrs, base := e.neighbors(u, buf[:0])
 			for i, v := range nbrs {
-				if d[v] >= 0 || lv != nil && (lv.edgeDown[base+int32(i)] || lv.nodeDown[v]) {
+				if d[v] >= 0 || fs != nil && (fs.edgeDown[base+int32(i)] || fs.nodeDown[v]) {
 					continue
 				}
 				d[v] = d[u] + 1
@@ -368,7 +352,7 @@ func (e *Engine) dist(dst int) []int {
 			}
 		}
 	}
-	e.distPtrs[dst].Store(&d)
+	fields[dst].Store(&d)
 	return d
 }
 
@@ -417,31 +401,26 @@ func (e *Engine) Route(batch []traffic.Message, rng *rand.Rand, shards int) Stat
 // per-tick decision stream. It returns the chosen vertex and its
 // directed-edge id, or (-1, -1) if all downhill wires are saturated.
 // edgeUsed is indexed by edge id; only edges out of u are read or written,
-// which is what makes concurrent shards safe.
+// which is what makes concurrent shards safe. fs is the running sim's
+// fault mask, nil on a fault-free run.
 //
-// Fault-free machines with a shape take the closed-form fast paths, which
-// read neither a distance field nor a neighbour list; only the base of u's
-// edge ids depends on the representation (u*gDeg for generated adjacency,
-// edgeBase[u] for CSR). Everything else walks u's neighbours against a BFS
-// distance field, skipping dead wires under faults. Every path enumerates
-// the candidates in the same order — neighbours ascending by vertex id —
-// and spends exactly one reservoir draw per unsaturated downhill
-// neighbour, so the decision streams (and therefore all results) are
-// identical across explicit, implicit, serial, and sharded runs.
-func (e *Engine) pickHop(u, dst int, edgeUsed []int32, vr *vrand) (int, int32) {
-	if e.shape != nil && e.live == nil {
-		base := int32(u * e.gDeg)
-		if e.edgeBase != nil {
-			base = e.edgeBase[u]
-		}
+// Fault-free generator engines take the closed-form fast paths, which read
+// neither a distance field nor a neighbour list. Everything else walks u's
+// neighbours against a BFS distance field, skipping dead wires under
+// faults. Every path enumerates the candidates in the same order —
+// neighbours ascending by vertex id — and spends exactly one reservoir
+// draw per unsaturated downhill neighbour, so the decision streams (and
+// therefore all results) are identical across adjacency forms, faulted
+// masks with nothing down, serial and sharded runs.
+func (e *Engine) pickHop(u, dst int, edgeUsed []int32, vr *vrand, fs *faultState) (int, int32) {
+	if fs == nil && e.geom != nil {
 		if e.gk == geomHypercube {
-			return e.pickHopHypercube(u, dst, base, edgeUsed, vr)
+			return e.pickHopHypercube(u, dst, edgeUsed, vr)
 		}
-		return e.pickHopGrid(u, dst, base, edgeUsed, vr)
+		return e.pickHopGrid(u, dst, edgeUsed, vr)
 	}
-	d := e.dist(dst)
+	d := e.dist(dst, fs)
 	du := d[u] - 1
-	lv := e.live
 	var buf [topology.MaxImplicitDegree]int32
 	nbrs, base := e.neighbors(u, buf[:0])
 	best := -1
@@ -452,7 +431,7 @@ func (e *Engine) pickHop(u, dst int, edgeUsed []int32, vr *vrand) (int, int32) {
 			continue
 		}
 		id := base + int32(i)
-		if lv != nil && lv.edgeDown[id] || int64(edgeUsed[id]) >= e.mult(id) {
+		if fs != nil && fs.edgeDown[id] || int64(edgeUsed[id]) >= e.mult(id) {
 			continue
 		}
 		// Reservoir-sample uniformly among available downhill neighbours.
@@ -468,9 +447,10 @@ func (e *Engine) pickHop(u, dst int, edgeUsed []int32, vr *vrand) (int, int32) {
 // pickHopHypercube is pickHop for the fault-free hypercube: the downhill
 // neighbours are the flips of the bits where u and dst differ, enumerated
 // in ascending vertex-id order (set bits high-to-low, then clear bits
-// low-to-high), with edge ids base plus the bit ranks — no adjacency
+// low-to-high), with edge ids u·gDeg plus the bit ranks — no adjacency
 // memory touched at all.
-func (e *Engine) pickHopHypercube(u, dst int, base int32, edgeUsed []int32, vr *vrand) (int, int32) {
+func (e *Engine) pickHopHypercube(u, dst int, edgeUsed []int32, vr *vrand) (int, int32) {
+	base := int32(u * e.gDeg)
 	diff := uint(u ^ dst)
 	pu := bits.OnesCount(uint(u))
 	best := -1
@@ -512,10 +492,10 @@ func (e *Engine) pickHopHypercube(u, dst int, base int32, edgeUsed []int32, vr *
 // descending dimension, then plus-steps by ascending dimension); the
 // torus, whose wraparound breaks that monotonicity, gathers its 2·dim
 // neighbours into a stack array and insertion-sorts. Rank slots count
-// every existing neighbour, downhill or not, so base plus the slot is the
-// edge id in either representation — a mesh boundary vertex has fewer
-// than 2·dim, which is why an explicit base is edgeBase[u], not u*gDeg.
-func (e *Engine) pickHopGrid(u, dst int, base int32, edgeUsed []int32, vr *vrand) (int, int32) {
+// every existing neighbour, downhill or not, so u·gDeg plus the slot is
+// the edge id; a mesh boundary vertex leaves its last slots unused.
+func (e *Engine) pickHopGrid(u, dst int, edgeUsed []int32, vr *vrand) (int, int32) {
+	base := int32(u * e.gDeg)
 	dim, side := e.gDim, e.gSide
 	var cu, cv [topology.MaxImplicitDim]int
 	x, y := u, dst

@@ -209,25 +209,36 @@ func TestValiantRetargetsDeadIntermediate(t *testing.T) {
 	}
 }
 
-// The engine's fault mask and live distance fields agree with the
-// surviving topology: masked wires are never traversed.
+// A sim's fault mask and live distance fields agree with the surviving
+// topology: masked wires are never traversed, and the engine's own
+// fault-free field is untouched by the mask.
 func TestPickHopAvoidsDeadWires(t *testing.T) {
 	m := topology.Ring(6)
 	e := NewEngine(m, Greedy)
-	e.EnableFaults()
-	e.ApplyFaultEvent(topology.FaultEvent{Edges: []topology.EdgeFault{{U: 0, V: 1, Mult: 1}}})
-	// 0 -> 2 must now go the long way round: distance 4, not 2.
-	d := e.dist(2)
-	if d[0] != 4 {
+	s := e.NewSim(rand.New(rand.NewSource(1)))
+	defer s.Close()
+	s.SetFaults(&topology.FaultSchedule{Events: []topology.FaultEvent{
+		{Tick: 1, Edges: []topology.EdgeFault{{U: 0, V: 1, Mult: 1}}},
+		{Tick: 2, Heal: true},
+	}})
+	s.Step() // tick 1: the wire 0-1 fails
+	fs := s.faults
+	// 0 -> 2 must now go the long way round: distance 4, not 2, first hop 5.
+	if d := e.dist(2, fs); d[0] != 4 {
 		t.Fatalf("live distance 0->2 = %d, want 4 around the cut", d[0])
 	}
+	edgeUsed := make([]int32, e.numEdges)
+	vr := vrand{state: 1}
+	if h, id := e.pickHop(0, 2, edgeUsed, &vr, fs); h != 5 || id != e.dirEdgeID(0, 5) {
+		t.Fatalf("hop 0->2 under the cut = %d on edge %d, want 5 on edge %d", h, id, e.dirEdgeID(0, 5))
+	}
 	edges, nodes := 0, 0
-	for _, down := range e.live.edgeDown {
+	for _, down := range fs.edgeDown {
 		if down {
 			edges++
 		}
 	}
-	for _, down := range e.live.nodeDown {
+	for _, down := range fs.nodeDown {
 		if down {
 			nodes++
 		}
@@ -235,9 +246,11 @@ func TestPickHopAvoidsDeadWires(t *testing.T) {
 	if edges != 2 || nodes != 0 {
 		t.Fatalf("down counts %d/%d, want 2 directed edges, 0 nodes", edges, nodes)
 	}
-	// Heal restores the short path.
-	e.ApplyFaultEvent(topology.FaultEvent{Heal: true})
-	if d := e.dist(2); d[0] != 2 {
+	if d := e.dist(2, nil); d[0] != 2 {
+		t.Fatalf("fault-free distance 0->2 = %d under another sim's mask, want 2", d[0])
+	}
+	s.Step() // tick 2: heal restores the short path
+	if d := e.dist(2, fs); d[0] != 2 {
 		t.Fatalf("post-heal distance 0->2 = %d, want 2", d[0])
 	}
 }

@@ -8,13 +8,14 @@ import (
 	"repro/internal/topology"
 )
 
-// Dynamic-fault support: an Engine can mask wires and processors as dead
-// mid-run and route around them, and a Sim can execute a
-// topology.FaultSchedule while packets are in flight. Routing tables are
-// masked lazily: every fault event invalidates the engine's distance-field
-// cache and each destination's field is recomputed (on the surviving
-// subgraph) the first time a packet needs it, so a machine that only ever
-// routes to a few destinations after a fault pays only for those.
+// Dynamic-fault support: a Sim can execute a topology.FaultSchedule while
+// packets are in flight, masking wires and processors as dead mid-run and
+// routing around them. The mask is the sim's, never the engine's, so
+// faulted and fault-free runs share one engine and its sim pool. Routing
+// tables are masked lazily: every fault event empties the sim's
+// distance-field cache and each destination's field is recomputed (on the
+// surviving subgraph) the first time a packet needs it, so a machine that
+// only ever routes to a few destinations after a fault pays only for those.
 //
 // Packets stranded by a fault — no live path from their current vertex to
 // their target — are not lost immediately: they back off exponentially and
@@ -26,32 +27,27 @@ import (
 //
 // at every tick, which TestFaultConservationOnTable4Machines enforces.
 
-// liveState is the engine's fault mask: per-directed-edge and per-vertex
-// down flags. The distance fields routed on under faults live in the
-// engine's one field cache, which every fault event swaps out.
-type liveState struct {
+// faultState is a Sim's fault run: the schedule cursor and the fault mask
+// the schedule drives — per-directed-edge and per-vertex down flags, and
+// the BFS distance fields over the live subgraph. A nil *faultState is a
+// fault-free run.
+type faultState struct {
+	sched *topology.FaultSchedule
+	next  int // next unapplied event index
+
 	edgeDown []bool // per directed edge id
 	nodeDown []bool // per vertex
+
+	// fields caches per-destination distance fields over the live
+	// subgraph, filled like the engine's fault-free cache (atomic
+	// publication, shard-safe) and swapped for an empty one by every fault
+	// event (on the goroutine calling Step, between ticks).
+	fields []atomic.Pointer[[]int]
 }
 
-// EnableFaults switches the engine into liveness-aware routing. An engine
-// with faults enabled belongs to the Sim driving it: the fault mask is
-// engine state, so do not share it across concurrent or interleaved sims.
-// Works on both representations; a machine under faults swaps its
-// closed-form shape, if any, for masked BFS fields over its adjacency.
-func (e *Engine) EnableFaults() {
-	if e.live == nil {
-		e.live = &liveState{
-			edgeDown: make([]bool, e.numEdges),
-			nodeDown: make([]bool, e.numVerts),
-		}
-		e.distPtrs = make([]atomic.Pointer[[]int], e.numVerts)
-	}
-}
-
-// NodeDown reports whether vertex v is currently failed. Always false when
-// faults are not enabled.
-func (e *Engine) NodeDown(v int) bool { return e.live != nil && e.live.nodeDown[v] }
+// down reports whether vertex v is currently failed; always false on a
+// fault-free run.
+func (fs *faultState) down(v int) bool { return fs != nil && fs.nodeDown[v] }
 
 // dirEdgeID returns the dense id of directed edge u->v, or -1 if absent.
 func (e *Engine) dirEdgeID(u, v int) int32 {
@@ -65,40 +61,29 @@ func (e *Engine) dirEdgeID(u, v int) int32 {
 	return -1
 }
 
-func (e *Engine) setEdgeDown(u, v int, down bool) {
-	for _, id := range [2]int32{e.dirEdgeID(u, v), e.dirEdgeID(v, u)} {
-		if id < 0 {
-			continue
-		}
-		e.live.edgeDown[id] = down
-	}
-}
-
-// ApplyFaultEvent applies one materialized event to the mask: the listed
-// wires and processors go down, or (Heal) every masked element recovers.
-// The engine's distance-field cache is swapped for an empty one; fields are
-// recomputed on demand over the live subgraph.
-func (e *Engine) ApplyFaultEvent(ev topology.FaultEvent) {
-	e.EnableFaults()
-	lv := e.live
+// apply applies one materialized event to the mask: the listed wires and
+// processors go down, or (Heal) every masked element recovers. The field
+// cache is swapped for an empty one; fields are recomputed on demand over
+// the live subgraph.
+func (fs *faultState) apply(e *Engine, ev topology.FaultEvent) {
 	if ev.Heal {
-		for i := range lv.edgeDown {
-			lv.edgeDown[i] = false
-		}
-		for i := range lv.nodeDown {
-			lv.nodeDown[i] = false
-		}
+		clear(fs.edgeDown)
+		clear(fs.nodeDown)
 	}
 	for _, ef := range ev.Edges {
-		e.setEdgeDown(ef.U, ef.V, true)
+		for _, id := range [2]int32{e.dirEdgeID(ef.U, ef.V), e.dirEdgeID(ef.V, ef.U)} {
+			if id >= 0 {
+				fs.edgeDown[id] = true
+			}
+		}
 	}
 	for _, v := range ev.Nodes {
-		if v < 0 || v >= len(lv.nodeDown) {
-			panic(fmt.Sprintf("routing: fault event fails vertex %d of %d", v, len(lv.nodeDown)))
+		if v < 0 || v >= len(fs.nodeDown) {
+			panic(fmt.Sprintf("routing: fault event fails vertex %d of %d", v, len(fs.nodeDown)))
 		}
-		lv.nodeDown[v] = true
+		fs.nodeDown[v] = true
 	}
-	e.distPtrs = make([]atomic.Pointer[[]int], e.numVerts)
+	fs.fields = make([]atomic.Pointer[[]int], len(fs.fields))
 }
 
 // Stranded-packet resilience. A stranded packet may make retryBudget
@@ -112,22 +97,21 @@ const (
 	faultTTL    = 512
 )
 
-// faultState is the Sim side of a fault run: the schedule cursor.
-type faultState struct {
-	sched *topology.FaultSchedule
-	next  int // next unapplied event index
-}
-
-// SetFaults arms the sim with a materialized fault schedule: events fire at
-// the start of the tick they are keyed to (events keyed before the current
-// tick fire immediately on the next Step). Enables liveness-aware routing
-// on the engine, which then belongs to this sim.
+// SetFaults arms the sim with a materialized fault schedule and an
+// all-live mask: events fire at the start of the tick they are keyed to
+// (events keyed before the current tick fire immediately on the next
+// Step). The engine is untouched; Reset disarms the sim again.
 func (s *Sim) SetFaults(sched *topology.FaultSchedule) {
 	if sched == nil {
 		panic("routing: SetFaults with nil schedule")
 	}
-	s.eng.EnableFaults()
-	s.faults = &faultState{sched: sched}
+	e := s.eng
+	s.faults = &faultState{
+		sched:    sched,
+		edgeDown: make([]bool, e.numEdges),
+		nodeDown: make([]bool, e.numVerts),
+		fields:   make([]atomic.Pointer[[]int], e.numVerts),
+	}
 }
 
 // Dropped returns the number of packets lost to faults: queued at a
@@ -144,7 +128,7 @@ func (s *Sim) applyFaultEvents() {
 	fs := s.faults
 	applied := false
 	for fs.next < len(fs.sched.Events) && fs.sched.Events[fs.next].Tick <= s.now {
-		s.eng.ApplyFaultEvent(fs.sched.Events[fs.next])
+		fs.apply(s.eng, fs.sched.Events[fs.next])
 		fs.next++
 		applied = true
 	}
@@ -159,7 +143,7 @@ func (s *Sim) applyFaultEvents() {
 // are filtered in place, and a vertex whose queue empties leaves its
 // shard's active bitset.
 func (s *Sim) reapDeadPackets() {
-	lv := s.eng.live
+	fs := s.faults
 	for _, sh := range s.shards {
 		for w, word := range sh.active {
 			for ; word != 0; word &= word - 1 {
@@ -170,12 +154,12 @@ func (s *Sim) reapDeadPackets() {
 				for _, p := range q {
 					// A dead processor loses its whole queue, a dead
 					// destination its own packets.
-					if lv.nodeDown[u] || lv.nodeDown[p.finalDst] {
+					if fs.nodeDown[u] || fs.nodeDown[p.finalDst] {
 						s.dropped++
 						s.droppedTick++
 						continue
 					}
-					if p.phase1 && lv.nodeDown[p.dst] {
+					if p.phase1 && fs.nodeDown[p.dst] {
 						// The Valiant intermediate died; head straight for
 						// the destination.
 						p.phase1 = false

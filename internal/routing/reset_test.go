@@ -101,42 +101,46 @@ func TestResetColdVsWarmSnapshot(t *testing.T) {
 	}
 }
 
-// A sim that ran a fault schedule owns the engine's liveness mask and must
-// never be recycled.
-func TestResetRefusesFaultedSim(t *testing.T) {
-	m := topology.Mesh(2, 4)
-	e := NewEngine(m, Greedy)
-	rng := rand.New(rand.NewSource(1))
-	s := e.NewSim(rng)
-	sched := topology.MustParseFaultSpec("edges:0.2@t2").Materialize(m, rng)
-	s.SetFaults(sched)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Reset on a faulted sim did not panic")
+// Faulted sims are reset and pooled like any other, because the fault mask
+// lives on the sim: faulted and fault-free open loops interleaved on one
+// engine, each recycling the sim the one before it released, must each
+// equal the same run on a fresh engine. The schedule never heals, so a
+// mask left behind on the engine or the pooled sim would show in the next
+// fault-free run.
+func TestInterleavedFaultedOpenLoopsShareEngine(t *testing.T) {
+	plan := topology.MustParseFaultSpec("edges:0.15@t20,nodes:2@t40")
+	for _, m := range []*topology.Machine{topology.Mesh(2, 6), topology.DeBruijn(5), topology.ImplicitTorus(2, 5)} {
+		dist := traffic.NewSymmetric(m.N())
+		run := func(e *Engine, shards int, seed int64, faulted bool) OpenLoopResult {
+			rng := rand.New(rand.NewSource(seed))
+			o := OpenLoopOptions{Rate: 3, Ticks: 80, Shards: shards}
+			if faulted {
+				o.Faults = plan.Materialize(m, rng)
+			}
+			res, _ := e.OpenLoop(dist, rng, o)
+			return res
 		}
-		s.Close()
-	}()
-	s.Reset(rng)
-}
-
-// releaseSim must close (not pool) faulted sims: a later acquireSim on the
-// same engine must come back fresh, not contaminated.
-func TestReleaseSimClosesFaulted(t *testing.T) {
-	m := topology.Mesh(2, 4)
-	e := NewEngine(m, Greedy)
-	rng := rand.New(rand.NewSource(1))
-	s := e.NewSim(rng)
-	sched := topology.MustParseFaultSpec("edges:0.2@t2").Materialize(m, rng)
-	s.SetFaults(sched)
-	e.releaseSim(s)
-	if !s.closed {
-		t.Fatal("releaseSim pooled a faulted sim instead of closing it")
+		for _, shards := range []int{1, 4} {
+			e := NewEngine(m, Greedy)
+			for seed := int64(1); seed <= 4; seed++ {
+				for _, faulted := range []bool{true, false} {
+					shared := run(e, shards, seed, faulted)
+					fresh := run(NewEngine(m, Greedy), shards, seed, faulted)
+					if shared != fresh {
+						t.Errorf("%s shards=%d seed=%d faulted=%v: shared engine diverged from a fresh one\nfresh:  %+v\nshared: %+v",
+							m.Name, shards, seed, faulted, fresh, shared)
+					}
+					if faulted && shared.Dropped == 0 && shared.Retried == 0 {
+						t.Errorf("%s shards=%d seed=%d: the fault schedule had no effect", m.Name, shards, seed)
+					}
+					if len(e.simFree) != 1 {
+						t.Errorf("%s shards=%d seed=%d faulted=%v: engine pools %d sims after the run, want 1",
+							m.Name, shards, seed, faulted, len(e.simFree))
+					}
+				}
+			}
+		}
 	}
-	s2 := e.acquireSim(rng, 1)
-	if s2 == s {
-		t.Fatal("acquireSim returned the faulted sim")
-	}
-	s2.Close()
 }
 
 // The open-loop allocation hot spot (satellite): a warm open loop recycles

@@ -156,7 +156,7 @@ func (sh *simShard) move(s *Sim) {
 						}
 					}
 					if !keep {
-						h, edge := eng.pickHop(int(p.at), int(p.dst), s.edgeUsed, &vr)
+						h, edge := eng.pickHop(int(p.at), int(p.dst), s.edgeUsed, &vr, fs)
 						if h >= 0 {
 							if s.edgeUsed[edge] == 0 {
 								sh.touched = append(sh.touched, edge)
@@ -185,7 +185,7 @@ func (sh *simShard) move(s *Sim) {
 							sh.outbox[dst] = append(sh.outbox[dst], arrival{sender: int32(u), p: p})
 							continue
 						}
-						if fs != nil && eng.dist(int(p.dst))[u] < 0 {
+						if fs != nil && eng.dist(int(p.dst), fs)[u] < 0 {
 							// Stranded: no live path to the current target.
 							if p.phase1 {
 								// The Valiant intermediate became unreachable;

@@ -50,16 +50,16 @@ var equivalenceFaultSpec = topology.MustParseFaultSpec("edges:0.15@t20,nodes:2@t
 
 // shardedRun drives one instrumented open loop on a fresh engine at the
 // given shard count and returns the result plus the snapshot JSON. With
-// bfs set the engine's shape is cleared, so an explicit machine routes
-// through the CSR + BFS-field path instead of the closed-form next hop —
-// the independent implementation the representation contract compares
-// against.
+// bfs set the engine routes an explicit machine on CSR arrays even where
+// NewEngine would take its generator, so it goes through the BFS-field
+// path instead of the closed-form next hop — the independent
+// implementation the representation contract compares against.
 func shardedRun(t *testing.T, m *topology.Machine, shards int, faults, bfs bool) (OpenLoopResult, []byte) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(7))
 	e := NewEngine(m, Greedy)
 	if bfs {
-		e.setShape(nil)
+		e = newEngine(m, Greedy, nil)
 	}
 	o := OpenLoopOptions{Rate: 3, Ticks: 80, Shards: shards, Snapshot: true, TopK: 8}
 	if faults {
@@ -83,9 +83,9 @@ func shardedRun(t *testing.T, m *topology.Machine, shards int, faults, bfs bool)
 // implicit generator for weak-hypercube/mesh/torus machines), with and
 // without a fault schedule, must reproduce its OpenLoopResult and snapshot
 // JSON byte-for-byte. On hypercubes, meshes and tori both representations
-// take the closed-form next hop while fault-free, so the BFS-field
-// reference is what keeps this a comparison of two independent
-// implementations rather than a tautology.
+// route on the generator, taking the closed-form next hop while
+// fault-free, so the CSR + BFS-field reference is what keeps this a
+// comparison of two independent implementations rather than a tautology.
 func TestShardedEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	machines := append(table4Machines(rng), topology.StrongHypercube(4), topology.Torus(3, 3), topology.Mesh(topology.MaxImplicitDim, 2), topology.Mesh(2, 13))
@@ -124,9 +124,10 @@ func TestShardedEquivalence(t *testing.T) {
 
 // TestImplicitEquivalenceLargeSmoke drives a machine too big for the full
 // matrix — an order-14 hypercube (16,384 vertices) — through a serial
-// explicit run and a sharded implicit run, both on the closed-form next
-// hop, against the serial CSR + BFS-field reference, and builds the
-// million-vertex instances the implicit representation exists for.
+// explicit run and a sharded implicit run, both on the generator's
+// closed-form next hop, against the serial CSR + BFS-field reference, and
+// builds the million-vertex instances the implicit representation exists
+// for.
 func TestImplicitEquivalenceLargeSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("large equivalence smoke skipped in -short mode")
@@ -194,13 +195,14 @@ func TestShardedStepSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// The closed-form shape must be installed on exactly the pristine
-// hypercubes, meshes and tori of dimension at most MaxImplicitDim, in
-// either representation, and agree with BFS exactly there: the closed-form
-// next hop's candidates from u towards dst are exactly u's BFS-downhill
-// neighbours, each under its own edge id, and a fault-free run on it must
-// never build a BFS field. Degraded clones, non-geometric machines and
-// higher-dimensional meshes must not get one.
+// Exactly the pristine hypercubes, meshes and tori of dimension at most
+// MaxImplicitDim route on their generator, in either representation, and
+// the generator's closed-form next hop agrees with BFS exactly there: its
+// candidates from u towards dst are exactly u's BFS-downhill neighbours,
+// each under its own edge id. A generator engine holds no CSR arrays and
+// no field cache, so a fault-free run on it cannot build a BFS field.
+// Degraded clones, non-geometric machines and higher-dimensional meshes
+// must route on CSR arrays.
 func TestAnalyticDistanceMatchesBFS(t *testing.T) {
 	shaped := []struct {
 		m    *topology.Machine
@@ -220,9 +222,12 @@ func TestAnalyticDistanceMatchesBFS(t *testing.T) {
 	for _, c := range shaped {
 		m := c.m
 		e := NewEngine(m, Greedy)
-		if e.shape == nil || e.gk != c.kind {
-			t.Errorf("%s (implicit=%v): shape %v kind %d, want kind %d", m.Name, m.Implicit != nil, e.shape, e.gk, c.kind)
+		if e.geom == nil || e.gk != c.kind {
+			t.Errorf("%s (implicit=%v): generator %v kind %d, want kind %d", m.Name, m.Implicit != nil, e.geom, e.gk, c.kind)
 			continue
+		}
+		if e.nbrV != nil || e.nbrMult != nil || e.edgeBase != nil || e.distPtrs != nil {
+			t.Errorf("%s (implicit=%v): generator engine holds CSR arrays or a field cache", m.Name, m.Implicit != nil)
 		}
 		g := m.Materialize().Graph
 		edgeUsed := make([]int32, e.numEdges)
@@ -236,7 +241,7 @@ func TestAnalyticDistanceMatchesBFS(t *testing.T) {
 				// left: the picks are then the whole candidate set.
 				var picked []int
 				for vr := (vrand{state: uint64(u)}); ; {
-					h, id := e.pickHop(u, dst, edgeUsed, &vr)
+					h, id := e.pickHop(u, dst, edgeUsed, &vr, nil)
 					if h < 0 {
 						break
 					}
@@ -259,17 +264,8 @@ func TestAnalyticDistanceMatchesBFS(t *testing.T) {
 				clear(edgeUsed)
 			}
 		}
-		if m.Implicit != nil {
-			continue
-		}
-		e.OpenLoop(traffic.NewSymmetric(m.N()), rand.New(rand.NewSource(1)), OpenLoopOptions{Rate: 3, Ticks: 40})
-		for dst := range e.distPtrs {
-			if e.distPtrs[dst].Load() != nil {
-				t.Fatalf("%s: fault-free run on the closed-form path built the BFS field of %d", m.Name, dst)
-			}
-		}
 	}
-	// Degraded clones must fall back to BFS fields: the guard compares
+	// Degraded clones must route on CSR arrays: the guard compares
 	// vertex, processor and wire counts against the pristine build, and a
 	// wire of multiplicity 2 standing in for a deleted one keeps the wire
 	// count but not the neighbour-slot count.
@@ -297,8 +293,8 @@ func TestAnalyticDistanceMatchesBFS(t *testing.T) {
 		topology.Mesh(10, 2),
 	}
 	for _, m := range unshaped {
-		if e := NewEngine(m, Greedy); e.shape != nil || e.gk != geomNone {
-			t.Errorf("%s: unexpected closed-form shape", m.Name)
+		if e := NewEngine(m, Greedy); e.geom != nil || e.nbrV == nil {
+			t.Errorf("%s: routes on a generator, want CSR arrays", m.Name)
 		}
 	}
 }

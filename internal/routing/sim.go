@@ -68,7 +68,7 @@ type Sim struct {
 	latMergedAt int       // delivered count the merge is valid for; -1 = dirty
 
 	stats  *statsRec   // nil unless EnableStats was called
-	faults *faultState // nil unless SetFaults was called
+	faults *faultState // schedule and fault mask; nil unless SetFaults was called
 	closed bool
 }
 
@@ -184,16 +184,12 @@ func (s *Sim) wireShardTopology() {
 // survive. A warm (reset) run is byte-identical to a cold one because the
 // only run-visible state — queues, per-tick wire usage, counters,
 // histograms, epochs, and the rng-derived plan seed — is restored exactly;
-// the recycled storage is never observable.
-//
-// Sims that ran a fault schedule cannot be reset: SetFaults hands the
-// engine's liveness mask to the sim, so the pair is torn down together.
+// the recycled storage is never observable. A fault schedule and its mask
+// are dropped with the rest of the run, so a faulted sim resets like any
+// other.
 func (s *Sim) Reset(rng *rand.Rand) {
 	if s.closed {
 		panic("routing: Reset on a closed Sim")
-	}
-	if s.faults != nil {
-		panic("routing: Reset on a Sim with a fault schedule; faulted runs need a fresh Engine")
 	}
 	for _, sh := range s.shards {
 		// Edge usage dirtied by the final move of the previous run is
@@ -236,6 +232,7 @@ func (s *Sim) Reset(rng *rand.Rand) {
 	s.latMerged.Reset()
 	s.latMergedAt = -1
 	s.stats = nil
+	s.faults = nil
 	// Re-root the decision streams exactly as newSim does, consuming the
 	// same single draw from rng.
 	s.rng = rng
@@ -333,7 +330,7 @@ func (s *Sim) injectOne(m traffic.Message) {
 	if !s.eng.M.IsProcessor(m.Src) || !s.eng.M.IsProcessor(m.Dst) {
 		panic(fmt.Sprintf("routing: message %+v endpoints must be processors", m))
 	}
-	if lv := s.eng.live; lv != nil && (lv.nodeDown[m.Src] || lv.nodeDown[m.Dst]) {
+	if s.faults.down(m.Src) || s.faults.down(m.Dst) {
 		// Traffic at a dead endpoint is lost, not queued: it still counts
 		// as injected so the conservation invariant stays exact.
 		s.injected++
@@ -345,7 +342,7 @@ func (s *Sim) injectOne(m traffic.Message) {
 	p := simPacket{at: int32(m.Src), dst: int32(m.Dst), finalDst: int32(m.Dst), born: int32(s.now)}
 	if s.eng.Strategy == Valiant {
 		mid := s.rng.Intn(s.eng.M.N())
-		if mid != m.Src && mid != m.Dst && !s.eng.NodeDown(mid) {
+		if mid != m.Src && mid != m.Dst && !s.faults.down(mid) {
 			p.dst = int32(mid)
 			p.phase1 = true
 		}
@@ -459,10 +456,8 @@ type OpenLoopOptions struct {
 	Snapshot bool
 	TopK     int
 	// Faults, when non-nil, is armed on the sim before the first tick:
-	// events fire as the run crosses their
-	// ticks, and the result carries the dropped/retried counters. It
-	// enables liveness-aware routing on the engine, which then belongs to
-	// this run.
+	// events fire as the run crosses their ticks, and the result carries
+	// the dropped/retried counters.
 	Faults *topology.FaultSchedule
 }
 
@@ -471,22 +466,18 @@ type OpenLoopOptions struct {
 // run is treated as warm-up and excluded from the throughput/latency
 // window. The snapshot is nil unless o.Snapshot is set.
 //
-// Fault-free runs recycle a pooled sim and never mutate the engine, so
-// concurrent callers may share one; a faulted run gets a fresh sim that is
-// never pooled, because SetFaults binds it to the engine's liveness mask.
-// Results are byte-identical at every shard count and pooled or not.
+// Every run, faulted or not, recycles a pooled sim and never mutates the
+// engine, so concurrent callers may share one. Results are byte-identical
+// at every shard count and pooled or not.
 func (e *Engine) OpenLoop(dist traffic.Distribution, rng *rand.Rand, o OpenLoopOptions) (OpenLoopResult, *Snapshot) {
 	if o.Rate <= 0 || o.Ticks < 8 {
 		panic(fmt.Sprintf("routing: bad open-loop parameters rate=%v ticks=%d", o.Rate, o.Ticks))
 	}
-	var s *Sim
+	s := e.acquireSim(rng, o.Shards)
+	defer e.releaseSim(s)
 	if o.Faults != nil {
-		s = e.NewShardedSim(rng, o.Shards)
 		s.SetFaults(o.Faults)
-	} else {
-		s = e.acquireSim(rng, o.Shards)
 	}
-	defer e.releaseSim(s) // closes, never pools, a faulted sim
 	if o.Snapshot {
 		s.EnableStats()
 	}

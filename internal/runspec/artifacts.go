@@ -19,10 +19,10 @@ import (
 // carry over, which is what makes warm sweep points cheap.
 //
 // Safety rests on what the cached values are allowed to be: cached machines
-// and engines are only handed to code paths that never mutate them. Fault
-// runs (EnableFaults marks the engine as owned by one sim) always get a
-// fresh engine on the cached machine, and emulation (which degrades and
-// clones machines) bypasses the cache entirely — see ExecuteCached.
+// and engines are only handed to code paths that never mutate them. Every
+// measurement kind qualifies, faulted ones included — fault masks live on
+// the runs' sims, not on the engine — and only emulation (which degrades
+// and clones machines) bypasses the cache — see ExecuteCached.
 //
 // Concurrency: lookups are race-safe, and concurrent requests for the same
 // key share one build (later callers block on the first builder's done
@@ -101,10 +101,10 @@ func (c *ArtifactCache) Machine(ms MachineSpec) (*topology.Machine, error) {
 }
 
 // Engine returns a routing engine for ms under the given strategy, building
-// (and warming) it at most once per key. Cached engines are shared: callers
-// may route, open-loop and bisect on them (each call takes its shard count
-// as an argument and never mutates the engine), but must never arm faults
-// on them or call EnableFaults.
+// it at most once per key. Cached engines are shared: callers may route,
+// open-loop, bisect and run fault schedules on them (each call takes its
+// shard count as an argument, keeps any fault mask on its own sim, and
+// never mutates the engine).
 func (c *ArtifactCache) Engine(ms MachineSpec, strategy routing.Strategy) (*routing.Engine, error) {
 	m, err := c.Machine(ms)
 	if err != nil {
@@ -176,16 +176,11 @@ func evictOldest[T any](m map[string]*cacheSlot[T], capacity int) {
 }
 
 // ExecuteCached is Execute over a shared artifact cache: byte-identical
-// results, amortized cost. The bypass rules keep cached state immutable:
-//
-//   - emulation kinds run through plain Execute — emulation degrades,
-//     remaps, and clones machines, so nothing of theirs is shareable;
-//   - fault-curve and faulted open-loop runs reuse the cached *machine* but
-//     build a fresh engine, because fault masks live on the engine;
-//   - everything else reuses the cached engine through the explicit-shards
-//     measurement entry points, which never mutate it.
-//
-// A nil cache degrades to Execute.
+// results, amortized cost. Emulation is the one bypass: it degrades,
+// remaps, and clones machines, so nothing it touches is shareable, and it runs
+// through plain Execute. Every other kind, faulted or not, reuses the
+// cached machine and engine through the explicit-shards measurement entry
+// points, which never mutate them. A nil cache degrades to Execute.
 func ExecuteCached(c *ArtifactCache, s Spec) (Result, error) {
 	if c == nil {
 		return Execute(s)
@@ -207,7 +202,7 @@ func ExecuteCached(c *ArtifactCache, s Spec) (Result, error) {
 }
 
 // runCached executes one measurement spec over the cache: Run's body on
-// the cached machine, with fault-free runs sharing the cached engine.
+// the cached machine and engine.
 func runCached(c *ArtifactCache, s Spec) (Result, error) {
 	ms := *s.Machine
 	m, err := c.Machine(ms)

@@ -86,6 +86,61 @@ func TestExecuteCachedColdVsWarmMatrix(t *testing.T) {
 	}
 }
 
+// Fault masks live on the runs' sims, so faulted runs share the cached
+// engine with fault-free ones. Faulted open loops, fault curves and
+// fault-free specs on two machines run concurrently (under -race in CI)
+// through one cache, twice each, and every result must equal plain
+// Execute byte-for-byte; the cache builds one engine per machine.
+func TestExecuteCachedConcurrentFaultedSharing(t *testing.T) {
+	var specs []Spec
+	for _, ms := range []MachineSpec{{Family: "mesh", Dim: 2, Size: 36}, {Family: "debruijn", Size: 32}} {
+		msp := func() *MachineSpec { c := ms; return &c }
+		for seed := int64(1); seed <= 2; seed++ {
+			specs = append(specs,
+				Spec{Kind: KindOpenLoop, Machine: msp(), Rate: 3, Ticks: 60, Faults: "edges:0.15@t15,nodes:2@t30,heal@t45", Seed: seed, Shards: 4},
+				Spec{Kind: KindOpenLoop, Machine: msp(), Rate: 3, Ticks: 60, Faults: "nodes:3@t20", Snapshot: true, TopK: 4, Seed: seed},
+				Spec{Kind: KindOpenLoop, Machine: msp(), Rate: 3, Ticks: 60, Snapshot: true, TopK: 4, Seed: seed, Shards: 4},
+				Spec{Kind: KindFaultCurve, Machine: msp(), FaultFracs: []float64{0, 0.2}, Ticks: 40, Seed: seed},
+				Spec{Kind: KindSteadyBeta, Machine: msp(), Ticks: 40, Iters: 3, Seed: seed},
+			)
+		}
+	}
+	want := make([][]byte, len(specs))
+	for i, spec := range specs {
+		res, err := Execute(spec)
+		if err != nil {
+			t.Fatalf("spec %d: Execute: %v", i, err)
+		}
+		want[i] = resultJSON(t, res)
+	}
+	cache := NewArtifactCache(0, 0)
+	const passes = 2
+	got := make([]Result, passes*len(specs))
+	errs := make([]error, len(got))
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got[i], errs[i] = ExecuteCached(cache, specs[i%len(specs)])
+		}(i)
+	}
+	wg.Wait()
+	for i, res := range got {
+		spec := specs[i%len(specs)]
+		if errs[i] != nil {
+			t.Fatalf("%s on %s: ExecuteCached: %v", spec.Kind, spec.Machine.Family, errs[i])
+		}
+		if gb := resultJSON(t, res); string(gb) != string(want[i%len(specs)]) {
+			t.Errorf("%s on %s (faults %q, seed %d): concurrent cached result diverged from Execute\nwant: %s\ngot:  %s",
+				spec.Kind, spec.Machine.Family, spec.Faults, spec.Seed, want[i%len(specs)], gb)
+		}
+	}
+	if got := cache.EngineBuilds(); got != 2 {
+		t.Errorf("engine builds = %d, want 2 (one greedy engine per machine, faulted runs included)", got)
+	}
+}
+
 // A nil cache must degrade ExecuteCached to plain Execute.
 func TestExecuteCachedNilCache(t *testing.T) {
 	spec := Spec{Kind: KindLambda, Machine: &MachineSpec{Family: "mesh", Dim: 2, Size: 16}, Seed: 1}

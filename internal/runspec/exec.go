@@ -100,11 +100,11 @@ func Run(m *topology.Machine, s Spec) (Result, error) {
 	})
 }
 
-// run executes a validated measurement spec on m. Fault-free runs take
-// their engine from engine — fresh for Run, shared for runCached — and
-// never mutate it; faulted open loops build their own, because fault
-// masks live on the engine. The rng derivation per kind lives only here,
-// which is what makes cached results byte-identical to cold ones.
+// run executes a validated measurement spec on m. Every kind takes its
+// engine from engine — fresh for Run, shared for runCached — and never
+// mutates it: fault masks live on the runs' sims. The rng derivation per
+// kind lives only here, which is what makes cached results byte-identical
+// to cold ones.
 func run(m *topology.Machine, s Spec, engine func(routing.Strategy) (*routing.Engine, error)) (Result, error) {
 	if m.Graph == nil {
 		if err := s.checkImplicit(); err != nil {
@@ -142,23 +142,22 @@ func run(m *topology.Machine, s Spec, engine func(routing.Strategy) (*routing.En
 		}
 		res.Beta = bandwidth.SteadyStateBeta(eng, s.Ticks, s.Iters, s.Shards, rng)
 	case KindOpenLoop:
+		eng, err := engine(routing.Greedy)
+		if err != nil {
+			return Result{}, err
+		}
 		o := routing.OpenLoopOptions{Rate: s.Rate, Ticks: s.Ticks, Shards: s.Shards, Snapshot: s.Snapshot, TopK: s.TopK}
-		var eng *routing.Engine
 		if s.Faults != "" {
-			eng = routing.NewEngine(m, routing.Greedy)
 			o.Faults = topology.MustParseFaultSpec(s.Faults).Materialize(m, rng)
-		} else {
-			var err error
-			if eng, err = engine(routing.Greedy); err != nil {
-				return Result{}, err
-			}
 		}
 		ol, snap := eng.OpenLoop(traffic.NewSymmetric(m.N()), rng, o)
 		res.OpenLoop, res.Snapshot = &ol, snap
 	case KindFaultCurve:
-		// Fresh engines are built per fault fraction inside; the machine
-		// itself is never mutated by fault injection.
-		res.FaultCurve = bandwidth.MeasureBetaUnderFaults(m, s.FaultFracs, s.Ticks, s.Shards, measure.NewSeedPlan(s.Seed))
+		eng, err := engine(routing.Greedy)
+		if err != nil {
+			return Result{}, err
+		}
+		res.FaultCurve = bandwidth.MeasureBetaUnderFaults(eng, s.FaultFracs, s.Ticks, s.Shards, measure.NewSeedPlan(s.Seed))
 	case KindLambda:
 		res.Diameter, res.AvgDist = bandwidth.MeasureLambda(m, rng)
 	}
