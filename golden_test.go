@@ -2,14 +2,18 @@ package netemu
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"repro/internal/mapping"
 	"repro/internal/runspec"
+	"repro/internal/topology"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files under testdata/")
@@ -167,4 +171,93 @@ func TestGeometricRoutingGolden(t *testing.T) {
 		buf.WriteByte('\n')
 	}
 	checkGolden(t, "geometric_routing.golden", buf.Bytes())
+}
+
+// measureColdSpecs are netemubench's measure-cold shapes (bench module,
+// coldShapes): β on a hypercube, an open loop on a large mesh, a
+// steady-state β and a mapped emulation, each at three fixed seeds.
+func measureColdSpecs() []runspec.Spec {
+	mesh := func(size int) *runspec.MachineSpec {
+		return &runspec.MachineSpec{Family: "Mesh", Dim: 2, Size: size}
+	}
+	shapes := []runspec.Spec{
+		{Kind: runspec.KindBeta, Machine: &runspec.MachineSpec{Family: "WeakHypercube", Size: 1024}, LoadFactors: []int{2, 4}, Trials: 1},
+		{Kind: runspec.KindOpenLoop, Machine: mesh(1024), Rate: 4, Ticks: 400},
+		{Kind: runspec.KindSteadyBeta, Machine: mesh(64), Ticks: 96, Iters: 2},
+		{Kind: runspec.KindEmulate, Guest: &runspec.MachineSpec{Family: "DeBruijn", Size: 256}, Host: mesh(64), Steps: 2, Mode: runspec.ModeMapped},
+	}
+	var specs []runspec.Spec
+	for _, s := range shapes {
+		for _, seed := range []int64{1, 2, 3} {
+			s.Seed = seed
+			specs = append(specs, s)
+		}
+	}
+	return specs
+}
+
+// Lock the bytes of the benchmark's cold-measurement specs, so a faster
+// simulator, refiner or mapping must answer them exactly as before.
+func TestMeasureColdGolden(t *testing.T) {
+	cache := runspec.NewArtifactCache(0, 0)
+	var buf bytes.Buffer
+	for _, s := range measureColdSpecs() {
+		res, err := runspec.ExecuteCached(cache, s)
+		if err != nil {
+			t.Fatalf("%s: %v", s.Canonical(), err)
+		}
+		b, err := json.MarshalIndent(res, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf.Write(b)
+		buf.WriteByte('\n')
+	}
+	checkGolden(t, "measure_cold.golden", buf.Bytes())
+}
+
+// Lock the partition refiner's decisions: one SHA-256 per recursive
+// bisection assignment on the three pairs emusim -map is checked on, and
+// the bisection estimates and refined partitions of two machines whose
+// hubs give the refiner's gains their widest range.
+func TestMappingGolden(t *testing.T) {
+	build := func(family string, size int, seed int64) *topology.Machine {
+		m, err := runspec.BuildMachine(runspec.MachineSpec{Family: family, Dim: 2, Size: size, Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	pairs := []struct{ guest, host *topology.Machine }{
+		{build("DeBruijn", 256, 1), build("Mesh", 64, 2)},
+		{build("WeakHypercube", 1024, 1), build("Mesh", 64, 2)},
+		{build("Butterfly", 400, 1), build("DeBruijn", 64, 2)},
+	}
+	var buf bytes.Buffer
+	for _, p := range pairs {
+		for seed := int64(1); seed <= 12; seed++ {
+			assign := mapping.RecursiveBisection(p.guest, p.host, rand.New(rand.NewSource(seed)))
+			h := sha256.New()
+			for _, a := range assign {
+				fmt.Fprintf(h, "%d,", a)
+			}
+			fmt.Fprintf(&buf, "RecursiveBisection %s -> %s seed=%d %x\n", p.guest.Name, p.host.Name, seed, h.Sum(nil))
+		}
+	}
+	for _, m := range []*topology.Machine{topology.GlobalBus(256), topology.Pyramid(2, 16)} {
+		for seed := int64(1); seed <= 4; seed++ {
+			cut := m.Graph.EstimateBisection(3, rand.New(rand.NewSource(seed)))
+			fmt.Fprintf(&buf, "EstimateBisection %s restarts=3 seed=%d %d\n", m.Name, seed, cut)
+			// The estimate is the same at every seed, so also hash the
+			// refined partition of one random balanced start.
+			n := m.Graph.N()
+			side := make([]bool, n)
+			for _, v := range rand.New(rand.NewSource(seed)).Perm(n)[:n/2] {
+				side[v] = true
+			}
+			cut = m.Graph.RefinePartition(side, 4*n)
+			fmt.Fprintf(&buf, "RefinePartition %s seed=%d cut=%d %x\n", m.Name, seed, cut, sha256.Sum256(fmt.Append(nil, side)))
+		}
+	}
+	checkGolden(t, "mapping.golden", buf.Bytes())
 }
