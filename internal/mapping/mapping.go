@@ -44,13 +44,15 @@ func RecursiveBisection(guest, host *topology.Machine, rng *rand.Rand) []int {
 	for i := range hostAll {
 		hostAll[i] = i
 	}
-	recurse(guest.Graph, host.Graph, guestAll, hostAll, assign, rng)
+	// One position table serves every Induced call, guest and host alike.
+	pos := make([]int32, max(guest.Graph.N(), host.Graph.N()))
+	recurse(guest.Graph, host.Graph, guestAll, hostAll, assign, pos, rng)
 	return assign
 }
 
 // recurse maps the guest vertices in gPart onto the host vertices in hPart.
 // Every part is ascending, since splitPart keeps its input's order.
-func recurse(g, h *multigraph.Multigraph, gPart, hPart []int, assign []int, rng *rand.Rand) {
+func recurse(g, h *multigraph.Multigraph, gPart, hPart []int, assign []int, pos []int32, rng *rand.Rand) {
 	if len(hPart) == 1 {
 		for _, v := range gPart {
 			assign[v] = hPart[0]
@@ -63,17 +65,17 @@ func recurse(g, h *multigraph.Multigraph, gPart, hPart []int, assign []int, rng 
 	// Split the host into two halves with a small cut, then split the
 	// guest proportionally, and pair the sides so that (heuristically)
 	// the bigger guest half gets the bigger host half.
-	hA, hB := splitPart(h, hPart, len(hPart)/2, rng)
+	hA, hB := splitPart(h, hPart, len(hPart)/2, pos, rng)
 	wantA := len(gPart) * len(hA) / len(hPart)
-	gA, gB := splitPart(g, gPart, wantA, rng)
-	recurse(g, h, gA, hA, assign, rng)
-	recurse(g, h, gB, hB, assign, rng)
+	gA, gB := splitPart(g, gPart, wantA, pos, rng)
+	recurse(g, h, gA, hA, assign, pos, rng)
+	recurse(g, h, gB, hB, assign, pos, rng)
 }
 
 // splitPart partitions the ascending `part` into ascending halves of sizes
 // (k, len-k) minimizing the induced cut with a random-restart local search
-// over the induced subgraph.
-func splitPart(g *multigraph.Multigraph, part []int, k int, rng *rand.Rand) ([]int, []int) {
+// over the induced subgraph. pos is Induced's zeroed position table.
+func splitPart(g *multigraph.Multigraph, part []int, k int, pos []int32, rng *rand.Rand) ([]int, []int) {
 	n := len(part)
 	if k <= 0 {
 		return nil, append([]int(nil), part...)
@@ -81,7 +83,7 @@ func splitPart(g *multigraph.Multigraph, part []int, k int, rng *rand.Rand) ([]i
 	if k >= n {
 		return append([]int(nil), part...), nil
 	}
-	sub := g.Induced(part)
+	sub := g.Induced(part, pos)
 	bestSide := make([]bool, n)
 	bestCut := int64(-1)
 	side := make([]bool, n)

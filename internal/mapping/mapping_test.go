@@ -134,3 +134,16 @@ func TestPropertyAssignmentsValid(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// BenchmarkRecursiveBisection maps the cold-measurement benchmark's
+// DeBruijn-256 guest onto its Mesh-64 host, with a fresh seed per op as
+// each of its requests has. Run with -benchmem: the refiner and the
+// induced subgraphs are the allocations it counts.
+func BenchmarkRecursiveBisection(b *testing.B) {
+	guest := topology.DeBruijn(8)
+	host := topology.Mesh(2, 8)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		RecursiveBisection(guest, host, rand.New(rand.NewSource(int64(i))))
+	}
+}

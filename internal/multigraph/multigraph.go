@@ -153,27 +153,45 @@ func (g *Multigraph) Clone() *Multigraph {
 
 // Induced returns the subgraph of g induced by part, which must ascend:
 // vertex i of the result is part[i], and every edge of g with both ends
-// in part keeps its multiplicity. Each vertex's lists are preallocated to
-// its degree in g and filled by append, since both g's lists and part
-// ascend.
-func (g *Multigraph) Induced(part []int) *Multigraph {
-	h := New(len(part))
+// in part keeps its multiplicity. pos is scratch of length g.N(), all zero
+// on entry and again on return: Induced marks each member's position in it
+// for the neighbour lookups, so callers that split a graph many times
+// reuse one table. The result's lists are windows of two flat arrays sized
+// by the members' degrees in g.
+func (g *Multigraph) Induced(part []int, pos []int32) *Multigraph {
+	h := &Multigraph{n: len(part), nbrs: make([][]int, len(part)), mults: make([][]int64, len(part))}
+	total := 0
 	for i, v := range part {
 		g.check(v)
 		if i > 0 && part[i-1] >= v {
 			panic(fmt.Sprintf("multigraph: induced part not ascending at %d", i))
 		}
-		h.nbrs[i] = make([]int, 0, len(g.nbrs[v]))
-		h.mults[i] = make([]int64, 0, len(g.nbrs[v]))
+		total += len(g.nbrs[v])
+	}
+	for i, v := range part {
+		pos[v] = int32(i + 1)
+	}
+	nbrs := make([]int, 0, total)
+	mults := make([]int64, 0, total)
+	for i, v := range part {
+		lo := len(nbrs)
+		ms := g.mults[v]
 		for k, u := range g.nbrs[v] {
-			if j, ok := slices.BinarySearch(part, u); ok {
-				h.nbrs[i] = append(h.nbrs[i], j)
-				h.mults[i] = append(h.mults[i], g.mults[v][k])
+			if j := int(pos[u]) - 1; j >= 0 {
+				nbrs = append(nbrs, j)
+				mults = append(mults, ms[k])
 				if j > i {
-					h.edges += g.mults[v][k]
+					h.edges += ms[k]
 				}
 			}
 		}
+		// Capped windows, so a later AddEdge on h reallocates rather than
+		// writing into the next vertex's list.
+		h.nbrs[i] = nbrs[lo:len(nbrs):len(nbrs)]
+		h.mults[i] = mults[lo:len(mults):len(mults)]
+	}
+	for _, v := range part {
+		pos[v] = 0
 	}
 	return h
 }

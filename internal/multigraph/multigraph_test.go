@@ -560,8 +560,13 @@ func TestPropertyAdjacencyMatchesPairModel(t *testing.T) {
 					}
 				}
 			}
-			if err := matchesModel(g.Induced(part), sub); err != "" {
+			pos := make([]int32, n)
+			if err := matchesModel(g.Induced(part, pos), sub); err != "" {
 				t.Logf("seed %d op %d: Induced(%v): %s", seed, op, part, err)
+				return false
+			}
+			if slices.ContainsFunc(pos, func(p int32) bool { return p != 0 }) {
+				t.Logf("seed %d op %d: Induced left its position table dirty: %v", seed, op, pos)
 				return false
 			}
 		}
@@ -609,4 +614,16 @@ func matchesModel(g *Multigraph, model map[[2]int]int64) string {
 		}
 	}
 	return ""
+}
+
+// Induced packs its lists into shared arrays; adding an edge to one vertex
+// of the result must not write into its neighbour's list.
+func TestInducedListsAreIndependent(t *testing.T) {
+	h := path(4).Induced([]int{0, 1, 2, 3}, make([]int32, 4))
+	h.AddSimpleEdge(0, 3)
+	for u, want := range [][]int{{1, 3}, {0, 2}, {1, 3}, {0, 2}} {
+		if got := h.Neighbors(u); !slices.Equal(got, want) {
+			t.Errorf("Neighbors(%d) = %v, want %v", u, got, want)
+		}
+	}
 }

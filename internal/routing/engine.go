@@ -115,8 +115,9 @@ type Engine struct {
 	geom    *topology.Implicit
 	gDeg    int // max degree = per-vertex edge-id stride
 	gk      geomKind
-	gDim    int // mesh/torus dimension
-	gSide   int // mesh/torus side
+	gDim    int    // mesh/torus dimension
+	gSide   int    // mesh/torus side
+	gRecip  uint64 // (2^64-1)/gSide, for divSide
 	gStride [topology.MaxImplicitDim]int
 
 	// caps[v] is v's forwarding capacity (-1 unlimited); nil when the
@@ -206,6 +207,7 @@ func newEngine(m *topology.Machine, strategy Strategy, gen *topology.Implicit) *
 		if _, ok := gen.Hypercube(); !ok {
 			dim, side, wrap, _ := gen.Grid()
 			e.gk, e.gDim, e.gSide = geomMesh, dim, side
+			e.gRecip = ^uint64(0) / uint64(side)
 			if wrap {
 				e.gk = geomTorus
 			}
@@ -494,16 +496,15 @@ func (e *Engine) pickHopHypercube(u, dst int, edgeUsed []int32, vr *vrand) (int,
 // neighbours into a stack array and insertion-sorts. Rank slots count
 // every existing neighbour, downhill or not, so u·gDeg plus the slot is
 // the edge id; a mesh boundary vertex leaves its last slots unused.
+// Coordinates come from divSide, a multiply-high, not a division.
 func (e *Engine) pickHopGrid(u, dst int, edgeUsed []int32, vr *vrand) (int, int32) {
 	base := int32(u * e.gDeg)
 	dim, side := e.gDim, e.gSide
 	var cu, cv [topology.MaxImplicitDim]int
 	x, y := u, dst
 	for d := 0; d < dim; d++ {
-		cu[d] = x % side
-		x /= side
-		cv[d] = y % side
-		y /= side
+		x, cu[d] = divSide(x, side, e.gRecip)
+		y, cv[d] = divSide(y, side, e.gRecip)
 	}
 	best := -1
 	var bestEdge int32 = -1
@@ -591,6 +592,20 @@ func (e *Engine) pickHopGrid(u, dst int, edgeUsed []int32, vr *vrand) (int, int3
 		}
 	}
 	return best, bestEdge
+}
+
+// divSide returns x/side and x%side for 0 <= x < 2^32 and 1 <= side < 2^32,
+// given recip = (2^64-1)/side: one multiply-high and one multiply instead
+// of two divisions. Write recip = (2^64-e)/side with 1 <= e <= side and
+// x = q·side + r. Then recip·(x+1)/2^64 = q + (r+1)/side - e(x+1)/(side·2^64),
+// and the last term is positive and below 1/side because e(x+1) < 2^64,
+// so the high word is exactly q. (Lemire, Kaser & Kurz 2019 multiply x by
+// the rounded-up reciprocal instead, which overflows 64 bits at side 1;
+// rounding down and multiplying x+1, after Robison 2005, keeps side 1.)
+func divSide(x, side int, recip uint64) (q, r int) {
+	hi, _ := bits.Mul64(recip, uint64(x)+1)
+	q = int(hi)
+	return q, x - q*side
 }
 
 // wrapDelta is the per-dimension torus distance of a coordinate difference.

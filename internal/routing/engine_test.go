@@ -243,3 +243,21 @@ func TestPropertyRoutingSane(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// divSide must agree with / and % for every side a mesh or torus can
+// have, from side 1 (whose rounded-up reciprocal would overflow) to 4096,
+// at the ids around each multiple boundary and at the top of the id range.
+func TestDivSideMatchesDivision(t *testing.T) {
+	for side := 1; side <= 4096; side++ {
+		recip := ^uint64(0) / uint64(side)
+		top := (1<<31 - 1) / side * side // largest multiple of side below 2^31
+		for _, x := range []int{
+			0, 1, side - 1, side, side + 1, 2*side - 1, 2 * side, side*side - 1, side * side,
+			top - 1, top, top + 1, 1<<31 - side, 1<<31 - 2, 1<<31 - 1, 1<<32 - 2, 1<<32 - 1,
+		} {
+			if q, r := divSide(x, side, recip); q != x/side || r != x%side {
+				t.Fatalf("divSide(%d, %d) = (%d, %d), want (%d, %d)", x, side, q, r, x/side, x%side)
+			}
+		}
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/measure"
 	"repro/internal/topology"
 	"repro/internal/traffic"
 )
@@ -190,5 +191,28 @@ func TestOpenLoopReportsP95(t *testing.T) {
 	}
 	if float64(res.P95Latency) < res.MeanLatency {
 		t.Fatalf("p95 %d below mean %.1f", res.P95Latency, res.MeanLatency)
+	}
+}
+
+// vertexRand must address exactly the stream measure.SeedPlan.Fork(tick,
+// vertex) names, before and after a Reset re-roots the plan.
+func TestVertexRandMatchesSeedPlan(t *testing.T) {
+	e := NewEngine(topology.Ring(12), Greedy)
+	s := e.NewSim(rand.New(rand.NewSource(9)))
+	defer s.Close()
+	for _, seed := range []int64{9, 10} {
+		if seed != 9 {
+			s.Reset(rand.New(rand.NewSource(seed)))
+		}
+		plan := measure.NewSeedPlan(rand.New(rand.NewSource(seed)).Int63())
+		for tick := 1; tick <= 5; tick++ {
+			s.Step()
+			for u := 0; u < 12; u++ {
+				want := uint64(plan.Fork(uint64(tick), uint64(u)).Seed())
+				if got := s.vertexRand(u).state; got != want {
+					t.Fatalf("seed %d tick %d vertex %d: state %#x, want %#x", seed, tick, u, got, want)
+				}
+			}
+		}
 	}
 }

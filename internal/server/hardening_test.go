@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"context"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -24,7 +25,9 @@ import (
 // regression test: a 50ms client budget must reach the worker as a
 // <=50ms X-Timeout-Ms (not the flat 90s forward timeout), and the
 // client must see its 504 promptly instead of waiting out the worker's
-// own 60s default deadline.
+// own 60s default deadline. The worker holds each forwarded POST until
+// the forward gives up, so it outlasts the budget however fast the
+// simulator runs the spec.
 func TestClusterForwardPropagatesClientDeadline(t *testing.T) {
 	var gotMs atomic.Int64
 	gotMs.Store(-2) // sentinel: no POST seen
@@ -37,6 +40,16 @@ func TestClusterForwardPropagatesClientDeadline(t *testing.T) {
 				ms = -1 // POST arrived without a budget
 			}
 			gotMs.Store(ms)
+			// The server notices the forward hanging up only once the
+			// body is read. The bound keeps a forward that never gives
+			// up far below the 10 s promptness check, which reports it.
+			body, _ := io.ReadAll(r.Body)
+			select {
+			case <-r.Context().Done():
+				return
+			case <-time.After(2 * time.Second):
+			}
+			r.Body = io.NopCloser(bytes.NewReader(body))
 		}
 		wsrv.Handler().ServeHTTP(w, r)
 	}))

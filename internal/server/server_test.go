@@ -59,9 +59,11 @@ func post(t *testing.T, url, body string, header map[string]string) (int, []byte
 // quickBeta is a spec cheap enough to run inline in any test.
 const quickBeta = `{"kind":"beta","machine":{"family":"Mesh","dim":2,"size":16},"load_factors":[2],"trials":1,"seed":3}`
 
-// slowSpec returns an open-loop spec taking a few hundred ms — long
-// enough that concurrent requests reliably overlap it, short enough for
-// test budgets. seed varies the canonical key between tests.
+// slowSpec returns an open-loop spec that simulates for about 50 ms on a
+// 2-vCPU Xeon — long enough that concurrent requests reliably overlap
+// it, short enough for test budgets, but no longer than a 50 ms client
+// budget: a test that needs a worker to outlast one must hold the
+// request itself. seed varies the canonical key between tests.
 func slowSpec(seed int64) string {
 	return fmt.Sprintf(`{"kind":"open-loop","machine":{"family":"Mesh","dim":2,"size":256},"rate":2,"ticks":30000,"seed":%d}`, seed)
 }

@@ -151,17 +151,13 @@ func TestDeterminismWithSeed(t *testing.T) {
 }
 
 func TestProgramFacade(t *testing.T) {
-	guest := NewDeBruijn(5)
-	p := NewFloodMax()
-	native := RunProgram(p, guest, 5)
-	res := RunProgramEmulated(p, guest, NewMesh(2, 4), 5, 3)
-	for v := range native {
-		if native[v] != res.States[v] {
-			t.Fatalf("emulated state %d differs", v)
-		}
+	guest, host := NewDeBruijn(5), NewMesh(2, 4)
+	res := RunProgramEmulated(NewFloodMax(), guest, host, 5, 3)
+	if res.HostTicks != res.ComputeTicks+res.RouteTicks {
+		t.Fatalf("%d host ticks != %d compute + %d route", res.HostTicks, res.ComputeTicks, res.RouteTicks)
 	}
-	if res.Slowdown <= 0 {
-		t.Fatal("no slowdown recorded")
+	if load := float64(guest.N()) / float64(host.N()); res.Slowdown < load {
+		t.Fatalf("slowdown %.1f below load bound %.1f", res.Slowdown, load)
 	}
 	if _, err := ProgramByName("floodmax"); err != nil {
 		t.Fatal(err)

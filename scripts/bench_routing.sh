@@ -1,7 +1,8 @@
 #!/bin/sh
 # Benchmark the routing hot path (serial and sharded Step, open loop,
-# batch route) plus the amortized-execution layer (cold vs warm Execute
-# over the artifact cache) and record the results as BENCH_routing.json
+# batch route), the amortized-execution layer (cold vs warm Execute
+# over the artifact cache) and the mapped emulation's recursive bisection,
+# and record the results as BENCH_routing.json
 # at the repo root. The JSON keeps the benchmark trajectory diffable
 # across PRs and is uploaded as a CI artifact.
 #
@@ -22,6 +23,8 @@ trap 'rm -f "$raw"' EXIT
 go test ./internal/routing/ -run '^$' -bench 'BenchmarkSim' \
     -benchmem -benchtime "$benchtime" -count "$count" | tee "$raw"
 go test ./internal/runspec/ -run '^$' -bench 'BenchmarkExecuteColdVsWarm' \
+    -benchmem -benchtime "$benchtime" -count "$count" | tee -a "$raw"
+go test ./internal/mapping/ -run '^$' -bench 'BenchmarkRecursiveBisection' \
     -benchmem -benchtime "$benchtime" -count "$count" | tee -a "$raw"
 go run ./cmd/benchjson < "$raw" > "$out"
 echo "wrote $out"
